@@ -2,10 +2,15 @@
 
 Replays the reconstructed GET-Posts release history (v1, v2, 13 minor
 v2.x releases) and regenerates the per-release triple-growth chart with
-the cumulative series.
+the cumulative series. A second replay gates the metadata path on the
+same growth axis: cold rewrite+plan cost per emitted walk must stay
+roughly flat while ``T`` grows.
 """
 
 from __future__ import annotations
+
+import statistics
+import time
 
 from repro.evolution.growth import ascii_chart, replay_wordpress
 from repro.evolution.wordpress import WORDPRESS_RELEASES
@@ -79,3 +84,76 @@ def test_figure11_single_release_cost(benchmark):
     delta = benchmark.pedantic(apply_release, setup=setup, rounds=10,
                                iterations=1)
     assert delta["S"] > 0
+
+
+#: the historical posts query: after release k it unions k walks
+POSTS_QUERY = """
+SELECT ?x ?y WHERE {
+    VALUES (?x ?y) { (<urn:wordpress:post/id> <urn:wordpress:post/title>) }
+    <urn:wordpress:Post> G:hasFeature <urn:wordpress:post/id> .
+    <urn:wordpress:Post> G:hasFeature <urn:wordpress:post/title>
+}
+"""
+
+#: the last release's ms/walk may be at most this multiple of the early
+#: releases' median (releases 2-5)
+GROWTH_LIMIT = 1.5
+
+#: interleaved rounds of one cold rewrite+plan per release state; the
+#: median per state is recorded
+ROUNDS = 7
+
+
+def test_figure11_rewrite_plan_flat(write_result, write_json):
+    """Cold rewrite+plan ms per walk stays flat across the release history.
+
+    Raw per-query time legitimately grows — the historical query unions
+    one more walk per release — so the flat quantity is the cost per
+    emitted walk. Metadata work that scales with |T| (copying the
+    ontology per lookup) shows up here as a rising series.
+
+    The ontology after each release is kept, and every round times one
+    cold query against each of them in turn, so a drift in machine speed
+    lands on all releases alike instead of on the late ones.
+    """
+    from repro.query.engine import QueryEngine
+
+    states = [replay_wordpress(WORDPRESS_RELEASES[:count])[0]
+              for count in range(1, len(WORDPRESS_RELEASES) + 1)]
+    walks = [len(QueryEngine(t, use_cache=False).rewrite(POSTS_QUERY).walks)
+             for t in states]
+    samples: list[list[float]] = [[] for _ in states]
+    for _ in range(ROUNDS):
+        for ontology, timings in zip(states, samples):
+            engine = QueryEngine(ontology, use_cache=False)
+            start = time.perf_counter()
+            engine.plan(POSTS_QUERY)
+            timings.append(time.perf_counter() - start)
+    query_ms = [statistics.median(t) * 1e3 for t in samples]
+    per_walk_ms = [ms / n for ms, n in zip(query_ms, walks)]
+
+    early = statistics.median(per_walk_ms[1:5])
+    ratio = per_walk_ms[-1] / early
+    lines = ["Cold rewrite+plan per emitted walk over the Wordpress "
+             "release history", "",
+             "release, walks, triples, rewrite+plan ms, ms per walk"]
+    for spec, ontology, n, ms in zip(WORDPRESS_RELEASES, states, walks,
+                                     query_ms):
+        lines.append(f"{spec.version}, {n}, "
+                     f"{ontology.dataset.quad_count()}, {ms:.2f}, "
+                     f"{ms / n:.3f}")
+    lines += ["", f"last / median(releases 2-5) = {ratio:.2f} "
+                  f"(limit {GROWTH_LIMIT})"]
+    write_result("figure11_rewrite_plan.txt", "\n".join(lines))
+    write_json("figure11_rewrite", {
+        "releases": len(WORDPRESS_RELEASES),
+        "ms_per_walk": [round(v, 4) for v in per_walk_ms],
+        "early_median_ms_per_walk": round(early, 4),
+        "last_ms_per_walk": round(per_walk_ms[-1], 4),
+        "last_over_early": round(ratio, 3),
+        "growth_limit": GROWTH_LIMIT,
+    })
+    assert walks == list(range(1, len(WORDPRESS_RELEASES) + 1))
+    assert ratio <= GROWTH_LIMIT, (
+        f"rewrite+plan per walk grew {ratio:.2f}x over the release "
+        f"history (limit {GROWTH_LIMIT}x)")

@@ -4,14 +4,15 @@ Implements what the paper obtains from Jena + TDB + ARQ:
 
 * :mod:`repro.rdf.term` — IRIs, literals, blank nodes, variables;
 * :mod:`repro.rdf.graph` — an SPO/POS/OSP-indexed triple store;
-* :mod:`repro.rdf.dataset` — named-graph datasets;
+* :mod:`repro.rdf.dataset` — named-graph datasets and zero-copy union
+  views over them;
 * :mod:`repro.rdf.turtle` / :mod:`repro.rdf.ntriples` — serialization;
 * :mod:`repro.rdf.reasoner` — RDFS entailment;
 * :mod:`repro.rdf.sparql` — the SPARQL subset of the paper.
 """
 
-from repro.rdf.dataset import Dataset
-from repro.rdf.graph import Graph
+from repro.rdf.dataset import Dataset, UnionView
+from repro.rdf.graph import Graph, TripleReader
 from repro.rdf.namespace import (
     DCT, DUV, G, M, OWL, PREFIXES, RDF, RDFS, S, SC, SUP, VANN, VOAF, XSD,
     Namespace, expand_curie, shrink_iri,
@@ -27,7 +28,7 @@ from repro.rdf.term import BlankNode, IRI, Literal, Term, Variable
 from repro.rdf.triple import Quad, Triple
 
 __all__ = [
-    "Dataset", "Graph", "Namespace",
+    "Dataset", "Graph", "Namespace", "TripleReader", "UnionView",
     "BlankNode", "IRI", "Literal", "Term", "Variable",
     "Quad", "Triple",
     "RDF", "RDFS", "OWL", "XSD", "VOAF", "VANN",

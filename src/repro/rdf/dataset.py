@@ -5,18 +5,58 @@ Source and Mapping graphs are named graphs, and every LAV mapping is *also*
 a named graph (one per wrapper) per paper §3.3. SPARQL ``GRAPH ?g { ... }``
 evaluation therefore needs fast iteration over named graphs, which this
 class provides.
+
+Queries that read the *union* of graphs (a plain BGP over the dataset, or
+a ``FROM`` clause) run over a :class:`UnionView`: a read-only, zero-copy
+view over the graphs' own indexes, so no metadata lookup copies ``T``.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from bisect import insort
+from typing import Iterable, Iterator, Optional
 
 from repro.errors import GraphNotFoundError
-from repro.rdf.graph import Graph
+from repro.rdf.graph import Graph, TripleReader, _pattern_term
 from repro.rdf.term import IRI
-from repro.rdf.triple import Quad
+from repro.rdf.triple import Quad, Triple
 
-__all__ = ["Dataset"]
+__all__ = ["Dataset", "UnionView"]
+
+
+class UnionView(TripleReader):
+    """A read-only union of graphs that copies nothing.
+
+    Patterns are answered from each graph's own indexes, with set
+    semantics: a triple asserted in several graphs is yielded once, by the
+    first graph holding it (a later graph's hit is dropped when an earlier
+    graph's SPO index already has it). The view is live — it reflects the
+    graphs as they are when :meth:`match` runs.
+
+    >>> a = Graph([("http://x/a", "http://x/p", "http://x/b")])
+    >>> b = Graph([("http://x/a", "http://x/p", "http://x/b"),
+    ...            ("http://x/b", "http://x/p", "http://x/a")])
+    >>> len(list(UnionView([a, b]).match()))
+    2
+    """
+
+    __slots__ = ("_graphs",)
+
+    def __init__(self, graphs: Iterable[Graph]) -> None:
+        self._graphs = tuple(graphs)
+
+    def match(self, s: object | None = None, p: object | None = None,
+              o: object | None = None) -> Iterator[Triple]:
+        ms, mp, mo = _pattern_term(s), _pattern_term(p), _pattern_term(o)
+        graphs = self._graphs
+        for index, graph in enumerate(graphs):
+            earlier = graphs[:index]
+            for t in graph.match_terms(ms, mp, mo):
+                for prior in earlier:
+                    if prior.has_triple(t):
+                        break
+                else:
+                    yield t
 
 
 class Dataset:
@@ -29,11 +69,14 @@ class Dataset:
     1
     """
 
-    __slots__ = ("_default", "_named", "_retired_mutations")
+    __slots__ = ("_default", "_named", "_names", "_retired_mutations")
 
     def __init__(self) -> None:
         self._default = Graph()
         self._named: dict[IRI, Graph] = {}
+        #: the keys of ``_named`` in term order, kept sorted on insert and
+        #: remove so reads never re-sort
+        self._names: list[IRI] = []
         self._retired_mutations = 0
 
     # -- graph management -------------------------------------------------------
@@ -54,6 +97,7 @@ class Dataset:
         if existing is None:
             existing = Graph(iri)
             self._named[iri] = existing
+            insort(self._names, iri)
         return existing
 
     def get_graph(self, name: IRI | str) -> Graph:
@@ -69,9 +113,11 @@ class Dataset:
 
     def remove_graph(self, name: IRI | str) -> bool:
         """Drop a named graph entirely. Returns True when it existed."""
-        dropped = self._named.pop(IRI(str(name)), None)
+        iri = IRI(str(name))
+        dropped = self._named.pop(iri, None)
         if dropped is None:
             return False
+        self._names.remove(iri)
         # Keep mutation_count() monotonic: retain the dropped graph's
         # history and count the drop itself as one more mutation.
         self._retired_mutations += dropped.mutation_count + 1
@@ -79,7 +125,7 @@ class Dataset:
 
     def graph_names(self) -> list[IRI]:
         """Deterministically ordered list of named-graph IRIs."""
-        return sorted(self._named)
+        return list(self._names)
 
     def named_graphs(self) -> Iterator[tuple[IRI, Graph]]:
         for name in self.graph_names():
@@ -108,7 +154,8 @@ class Dataset:
         elif graph is None:
             scopes = [(None, self._default)]
         else:
-            scopes = [(IRI(str(graph)), self.graph(graph))]
+            iri = IRI(str(graph))
+            scopes = [(iri, self._named[iri])] if iri in self._named else []
         for name, g in scopes:
             for t in g.match(s, p, o):
                 yield Quad(t.s, t.p, t.o, name)
@@ -165,20 +212,25 @@ class Dataset:
 
     # -- views ---------------------------------------------------------------------
 
-    def union_graph(self, names: list[IRI | str] | None = None) -> Graph:
-        """A merged copy of the selected named graphs (default: all + default).
+    def union_view(self, names: Iterable[IRI | str] | None = None
+                   ) -> UnionView:
+        """A zero-copy :class:`UnionView` of the selected named graphs.
 
-        Used to evaluate queries whose ``FROM`` clause spans several graphs.
+        ``None`` selects the default graph plus every named graph. A
+        selected name with no graph contributes nothing and is not
+        created: reading must never mutate the dataset.
         """
-        merged = Graph()
         if names is None:
-            merged.update(self._default)
-            for _, g in self.named_graphs():
-                merged.update(g)
-        else:
-            for name in names:
-                merged.update(self.graph(name))
-        return merged
+            graphs = [self._default]
+            graphs.extend(self._named[name] for name in self._names)
+            return UnionView(graphs)
+        selected = (self._named.get(IRI(str(name))) for name in names)
+        return UnionView(g for g in selected if g is not None)
+
+    def union_graph(self, names: Iterable[IRI | str] | None = None
+                    ) -> Graph:
+        """A merged, mutable copy of :meth:`union_view`."""
+        return Graph(triples=self.union_view(names))
 
     # -- protocols -------------------------------------------------------------------
 

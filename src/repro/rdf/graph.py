@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Optional
 from repro.rdf.term import IRI, Term, Variable
 from repro.rdf.triple import Triple, coerce_node
 
-__all__ = ["Graph"]
+__all__ = ["Graph", "TripleReader"]
 
 _Index = dict  # nested: {t1: {t2: set(t3)}}
 
@@ -30,7 +30,51 @@ def _pattern_term(value: object | None) -> Optional[Term]:
     return coerce_node(value)
 
 
-class Graph:
+class TripleReader:
+    """The read-only pattern API shared by graphs and graph views.
+
+    Subclasses provide :meth:`match`; membership and the distinct
+    subject/object accessors the BDI algorithms use are derived from it.
+    """
+
+    __slots__ = ()
+
+    def match(self, s: object | None = None, p: object | None = None,
+              o: object | None = None) -> Iterator[Triple]:
+        raise NotImplementedError  # pragma: no cover - abstract
+
+    def contains(self, s: object | None = None, p: object | None = None,
+                 o: object | None = None) -> bool:
+        """True when at least one triple matches the pattern."""
+        return next(iter(self.match(s, p, o)), None) is not None
+
+    def subjects(self, p: object | None = None,
+                 o: object | None = None) -> Iterator[Term]:
+        seen: set[Term] = set()
+        for t in self.match(None, p, o):
+            if t.s not in seen:
+                seen.add(t.s)
+                yield t.s
+
+    def objects(self, s: object | None = None,
+                p: object | None = None) -> Iterator[Term]:
+        seen: set[Term] = set()
+        for t in self.match(s, p, None):
+            if t.o not in seen:
+                seen.add(t.o)
+                yield t.o
+
+    def __contains__(self, item: object) -> bool:
+        if isinstance(item, (Triple, tuple)) and len(item) == 3:
+            s, p, o = item
+            return self.contains(s, p, o)
+        return False
+
+    def __iter__(self) -> Iterator[Triple]:
+        return self.match()
+
+
+class Graph(TripleReader):
     """A set of RDF triples with SPO/POS/OSP indexing.
 
     Supports the container protocol (``in``, ``len``, iteration), set-like
@@ -182,8 +226,13 @@ class Graph:
         ? ? ?     SPO scan
         ========= =========
         """
-        ms, mp, mo = _pattern_term(s), _pattern_term(p), _pattern_term(o)
+        return self.match_terms(
+            _pattern_term(s), _pattern_term(p), _pattern_term(o))
 
+    def match_terms(self, ms: Term | None, mp: Term | None,
+                    mo: Term | None) -> Iterator[Triple]:
+        """:meth:`match` for an already normalized pattern (terms or
+        ``None``), so views over many graphs normalize it once."""
         if ms is not None:
             if mp is not None:
                 objects = self._spo.get(ms, {}).get(mp, ())
@@ -226,33 +275,17 @@ class Graph:
                 for obj in objects:
                     yield Triple(subj, pred, obj)
 
-    def contains(self, s: object | None = None, p: object | None = None,
-                 o: object | None = None) -> bool:
-        """True when at least one triple matches the pattern."""
-        return next(iter(self.match(s, p, o)), None) is not None
-
     def count(self, s: object | None = None, p: object | None = None,
               o: object | None = None) -> int:
         """Number of triples matching the pattern."""
         return sum(1 for _ in self.match(s, p, o))
 
+    def has_triple(self, t: Triple) -> bool:
+        """Membership of one concrete triple: a single SPO index probe."""
+        by_pred = self._spo.get(t.s)
+        return by_pred is not None and t.o in by_pred.get(t.p, ())
+
     # Convenience accessors used pervasively by the BDI algorithms ------------
-
-    def subjects(self, p: object | None = None,
-                 o: object | None = None) -> Iterator[Term]:
-        seen: set[Term] = set()
-        for t in self.match(None, p, o):
-            if t.s not in seen:
-                seen.add(t.s)
-                yield t.s
-
-    def objects(self, s: object | None = None,
-                p: object | None = None) -> Iterator[Term]:
-        seen: set[Term] = set()
-        for t in self.match(s, p, None):
-            if t.o not in seen:
-                seen.add(t.o)
-                yield t.o
 
     def predicates(self, s: object | None = None,
                    o: object | None = None) -> Iterator[Term]:
@@ -275,15 +308,6 @@ class Graph:
         return t[holes[0]]
 
     # -- protocols ------------------------------------------------------------
-
-    def __contains__(self, item: object) -> bool:
-        if isinstance(item, (Triple, tuple)) and len(item) == 3:
-            s, p, o = item
-            return self.contains(s, p, o)
-        return False
-
-    def __iter__(self) -> Iterator[Triple]:
-        return self.match()
 
     def __len__(self) -> int:
         return self._size

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from repro.rdf.graph import Graph
+from repro.rdf.graph import Graph, TripleReader, _pattern_term
 from repro.rdf.namespace import RDF, RDFS
 from repro.rdf.term import IRI, Literal, Term
 from repro.rdf.triple import Triple
@@ -37,7 +37,7 @@ __all__ = ["materialize", "subclass_closure", "superclasses",
            "subclasses", "RDFSView"]
 
 
-def _transitive(graph: Graph, start: Term, predicate: IRI,
+def _transitive(graph: TripleReader, start: Term, predicate: IRI,
                 forward: bool = True) -> set[Term]:
     """Nodes reachable from *start* over *predicate* (excluding start).
 
@@ -58,7 +58,7 @@ def _transitive(graph: Graph, start: Term, predicate: IRI,
     return seen
 
 
-def superclasses(graph: Graph, cls: Term,
+def superclasses(graph: TripleReader, cls: Term,
                  reflexive: bool = False) -> set[Term]:
     """All (transitive) superclasses of *cls* via ``rdfs:subClassOf``."""
     result = _transitive(graph, cls, RDFS.subClassOf, forward=True)
@@ -67,7 +67,7 @@ def superclasses(graph: Graph, cls: Term,
     return result
 
 
-def subclasses(graph: Graph, cls: Term,
+def subclasses(graph: TripleReader, cls: Term,
                reflexive: bool = False) -> set[Term]:
     """All (transitive) subclasses of *cls* via ``rdfs:subClassOf``."""
     result = _transitive(graph, cls, RDFS.subClassOf, forward=False)
@@ -76,7 +76,7 @@ def subclasses(graph: Graph, cls: Term,
     return result
 
 
-def subclass_closure(graph: Graph, sub: Term, sup: Term) -> bool:
+def subclass_closure(graph: TripleReader, sub: Term, sup: Term) -> bool:
     """True when ``sub rdfs:subClassOf* sup`` holds (reflexive)."""
     if sub == sup:
         return True
@@ -155,11 +155,11 @@ def _apply_rules_once(g: Graph) -> int:
     return len(new)
 
 
-class RDFSView:
-    """A read-only entailment view over a graph.
+class RDFSView(TripleReader):
+    """A read-only entailment view over a graph (or a graph view).
 
-    Exposes the :meth:`match`/:meth:`contains` subset of the
-    :class:`~repro.rdf.graph.Graph` API, augmenting results with:
+    Exposes the read-only :class:`~repro.rdf.graph.TripleReader` API,
+    augmenting :meth:`match` results with:
 
     * transitive ``rdfs:subClassOf`` answers, and
     * ``rdf:type`` answers inherited through ``rdfs:subClassOf``.
@@ -172,17 +172,16 @@ class RDFSView:
 
     __slots__ = ("_g",)
 
-    def __init__(self, graph: Graph) -> None:
+    def __init__(self, graph: TripleReader) -> None:
         self._g = graph
 
     @property
-    def raw(self) -> Graph:
+    def raw(self) -> TripleReader:
         return self._g
 
     def match(self, s: object | None = None, p: object | None = None,
               o: object | None = None) -> Iterator[Triple]:
         yield from self._g.match(s, p, o)
-        from repro.rdf.graph import _pattern_term  # local import, no cycle
         ms, mp, mo = _pattern_term(s), _pattern_term(p), _pattern_term(o)
 
         if mp == RDFS.subClassOf:
@@ -239,23 +238,3 @@ class RDFSView:
                 cand = Triple(t.s, RDF.type, sup)
                 if cand not in asserted:
                     yield cand
-
-    def contains(self, s: object | None = None, p: object | None = None,
-                 o: object | None = None) -> bool:
-        return next(iter(self.match(s, p, o)), None) is not None
-
-    def objects(self, s: object | None = None,
-                p: object | None = None) -> Iterator[Term]:
-        seen: set[Term] = set()
-        for t in self.match(s, p, None):
-            if t.o not in seen:
-                seen.add(t.o)
-                yield t.o
-
-    def subjects(self, p: object | None = None,
-                 o: object | None = None) -> Iterator[Term]:
-        seen: set[Term] = set()
-        for t in self.match(None, p, o):
-            if t.s not in seen:
-                seen.add(t.s)
-                yield t.s

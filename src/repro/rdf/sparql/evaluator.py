@@ -9,19 +9,22 @@ SPARQL algebra shape of the paper's Code 4::
              bgp(triple patterns)))
 
 BGPs are solved by backtracking with a most-selective-first pattern order;
-``GRAPH ?g`` patterns iterate the dataset's named graphs (this is how the
-LAV mappings are resolved in Algorithms 4 and 5). RDFS entailment can be
+over a dataset they read a zero-copy
+:class:`~repro.rdf.dataset.UnionView` of the ``FROM`` graphs (all graphs
+when there is no ``FROM``). ``GRAPH ?g`` patterns iterate the dataset's
+named graphs (this is how the LAV mappings are resolved in Algorithms 4
+and 5). RDFS entailment can be
 switched on, in which case subclass/type matching is answered through
 :class:`~repro.rdf.reasoner.RDFSView`.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator
 
 from repro.errors import SparqlEvaluationError
 from repro.rdf.dataset import Dataset
-from repro.rdf.graph import Graph
+from repro.rdf.graph import Graph, TripleReader
 from repro.rdf.reasoner import RDFSView
 from repro.rdf.sparql.ast import (
     BGP, GraphPattern, SelectQuery, TriplePattern, ValuesClause,
@@ -35,7 +38,6 @@ __all__ = ["Solution", "evaluate", "select", "select_one", "ask"]
 #: One SPARQL solution mapping.
 Solution = dict[Variable, Term]
 
-_Matchable = Union[Graph, RDFSView]
 
 
 def _substitute(pattern: TriplePattern, binding: Solution) -> TriplePattern:
@@ -53,7 +55,7 @@ def _selectivity(pattern: TriplePattern, binding: Solution) -> int:
     return sum(0 if isinstance(t, Variable) else 1 for t in concrete)
 
 
-def _match_bgp(graph: _Matchable, patterns: tuple[TriplePattern, ...],
+def _match_bgp(graph: TripleReader, patterns: tuple[TriplePattern, ...],
                binding: Solution) -> Iterator[Solution]:
     """Backtracking BGP matcher."""
     if not patterns:
@@ -105,19 +107,17 @@ class _Scope:
                  from_graphs: tuple[IRI, ...],
                  entailment: bool) -> None:
         self.entailment = entailment
+        base: TripleReader
         if isinstance(target, Dataset):
             self.dataset: Dataset | None = target
-            if from_graphs:
-                base = target.union_graph(list(from_graphs))
-            else:
-                base = target.union_graph()
+            base = target.union_view(from_graphs or None)
         else:
             self.dataset = None
             base = target
-        self.base_graph: _Matchable = (
+        self.base_graph: TripleReader = (
             RDFSView(base) if entailment else base)
 
-    def named_graphs(self) -> Iterable[tuple[IRI, _Matchable]]:
+    def named_graphs(self) -> Iterable[tuple[IRI, TripleReader]]:
         if self.dataset is None:
             return ()
         result = []
@@ -125,7 +125,7 @@ class _Scope:
             result.append((name, RDFSView(g) if self.entailment else g))
         return result
 
-    def named_graph(self, name: IRI) -> _Matchable | None:
+    def named_graph(self, name: IRI) -> TripleReader | None:
         if self.dataset is None or not self.dataset.has_graph(name):
             return None
         g = self.dataset.graph(name)
@@ -158,7 +158,7 @@ def _eval_patterns(scope: _Scope, patterns: tuple, index: int,
             graph_var = pattern.graph
             bound = binding.get(graph_var)
             if bound is not None:
-                candidates: Iterable[tuple[IRI, _Matchable]]
+                candidates: Iterable[tuple[IRI, TripleReader]]
                 target = (scope.named_graph(bound)
                           if isinstance(bound, IRI) else None)
                 candidates = [(bound, target)] if target is not None else []

@@ -2,10 +2,12 @@
 
 import pytest
 
-from repro.core.vocabulary import wrapper_uri
+from repro.core.ontology import BDIOntology
+from repro.core.vocabulary import mapping_graph_uri, wrapper_uri
 from repro.errors import OntologyError, UnknownWrapperError
 from repro.rdf.namespace import SC, SUP
 from repro.rdf.namespace import DUV
+from repro.rdf.sparql import select
 
 
 class TestOntologyQueries:
@@ -55,6 +57,24 @@ class TestOntologyQueries:
     def test_lav_subgraph_missing(self, ontology):
         with pytest.raises(OntologyError):
             ontology.lav_subgraph(wrapper_uri("ghost"))
+
+
+class TestReadsDoNotMutate:
+    """A query is a read: it runs under a read lock and must leave T —
+    and so every fingerprint-keyed cache — untouched."""
+
+    def test_absent_from_graph_is_not_created(self):
+        ontology = BDIOntology()
+        names = ontology.dataset.graph_names()
+        mutations = ontology.dataset.mutation_count()
+        fingerprint = ontology.fingerprint()
+        ghost = mapping_graph_uri("ghost")
+        rows = select(ontology.dataset,
+                      f"SELECT ?s FROM <{ghost}> WHERE {{ ?s ?p ?o }}")
+        assert rows == []
+        assert ontology.dataset.graph_names() == names
+        assert ontology.dataset.mutation_count() == mutations
+        assert ontology.fingerprint() == fingerprint
 
 
 class TestSchemas:

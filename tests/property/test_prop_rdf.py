@@ -98,3 +98,55 @@ class TestSerializationRoundTrips:
         from repro.rdf.turtle import parse_turtle, serialize_turtle
         g = Graph(triples=triples)
         assert parse_turtle(serialize_turtle(g)) == g
+
+
+_GRAPH_NAMES = [IRI(f"http://g/{i}") for i in range(3)]
+#: a name no generated dataset holds: selecting it must add nothing
+_ABSENT = IRI("http://g/absent")
+
+
+@st.composite
+def _datasets(draw):
+    """A dataset whose graphs share triples: every graph draws from one
+    small pool, so the same triple lands in several graphs (and in the
+    default graph) most of the time."""
+    pool = draw(st.lists(_triples, min_size=1, max_size=12))
+    picks = st.lists(st.sampled_from(pool), max_size=10)
+    ds = Dataset()
+    ds.default_graph.update(draw(picks))
+    for name in _GRAPH_NAMES:
+        if draw(st.booleans()):
+            ds.graph(name).update(draw(picks))
+    return ds, pool
+
+
+def _pattern(triple, shape):
+    """*triple* with the positions whose *shape* bit is 0 unbound."""
+    return tuple(term if bound else None
+                 for term, bound in zip(triple, shape))
+
+
+_SHAPES = [tuple(bool(mask >> i & 1) for i in range(3))
+           for mask in range(8)]
+
+
+class TestUnionViewEquivalence:
+    """The zero-copy view answers every pattern exactly like the copy."""
+
+    @settings(max_examples=60)
+    @given(_datasets(), st.data())
+    def test_match_equals_union_copy(self, drawn, data):
+        ds, pool = drawn
+        names = data.draw(st.one_of(
+            st.none(),
+            st.lists(st.sampled_from(_GRAPH_NAMES + [_ABSENT]),
+                     max_size=4)))
+        view = ds.union_view(names)
+        copy = ds.union_graph(names)
+        probe = data.draw(st.sampled_from(pool))
+        for shape in _SHAPES:
+            pattern = _pattern(probe, shape)
+            got = list(view.match(*pattern))
+            assert len(got) == len(set(got)), (shape, got)
+            assert set(got) == set(copy.match(*pattern)), shape
+            assert view.contains(*pattern) == copy.contains(*pattern)

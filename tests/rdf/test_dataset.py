@@ -43,6 +43,17 @@ class TestGraphManagement:
     def test_graph_names_sorted(self, dataset):
         assert dataset.graph_names() == sorted([G1, G2])
 
+    def test_graph_names_stay_sorted_across_remove_and_add(self, dataset):
+        dataset.graph("http://g/0")
+        dataset.remove_graph(G1)
+        dataset.graph("http://g/3")
+        dataset.graph(G1)
+        names = dataset.graph_names()
+        assert names == sorted(names)
+        assert names == [IRI("http://g/0"), G1, G2, IRI("http://g/3")]
+        names.append(A)  # a copy: callers cannot corrupt the index
+        assert A not in dataset.graph_names()
+
 
 class TestQuads:
     def test_quad_count(self, dataset):
@@ -103,3 +114,28 @@ class TestUnionGraph:
         union = dataset.union_graph()
         union.add((B, P, B))
         assert dataset.quad_count() == 3
+
+    def test_union_of_absent_graph_creates_nothing(self, dataset):
+        assert len(dataset.union_graph(["http://g/absent"])) == 0
+        assert dataset.graph_names() == [G1, G2]
+
+
+class TestUnionView:
+    def test_view_is_live(self, dataset):
+        view = dataset.union_view()
+        dataset.graph(G2).add((B, P, B))
+        assert view.contains(B, P, B)
+
+    def test_duplicate_triple_yielded_once(self, dataset):
+        dataset.graph(G2).add((A, P, B))  # also in G1
+        assert list(dataset.union_view().match(A, P, B)) == [(A, P, B)]
+        assert list(dataset.union_view([G1, G2]).subjects(P, B)) == [A]
+
+    def test_selected_graphs_only(self, dataset):
+        view = dataset.union_view([G2])
+        assert set(view) == {(B, P, A)}
+        assert (A, P, A) not in view
+
+    def test_quads_of_absent_graph_create_nothing(self, dataset):
+        assert list(dataset.quads(graph="http://g/absent")) == []
+        assert dataset.graph_names() == [G1, G2]
