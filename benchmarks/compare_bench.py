@@ -8,7 +8,7 @@ rates, which compare two measurements taken on the *same* runner in the
 *same* run. Absolute timings, QPS and I/O-bound overhead percentages
 vary with runner hardware (CPU count, disk fsync latency) and are
 reported for information only, never gated — each benchmark's own
-asserted floor (e.g. "vectorized ≥1.5× rows") remains the hard line
+asserted floor (e.g. "production ≥3× the oracle") remains the hard line
 for those.
 
 Gating is inferred from the metric name:
@@ -44,7 +44,7 @@ import sys
 #: purpose — baselines are committed from a developer machine and
 #: compared on shared CI runners, so even relative ratios carry
 #: hardware variance; the benchmarks' own asserted floors (e.g.
-#: "vectorized ≥1.5× rows") remain the hard correctness line. A real
+#: "production ≥3× the oracle") remain the hard correctness line. A real
 #: regression — losing vectorization, a cache that stopped hitting —
 #: shows up as a 2×+ drop and clears this band comfortably.
 DEFAULT_TOLERANCE = 0.40

@@ -36,8 +36,7 @@ from repro.query.answer_cache import (
 from repro.query.cache import CacheStats, RewriteCache, \
     canonical_omq_key
 from repro.query.omq import OMQ, parse_omq
-from repro.query.planner import CardinalityMemo, PhysicalPlan, \
-    adaptive_env_enabled, plan_ucq
+from repro.query.planner import CardinalityMemo, PhysicalPlan, plan_ucq
 from repro.query.rewriter import RewritingResult, rewrite
 from repro.relational.algebra import DataProvider
 from repro.relational.metrics import PlanMetrics, scan_timings
@@ -45,7 +44,6 @@ from repro.relational.physical import (
     CachingScanProvider, ScanCache, ScanProvider, as_scan_provider,
 )
 from repro.relational.rows import Relation
-from repro.streaming.deltas import incremental_env_enabled
 from repro.streaming.standing import StandingQuery
 
 __all__ = ["QueryEngine"]
@@ -65,12 +63,10 @@ class QueryEngine:
                  cache: RewriteCache | None = None,
                  use_cache: bool = True,
                  use_planner: bool = True,
-                 vectorized: bool = True,
-                 encoded: bool = True,
-                 adaptive: bool | None = None,
+                 adaptive: bool = True,
                  answer_cache: AnswerCache | None = None,
                  use_answer_cache: bool = True,
-                 incremental: bool | None = None,
+                 incremental: bool = True,
                  parse_memo_max: int = PARSE_MEMO_MAX) -> None:
         if cache is not None and not use_cache:
             raise ValueError(
@@ -85,29 +81,17 @@ class QueryEngine:
         self.ontology = ontology
         self.prefixes = dict(prefixes or {})
         #: route evaluation through the physical planner (projection and
-        #: ID-filter pushdown, shared scans); False = naive logical
-        #: evaluation, the baseline the equivalence suite compares to.
+        #: ID-filter pushdown, shared scans, encoded/fused execution);
+        #: False = naive logical evaluation, the reference oracle the
+        #: equivalence suites and ``bench_columnar`` compare against.
         self.use_planner = use_planner
-        #: run plans through the columnar engine (whole-column hash
-        #: joins, zero-copy projections, one row materialization at the
-        #: boundary); False = the row-at-a-time engine over the same
-        #: plans — the baseline ``bench_columnar`` compares against.
-        self.vectorized = vectorized
-        #: run the encoded tier on top of the columnar engine (joins on
-        #: dictionary codes, fused scan→…→project pipelines); False =
-        #: the plain PR 7 vectorized engine, the encoded benchmark's
-        #: comparison baseline. Only meaningful while ``vectorized``.
-        self.encoded = encoded
         #: observed-cardinality feedback into planning (None when off —
-        #: via ``adaptive=False``, the ``REPRO_ADAPTIVE=0`` environment
-        #: kill switch, or because the planner itself is off). The memo
-        #: is epoch-validated per evaluation and versioned; memoized
-        #: plans re-plan when it learns something new.
+        #: via ``adaptive=False``, or because the planner itself is
+        #: off). The memo is epoch-validated per evaluation and
+        #: versioned; memoized plans re-plan when it learns something
+        #: new.
         self.adaptive_memo: CardinalityMemo | None = (
-            CardinalityMemo() if use_planner and (
-                adaptive if adaptive is not None
-                else adaptive_env_enabled())
-            else None)
+            CardinalityMemo() if use_planner and adaptive else None)
         #: canonical OMQ key → last run's PlanMetrics tree (LRU-bounded
         #: observability feed of explain(analyze=True) and describe)
         self._metrics_log: "OrderedDict[str, PlanMetrics]" = \
@@ -133,12 +117,9 @@ class QueryEngine:
         #: staleness is advanced wrapper data_versions (same ontology
         #: fingerprint), *patch* it through a standing query fed by CDC
         #: deltas — O(Δ) per refresh — instead of evicting and
-        #: re-executing. None defers to the ``REPRO_INCREMENTAL``
-        #: environment kill switch (on unless set to ``0``); only
-        #: meaningful while the answer cache and planner are active.
-        self.incremental: bool = (
-            incremental if incremental is not None
-            else incremental_env_enabled())
+        #: re-executing. Only meaningful while the answer cache and
+        #: planner are active.
+        self.incremental = incremental
         #: SPARQL text → parsed OMQ memo, LRU-bounded, valid for the
         #: prefix bindings it was built under. Guarded by _parse_lock:
         #: the stale-memo check and the clear happen under the same
@@ -274,8 +255,7 @@ class QueryEngine:
         if key is None:
             key = canonical_omq_key(omq)
         if cache is None:
-            relation = plan.execute(scans, vectorized=self.vectorized,
-                                    encoded=self.encoded)
+            relation = plan.execute(scans)
             self._record_metrics(key, plan, scans)
             return relation
         fingerprint = self.ontology.fingerprint()
@@ -292,8 +272,7 @@ class QueryEngine:
                                          scans)
             if patched is not None:
                 return patched
-        relation = plan.execute(scans, vectorized=self.vectorized,
-                                encoded=self.encoded)
+        relation = plan.execute(scans)
         self._record_metrics(key, plan, scans)
         cache.store(key, distinct, fingerprint, versions, relation)
         return relation

@@ -35,12 +35,12 @@ join selectivities back into planning, overriding ``estimate_rows``
 guesses the next time the same shape plans — so a wrapper that
 mis-estimates its size gets the right join order from the second run
 on. The memo is bounded, invalidated at ontology-epoch boundaries like
-every other cache, and disabled fleet-wide by ``REPRO_ADAPTIVE=0``.
+every other cache, and switched off per engine by
+``QueryEngine(adaptive=False)``.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from collections import Counter
@@ -63,8 +63,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.ontology import OntologyFingerprint
     from repro.query.ucq import UCQ
 
-__all__ = ["CardinalityMemo", "PhysicalPlan", "adaptive_env_enabled",
-           "plan_ucq", "plan_walk"]
+__all__ = ["CardinalityMemo", "PhysicalPlan", "plan_ucq", "plan_walk"]
 
 #: Resolves a wrapper name to its estimated cardinality (None = unknown).
 Estimator = Callable[[str], "int | None"]
@@ -74,17 +73,6 @@ Estimator = Callable[[str], "int | None"]
 JoinRefiner = Callable[
     ["tuple[tuple[str, str], ...]", "int | None", "int | None"],
     "int | None"]
-
-
-def adaptive_env_enabled() -> bool:
-    """False when ``REPRO_ADAPTIVE=0`` opts this process out.
-
-    The deployment-level kill switch for runtime-fed planning: with it
-    off the planner trusts ``estimate_rows`` alone, exactly as before
-    the adaptive tier existed. An explicitly passed memo always wins
-    over the environment.
-    """
-    return os.environ.get("REPRO_ADAPTIVE", "1") != "0"
 
 
 class CardinalityMemo:
@@ -258,20 +246,14 @@ class PhysicalPlan:
     last_metrics: "PlanMetrics | None" = dataclass_field(
         default=None, compare=False)
 
-    def execute(self, provider: ScanProvider, vectorized: bool = True,
-                encoded: bool = True,
+    def execute(self, provider: ScanProvider,
                 collect_metrics: bool = True) -> Relation:
         """Materialize the plan; output columns are feature names.
 
-        ``vectorized`` (the default) runs the columnar engine: the
-        operator tree exchanges :class:`~repro.relational.columnar.
-        ColumnBatch` objects and rows are materialized exactly once,
-        here at the plan boundary. ``encoded`` (the default) further
-        runs joins on dictionary codes and fuses pipeline segments
-        into single gather passes; ``encoded=False`` is the PR 7
-        engine, ``vectorized=False`` the original row-at-a-time one —
-        the comparison baselines of ``bench_columnar`` and the
-        equivalence suite.
+        The operator tree exchanges :class:`~repro.relational.columnar.
+        ColumnBatch` objects, runs joins on dictionary codes and fuses
+        pipeline segments into single gather passes; rows are
+        materialized exactly once, here at the plan boundary.
 
         Unless ``collect_metrics=False``, the run records a
         per-operator :class:`~repro.relational.metrics.PlanMetrics`
@@ -289,15 +271,7 @@ class PhysicalPlan:
                 # Present the output under a friendly relation name
                 # instead of the internal plan-derived one (mirrors
                 # UCQ.execute).
-                if not vectorized:
-                    raw = self.root.execute(provider)
-                    schema = RelationSchema("result",
-                                            raw.schema.attributes)
-                    return Relation.from_trusted(schema, list(raw))
-                if encoded:
-                    batch = self.root.execute_encoded(provider)
-                else:
-                    batch = self.root.execute_batch(provider)
+                batch = self.root.execute_encoded(provider)
                 schema = RelationSchema("result",
                                         batch.schema.attributes)
                 return Relation.from_trusted(schema, batch.to_rows())

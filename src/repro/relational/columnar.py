@@ -1,16 +1,16 @@
-"""Columnar batches: the vectorized exchange format of the physical layer.
+"""Columnar batches: the exchange format of the physical layer.
 
-The row engine (PR 3) moves data as per-row dicts — every join match
-copies a dict, every projection rebuilds one, every dedup key runs an
-itemgetter per row. A :class:`ColumnBatch` turns that inside out: one
-Python list per column, plus an optional **selection vector** of live
-row indices, so operators work on whole columns at a time:
+Wrappers produce rows as per-row dicts; operating on those would copy
+a dict per join match, rebuild one per projection and run an
+itemgetter per dedup key. A :class:`ColumnBatch` turns that inside
+out: one Python list per column, plus an optional **selection vector**
+of live row indices, so operators work on whole columns at a time:
 
-* a hash join zips the key columns once, joins index lists, and gathers
-  each output column in a single ``map(column.__getitem__, indices)``
-  pass — no per-match dict merging;
-* a projection is a column *rename*: the underlying lists are shared,
-  nothing is copied;
+* a join works on index lists and gathers each output column in a
+  single ``map(column.__getitem__, indices)`` pass — no per-match dict
+  merging;
+* a rename or reorder aliases the underlying lists — nothing is
+  copied;
 * dedup zips the value columns into tuples and keeps first occurrences
   with one set — no per-row itemgetter calls.
 
@@ -29,7 +29,7 @@ reason; operators on the hot path use the explicitly shared
 :meth:`ColumnBatch.raw_column_at` / :meth:`ColumnBatch.dense_columns`
 views instead.
 
-The **encoded tier** (PR 10) lives here too: an :class:`EncodedColumn`
+**Dictionary encoding** lives here too: an :class:`EncodedColumn`
 is a column's dictionary encoding — one small-int code per stored row
 plus the code → value dictionary — built lazily per column and memoized
 on the batch (the memo travels with zero-copy renames, so a scan shared
@@ -279,10 +279,6 @@ class ColumnBatch:
         if self.selection is None:
             return list(column)
         return list(map(column.__getitem__, self.selection))
-
-    def raw_column(self, name: str) -> list[object]:
-        """The live values of one column — **shared, read-only**."""
-        return self.raw_column_at(self._index_of(name))
 
     def raw_column_at(self, index: int) -> list[object]:
         """Live values at column *index* without a defensive copy.

@@ -101,54 +101,40 @@ class MetricsCollector:
     find it through the thread-local :func:`active_collector`). The
     *clock* is injected — ``time.perf_counter`` where timing matters,
     a constant where determinism does (see the module docstring).
-
-    Operators may re-enter their own frame (the encoded tier defaults
-    chain ``execute_encoded → execute_batch`` on the same node); the
-    collector collapses such re-entrant calls into the outer frame so
-    the tree stays one-node-per-operator.
+    Each operator opens exactly one frame per execution, so the tree
+    is one node per plan operator.
     """
 
     def __init__(self, clock: Callable[[], float]) -> None:
         self._clock = clock
         self._stack: list[PlanMetrics] = []
         self._starts: list[float] = []
-        self._operators: list[object] = []
         #: completed root of the collection (None until the outermost
         #: frame exits)
         self.root: PlanMetrics | None = None
 
-    def enter(self, operator: object, kind: str, label: str,
-              detail: dict[str, object] | None = None
-              ) -> PlanMetrics | None:
-        """Open a frame for *operator*; ``None`` when re-entrant."""
-        if self._operators and self._operators[-1] is operator:
-            return None
+    def enter(self, kind: str, label: str,
+              detail: dict[str, object] | None = None) -> PlanMetrics:
+        """Open a frame as a child of the innermost open one."""
         node = PlanMetrics(kind=kind, label=label,
                            detail=detail if detail is not None else {})
         if self._stack:
             self._stack[-1].children.append(node)
         self._stack.append(node)
-        self._operators.append(operator)
         self._starts.append(self._clock())
         return node
 
-    def exit(self, frame: PlanMetrics | None, rows_out: int) -> None:
-        if frame is None:
-            return
+    def exit(self, frame: PlanMetrics, rows_out: int) -> None:
         self._stack.pop()
-        self._operators.pop()
         frame.seconds = self._clock() - self._starts.pop()
         frame.rows_out = rows_out
         if not self._stack:
             self.root = frame
 
-    def abort(self, frame: PlanMetrics | None) -> None:
+    def abort(self, frame: PlanMetrics) -> None:
         """Close a frame whose execution raised; the partial node stays
         in the tree, flagged, so a failed run still explains itself."""
-        if frame is None:
-            return
         self._stack.pop()
-        self._operators.pop()
         frame.seconds = self._clock() - self._starts.pop()
         frame.failed = True
         if not self._stack:

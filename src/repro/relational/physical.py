@@ -17,16 +17,18 @@ assembles into a plan that
   batch/union via a :class:`ScanCache` (single-flight, thread-safe,
   invalidated at evolution-epoch boundaries).
 
-Physical operators exchange :class:`~repro.relational.rows.Relation`
-objects under source-qualified attribute names, exactly like the
-logical algebra — the equivalence suite holds both against each other.
+Operators exchange :class:`~repro.relational.columnar.ColumnBatch`
+values and, inside fused pipeline segments, :class:`FusedBatch` gather
+state, under source-qualified attribute names exactly like the logical
+algebra. Rows materialize once, at the plan boundary. Naive logical
+evaluation is the reference oracle: the equivalence suite holds every
+plan against it.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, \
     Sequence, TypeVar
 
@@ -415,12 +417,12 @@ def as_scan_provider(provider: "DataProvider | ScanProvider | None",
 
 
 class FusedBatch:
-    """The deferred result of a fused pipeline segment (PR 10).
+    """The deferred result of a fused pipeline segment.
 
-    The vectorized engine (PR 7) materializes one :class:`ColumnBatch`
-    per operator — every join gathers *every* column of both sides even
-    when the closing projection keeps three of them. A fused segment
-    instead carries
+    Materializing one :class:`ColumnBatch` per operator would make
+    every join gather *every* column of both sides even when the
+    closing projection keeps three of them. A fused segment instead
+    carries
 
     * ``leaves`` — the scan batches feeding the segment, untouched (so
       their relation-memoized column pivots and dictionary encodings
@@ -436,8 +438,8 @@ class FusedBatch:
 
     Column lookup is by qualified name, first leaf wins — the same
     leftmost-match rule :meth:`ColumnBatch.rename` applies over a
-    joined batch's concatenated attributes, so self-joins resolve
-    identically in both engines.
+    joined batch's concatenated attributes, so a self-join resolves
+    identically whether or not its segment is materialized.
     """
 
     __slots__ = ("leaves", "indices", "length")
@@ -625,19 +627,15 @@ def _first_occurrences(lanes: Sequence[list[Any]],
 # ---------------------------------------------------------------------------
 
 
-_ExecResult = TypeVar("_ExecResult", Relation, ColumnBatch, FusedBatch)
+_ExecResult = TypeVar("_ExecResult", ColumnBatch, FusedBatch)
 
 
 class PhysicalOperator:
     """Base class of physical plan nodes.
 
-    Every operator offers three execution tiers over the same plan
-    shape: :meth:`execute` is the original row-at-a-time engine
-    (per-row dicts and itemgetters — kept as the comparison baseline
-    and fallback), :meth:`execute_batch` is the vectorized engine
-    exchanging :class:`~repro.relational.columnar.ColumnBatch` objects,
-    and :meth:`execute_encoded` is the encoded tier (PR 10): joins run
-    on dictionary codes and pipeline-compatible chains fuse into one
+    :meth:`execute_encoded` materializes the node as a
+    :class:`~repro.relational.columnar.ColumnBatch`: joins run on
+    dictionary codes and pipeline-compatible chains fuse into one
     gather pass (:meth:`execute_fused` / :class:`FusedBatch`).
 
     The public ``execute*`` methods are thin instrumented wrappers:
@@ -645,10 +643,9 @@ class PhysicalOperator:
     :class:`~repro.relational.metrics.MetricsCollector`, each call
     records a :class:`~repro.relational.metrics.PlanMetrics` frame
     (rows out, wall time) around the ``_execute*`` implementation.
-    Subclasses override the underscored implementations; each tier
-    defaults to degrading one tier down (encoded → batch → rows), so a
-    custom operator implementing only ``_execute`` still runs inside
-    any plan.
+    Subclasses override the underscored implementations and call
+    their *children's* public methods, never their own, so every node
+    opens exactly one frame per execution.
     """
 
     def schema(self) -> RelationSchema:
@@ -656,27 +653,12 @@ class PhysicalOperator:
 
     # -- public entry points (metrics instrumentation) -----------------------
 
-    def execute(self, provider: ScanProvider,
-                runtime_filter: IdFilter | None = None) -> Relation:
-        """Materialize the node row-at-a-time. *runtime_filter* only
-        reaches scans — a parent hash join pushes its build-side key
-        set down here."""
-        return self._instrumented(self._execute, provider,
-                                  runtime_filter)
-
-    def execute_batch(self, provider: ScanProvider,
-                      runtime_filter: IdFilter | None = None,
-                      ) -> ColumnBatch:
-        """Vectorized execution: materialize the node as a batch."""
-        return self._instrumented(self._execute_batch, provider,
-                                  runtime_filter)
-
     def execute_encoded(self, provider: ScanProvider,
                         runtime_filter: IdFilter | None = None,
                         ) -> ColumnBatch:
-        """Encoded execution: vectorized, with dictionary-coded join
-        keys and fused pipeline segments where the node supports them.
-        """
+        """Materialize the node as a batch. *runtime_filter* only
+        reaches scans — a parent hash join pushes its build-side key
+        set down here."""
         return self._instrumented(self._execute_encoded, provider,
                                   runtime_filter)
 
@@ -699,7 +681,7 @@ class PhysicalOperator:
         if collector is None:
             return impl(provider, runtime_filter)
         kind, label, detail = self._metrics_entry(runtime_filter)
-        frame = collector.enter(self, kind, label, detail)
+        frame = collector.enter(kind, label, detail)
         try:
             result = impl(provider, runtime_filter)
         except BaseException:
@@ -716,28 +698,16 @@ class PhysicalOperator:
 
     # -- implementations (overridden by subclasses) --------------------------
 
-    def _execute(self, provider: ScanProvider,
-                 runtime_filter: IdFilter | None = None) -> Relation:
-        raise NotImplementedError
-
-    def _execute_batch(self, provider: ScanProvider,
-                       runtime_filter: IdFilter | None = None,
-                       ) -> ColumnBatch:
-        # Adapts the row engine so custom operators keep working inside
-        # a vectorized plan. Calls the *public* execute — the collector
-        # collapses the re-entrant frame onto this node's own.
-        return self.execute(provider, runtime_filter).columnar()
-
     def _execute_encoded(self, provider: ScanProvider,
                          runtime_filter: IdFilter | None = None,
                          ) -> ColumnBatch:
-        return self.execute_batch(provider, runtime_filter)
+        raise NotImplementedError
 
     def _execute_fused(self, provider: ScanProvider,
                        runtime_filter: IdFilter | None = None,
                        ) -> FusedBatch:
         return FusedBatch.from_batch(
-            self.execute_encoded(provider, runtime_filter))
+            self._execute_encoded(provider, runtime_filter))
 
     def explain_lines(self, indent: int = 0) -> list[str]:
         raise NotImplementedError
@@ -769,21 +739,16 @@ class PhysicalScan(PhysicalOperator):
     def schema(self) -> RelationSchema:
         return self.relation_schema
 
-    def _execute(self, provider: ScanProvider,
-                 runtime_filter: IdFilter | None = None) -> Relation:
-        return provider.scan(self.wrapper_name, self.columns,
-                             runtime_filter)
-
-    def _execute_batch(self, provider: ScanProvider,
-                       runtime_filter: IdFilter | None = None,
-                       ) -> ColumnBatch:
+    def _execute_encoded(self, provider: ScanProvider,
+                         runtime_filter: IdFilter | None = None,
+                         ) -> ColumnBatch:
         # The row→batch boundary: the wrapper's relation pivots to
         # columns once and the pivot is memoized on the relation, so a
         # scan shared through the ScanCache pays it once per fetch.
         # Wrappers are free to order columns differently than the plan
-        # declared (rows are dicts, so the row engine never noticed);
-        # the batch is realigned to the plan's order — a zero-copy
-        # rename — so downstream operators can trust plan schemas.
+        # declared (rows are dicts); the batch is realigned to the
+        # plan's order — a zero-copy rename — so a scan at the plan
+        # root presents the plan schema.
         batch = provider.scan(self.wrapper_name, self.columns,
                               runtime_filter).columnar()
         return batch.reorder(self.relation_schema.attribute_names)
@@ -846,108 +811,6 @@ class PhysicalHashJoin(PhysicalOperator):
         return RelationSchema(
             f"({b.name}⋈̃{p.name})",
             tuple(b.attributes) + tuple(p.attributes), None)
-
-    def _execute(self, provider: ScanProvider,
-                 runtime_filter: IdFilter | None = None) -> Relation:
-        build_rel = self.build.execute(provider)
-        out_schema = self.schema()
-        if not len(build_rel):
-            return Relation.from_trusted(out_schema, [])
-
-        build_keys = [c[0] for c in self.conditions]
-        probe_keys = [c[1] for c in self.conditions]
-        # itemgetter keys: a scalar for single-condition joins, a tuple
-        # otherwise — consistent between the two sides.
-        build_key = itemgetter(*build_keys)
-        probe_key = itemgetter(*probe_keys)
-        table: dict[object, list[dict[str, object]]] = {}
-        for row in build_rel:
-            table.setdefault(build_key(row), []).append(row)
-
-        pushed: IdFilter | None = None
-        if self.semi_join and isinstance(self.probe, PhysicalScan):
-            try:
-                values = frozenset(
-                    row[build_keys[0]] for row in build_rel)
-                pushed = IdFilter(probe_keys[0], values)
-            except TypeError:
-                pushed = None  # unhashable key values: fetch unfiltered
-        probe_rel = self.probe.execute(provider, pushed)
-
-        rows: list[dict[str, object]] = []
-        for row in probe_rel:
-            matches = table.get(probe_key(row), ())
-            for match in matches:
-                merged = dict(match)
-                merged.update(row)
-                rows.append(merged)
-        return Relation.from_trusted(out_schema, rows)
-
-    def _execute_batch(self, provider: ScanProvider,
-                       runtime_filter: IdFilter | None = None,
-                       ) -> ColumnBatch:
-        """Vectorized hash join: key columns are zipped once into an
-        index table, matches join as two index lists, and every output
-        column is gathered in a single pass — no per-match dict
-        merging."""
-        build = self.build.execute_batch(provider)
-        if not len(build):
-            return ColumnBatch.empty(self.schema())
-
-        build_keys = [c[0] for c in self.conditions]
-        probe_keys = [c[1] for c in self.conditions]
-        build_key_columns = [build.raw_column(k) for k in build_keys]
-        table: dict[object, list[int]] = {}
-        if len(build_key_columns) == 1:
-            for i, key in enumerate(build_key_columns[0]):
-                table.setdefault(key, []).append(i)
-        else:
-            for i, key in enumerate(zip(*build_key_columns)):
-                table.setdefault(key, []).append(i)
-
-        pushed: IdFilter | None = None
-        if self.semi_join and isinstance(self.probe, PhysicalScan):
-            try:
-                pushed = IdFilter(probe_keys[0],
-                                  frozenset(build_key_columns[0]))
-            except TypeError:
-                pushed = None  # unhashable key values: fetch unfiltered
-        probe = self.probe.execute_batch(provider, pushed)
-
-        probe_key_columns = [probe.raw_column(k) for k in probe_keys]
-        probe_iter: Iterable[object]
-        if len(probe_key_columns) == 1:
-            probe_iter = probe_key_columns[0]
-        else:
-            probe_iter = zip(*probe_key_columns)
-        build_indices: list[int] = []
-        probe_indices: list[int] = []
-        get = table.get
-        append_probe = probe_indices.append
-        for j, key in enumerate(probe_iter):
-            matches = get(key)
-            if matches is None:
-                continue
-            build_indices += matches
-            if len(matches) == 1:
-                append_probe(j)
-            else:
-                probe_indices += [j] * len(matches)
-
-        columns = [list(map(column.__getitem__, build_indices))
-                   for column in build.dense_columns()]
-        columns += [list(map(column.__getitem__, probe_indices))
-                    for column in probe.dense_columns()]
-        # Output schema follows the executed batches' actual column
-        # order (a custom child may emit columns in any order); all
-        # downstream access is by name, so order is free to differ
-        # from the planner's declared schema.
-        out_schema = RelationSchema(
-            f"({build.schema.name}⋈̃{probe.schema.name})",
-            tuple(build.schema.attributes) + tuple(probe.schema.attributes),
-            None)
-        return ColumnBatch(out_schema, columns,
-                           _length=len(build_indices))
 
     def _execute_encoded(self, provider: ScanProvider,
                          runtime_filter: IdFilter | None = None,
@@ -1136,7 +999,7 @@ class PhysicalHashJoin(PhysicalOperator):
 class PhysicalProject(PhysicalOperator):
     """The closing projection of one UCQ branch: rename qualified
     attributes onto feature column names (π of the paper's final step),
-    executed in one pass over the child's rows."""
+    gathering only the mapped columns from the child's fused segment."""
 
     child: PhysicalOperator
     #: output column name → qualified input attribute
@@ -1148,21 +1011,6 @@ class PhysicalProject(PhysicalOperator):
             Attribute(out_name, child_schema.attribute(in_name).is_id)
             for out_name, in_name in self.mapping.items())
         return RelationSchema(f"π({child_schema.name})", attrs, None)
-
-    def _execute(self, provider: ScanProvider,
-                 runtime_filter: IdFilter | None = None) -> Relation:
-        child_rows = self.child.execute(provider)
-        items = tuple(self.mapping.items())
-        rows = [{out: row[src] for out, src in items}
-                for row in child_rows]
-        return Relation.from_trusted(self.schema(), rows)
-
-    def _execute_batch(self, provider: ScanProvider,
-                       runtime_filter: IdFilter | None = None,
-                       ) -> ColumnBatch:
-        # Vectorized projection is a rename: output columns alias the
-        # child's lists, no data moves at all.
-        return self.child.execute_batch(provider).rename(self.mapping)
 
     def _execute_encoded(self, provider: ScanProvider,
                          runtime_filter: IdFilter | None = None,
@@ -1223,39 +1071,6 @@ class PhysicalUnion(PhysicalOperator):
 
     def schema(self) -> RelationSchema:
         return self.branches[0].schema()
-
-    def _execute(self, provider: ScanProvider,
-                 runtime_filter: IdFilter | None = None) -> Relation:
-        # Branch schemas are validated compatible, so branch rows are
-        # adopted as-is (consumers treat result rows as immutable);
-        # distinct deduplicates during the single pass.
-        rows: list[dict[str, object]] = []
-        if not self.distinct:
-            for branch in self.branches:
-                rows.extend(branch.execute(provider))
-            return Relation.from_trusted(self.schema(), rows)
-        key_of = itemgetter(*self.schema().attribute_names)
-        seen: set[object] = set()
-        for branch in self.branches:
-            for row in branch.execute(provider):
-                key = key_of(row)
-                if key in seen:
-                    continue
-                seen.add(key)
-                rows.append(row)
-        return Relation.from_trusted(self.schema(), rows)
-
-    def _execute_batch(self, provider: ScanProvider,
-                       runtime_filter: IdFilter | None = None,
-                       ) -> ColumnBatch:
-        """Vectorized union: branch batches are aligned by attribute
-        name, concatenated column-wise, and deduplicated (when
-        ``distinct``) in one zip pass over the value columns."""
-        schema = self.schema()
-        batches = [branch.execute_batch(provider)
-                   for branch in self.branches]
-        merged = concat_batches(schema, batches)
-        return merged.distinct() if self.distinct else merged
 
     def _execute_encoded(self, provider: ScanProvider,
                          runtime_filter: IdFilter | None = None,

@@ -13,9 +13,7 @@ same change streams into drift detection so in-flight schema drift
 auto-drafts releases for the steward.
 """
 
-from repro.streaming.deltas import (
-    DeltaBatch, RowTuple, incremental_env_enabled,
-)
+from repro.streaming.deltas import DeltaBatch, RowTuple
 from repro.streaming.drift_feed import CollectionDriftMonitor, DriftDraft
 from repro.streaming.operators import (
     DeltaNode, JoinState, ProjectState, ScanState, UnionState,
@@ -27,7 +25,7 @@ from repro.streaming.standing import (
 )
 
 __all__ = [
-    "DeltaBatch", "RowTuple", "incremental_env_enabled",
+    "DeltaBatch", "RowTuple",
     "CollectionDriftMonitor", "DriftDraft",
     "DeltaNode", "JoinState", "ProjectState", "ScanState", "UnionState",
     "build_states",

@@ -8,38 +8,23 @@ changes the multiplicity of that row by ``ops[i]`` (positive = insert,
 negative = retract; an update travels as a retraction/assertion pair).
 Standing-query operators (:mod:`repro.streaming.operators`) consume and
 produce these batches, so O(Δ) refresh rides the same columnar layout
-as the vectorized engine.
-
-The package-wide kill switch mirrors the answer cache's: setting
-``REPRO_INCREMENTAL=0`` makes the engine skip the patch path entirely
-and fall back to evict-and-recompute (see
-:func:`incremental_env_enabled`).
+as the execution engine. ``QueryEngine(incremental=False)`` skips the
+patch path entirely and falls back to evict-and-recompute.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Iterator, Mapping, Sequence
 
 from repro.errors import SchemaError
 from repro.relational.columnar import ColumnBatch
 from repro.relational.schema import RelationSchema
 
-__all__ = ["DeltaBatch", "RowTuple", "incremental_env_enabled"]
+__all__ = ["DeltaBatch", "RowTuple"]
 
 #: One row as a value tuple aligned with a schema's attribute order —
 #: the hashable currency of multiplicity counters and join indexes.
 RowTuple = tuple[object, ...]
-
-
-# repro-lint: disable=replay-determinism -- deployment kill switch read
-# once at engine construction; it selects *whether* maintenance runs,
-# never what a maintained result contains (patch == recompute either way).
-def incremental_env_enabled() -> bool:
-    """False when ``REPRO_INCREMENTAL=0`` — the operational kill switch
-    for incremental answer maintenance (the engine then evicts and
-    recomputes exactly as before the streaming layer existed)."""
-    return os.environ.get("REPRO_INCREMENTAL", "1") != "0"
 
 
 class DeltaBatch:

@@ -14,8 +14,8 @@ rule does the heavy lifting::
 
 processed sequentially (apply ΔB to the build index between the two
 half-joins) so the cross term ``ΔB ⋈ ΔP`` is counted exactly once.
-Join index maps — the same ``key → rows`` tables the vectorized engine
-builds per execution — are *kept alive* across refreshes, which is
+Join index maps — the same ``key → rows`` tables the hash join builds
+per execution — are *kept alive* across refreshes, which is
 precisely what makes a refresh O(Δ) instead of O(data).
 
 All state lives in row-tuple space aligned with each node's plan
@@ -107,7 +107,7 @@ class JoinState(DeltaNode):
 
     ``build_index`` / ``probe_index`` map a join key to the bag of that
     side's rows carrying the key — the standing-query analogue of the
-    table the vectorized join rebuilds from scratch every execution.
+    table the hash join rebuilds from scratch every execution.
     Output tuples are ``build_tuple + probe_tuple``, matching
     :meth:`PhysicalHashJoin.schema`.
     """

@@ -200,11 +200,6 @@ class TestEngineIntegration:
         two.answer(EXEMPLARY_QUERY)
         assert shared.stats.hits == 1
 
-    def test_row_engine_populates_the_same_cache(self, scenario):
-        engine = QueryEngine(scenario.ontology, vectorized=False)
-        first = engine.answer(EXEMPLARY_QUERY)
-        assert engine.answer(EXEMPLARY_QUERY) is first
-
     def test_clear_answer_cache(self, scenario):
         engine = QueryEngine(scenario.ontology)
         engine.answer(EXEMPLARY_QUERY)

@@ -73,26 +73,16 @@ def test_randomized_walk_equivalence(seed, use_accel, monkeypatch):
 
     scans = RelationScanProvider(provider)
     branch = plan_walk(walk, mapping, scans.estimate)
-    planned = branch.execute(scans)
-    assert planned == naive
-
-    # The vectorized engine must agree with the row engine exactly,
-    # and the encoded/fused tier with both.
-    vectorized = branch.execute_batch(scans).to_relation()
-    assert vectorized == naive
-    encoded = branch.execute_encoded(scans).to_relation()
-    assert encoded == naive
+    assert branch.execute_encoded(scans).to_relation() == naive
 
     # Unknown cardinalities must not change the answer either.
     blind = plan_walk(walk, mapping, lambda name: None)
-    assert blind.execute(scans) == naive
-    assert blind.execute_batch(scans).to_relation() == naive
     assert blind.execute_encoded(scans).to_relation() == naive
 
 
 @pytest.mark.parametrize("seed", range(12))
 @pytest.mark.parametrize("distinct", [True, False])
-def test_randomized_union_equivalence(seed, distinct):
+def test_randomized_union_equivalence(seed, distinct, monkeypatch):
     rng = random.Random(1000 + seed)
     branches_logical, branches_physical = [], []
     provider = {}
@@ -126,11 +116,13 @@ def test_randomized_union_equivalence(seed, distinct):
         branches_physical.append(
             plan_walk(renamed_walk, mapping, scans.estimate))
 
+    from repro.relational import accel
     from repro.relational.physical import PhysicalUnion
     naive = Union(branches_logical, distinct=distinct).evaluate(provider)
     union = PhysicalUnion(tuple(branches_physical), distinct=distinct)
-    assert union.execute(scans) == naive
-    assert union.execute_batch(scans).to_relation() == naive
+    # Both kernel paths: numpy when importable, then pure Python.
+    assert union.execute_encoded(scans).to_relation() == naive
+    monkeypatch.setattr(accel, "numpy", None)
     assert union.execute_encoded(scans).to_relation() == naive
 
 
@@ -142,12 +134,11 @@ def test_empty_wrapper_edge_case():
     mapping = {"a": "D0/a"}
     scans = RelationScanProvider(provider)
     branch = plan_walk(walk, mapping, scans.estimate)
-    planned = branch.execute(scans)
+    planned = branch.execute_encoded(scans).to_relation()
     naive = FinalProject(walk.to_expression(), mapping) \
         .evaluate(provider)
     assert planned == naive
     assert len(planned) == 0
-    assert len(branch.execute_batch(scans)) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -399,22 +390,14 @@ class TestAdaptivePlanning:
         # With nothing new learned, the plan is reused as before.
         assert engine.plan(EXEMPLARY_QUERY) is second
 
-    def test_repro_adaptive_env_kill_switch(self, evolved, monkeypatch):
-        from repro.query.planner import adaptive_env_enabled
-        monkeypatch.setenv("REPRO_ADAPTIVE", "0")
-        assert not adaptive_env_enabled()
-        engine = QueryEngine(evolved.ontology)
+    def test_adaptive_off_keeps_oracle_answers(self, evolved):
+        engine = QueryEngine(evolved.ontology, adaptive=False)
         assert engine.adaptive_memo is None
         planned = engine.answer(EXEMPLARY_QUERY)
         naive = QueryEngine(evolved.ontology, use_planner=False,
                             use_cache=False).answer(EXEMPLARY_QUERY)
-        assert planned == naive  # the kill switch never changes answers
-        # An explicit adaptive=True overrides the environment.
-        assert QueryEngine(evolved.ontology,
-                           adaptive=True).adaptive_memo is not None
-        monkeypatch.delenv("REPRO_ADAPTIVE")
-        assert QueryEngine(evolved.ontology,
-                           adaptive=False).adaptive_memo is None
+        assert planned == naive  # static planning never changes answers
+        assert QueryEngine(evolved.ontology).adaptive_memo is not None
 
     def test_explain_analyze_renders_runtime_metrics(self, evolved):
         # The answer cache would serve the second run from memory and
@@ -429,6 +412,35 @@ class TestAdaptivePlanning:
         text = engine.explain(EXEMPLARY_QUERY, analyze=True)
         assert "runtime metrics (last run):" in text
         assert "rows=" in text and "ms" in text
+
+    def test_metrics_tree_has_one_node_per_operator(self):
+        # perfbench's relational.intermediate_rows sums rows_out over
+        # this tree: a node missing or doubled would skew it.
+        from repro.query.planner import PhysicalPlan
+        from repro.relational.physical import PhysicalUnion
+        walk, mapping, provider = random_chain(random.Random(3), 3,
+                                               rows_max=30)
+        scans = RelationScanProvider(provider)
+        branch = plan_walk(walk, mapping, scans.estimate)
+        plan = PhysicalPlan(ucq=None, root=PhysicalUnion((branch,)))
+        result = plan.execute(scans)
+
+        def kinds(node):
+            if isinstance(node, PhysicalScan):
+                return ["scan"]
+            if isinstance(node, PhysicalHashJoin):
+                return ["join", *kinds(node.build), *kinds(node.probe)]
+            if isinstance(node, PhysicalUnion):
+                return ["union", *(k for b in node.branches
+                                   for k in kinds(b))]
+            return ["project", *kinds(node.child)]
+
+        expected = kinds(plan.root)
+        assert sorted(expected) == ["join", "join", "project", "scan",
+                                    "scan", "scan", "union"]
+        observed = list(plan.last_metrics.walk())
+        assert [node.kind for node in observed] == expected
+        assert plan.last_metrics.rows_out == len(result)
 
     def test_wrapper_timings_aggregate_scans(self, evolved):
         engine = QueryEngine(evolved.ontology)

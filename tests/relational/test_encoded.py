@@ -12,6 +12,7 @@ import random
 import pytest
 
 from repro.relational import accel
+from repro.relational.algebra import Join, Scan
 from repro.relational.columnar import (
     ENCODE_MIN_ROWS, ColumnBatch, EncodedColumn, encode_values,
 )
@@ -155,13 +156,19 @@ def join_provider(build_rows, probe_rows):
     return provider, join
 
 
+def logical_of(join):
+    """The logical-algebra twin of a physical join tree (the oracle)."""
+    if isinstance(join, PhysicalScan):
+        return Scan(join.relation_schema)
+    return Join(logical_of(join.build), logical_of(join.probe),
+                join.conditions)
+
+
 class TestCodedJoins:
-    def assert_encoded_matches_rows(self, provider, join):
-        scans = RelationScanProvider(provider)
-        expected = join.execute(scans)
-        got = join.execute_encoded(scans).to_relation(
-            expected.schema.name)
-        assert got == expected
+    def assert_encoded_matches_oracle(self, provider, join):
+        expected = logical_of(join).evaluate(provider)
+        got = join.execute_encoded(RelationScanProvider(provider))
+        assert got.to_relation() == expected
         return expected
 
     def test_both_sides_encoded(self, accel_mode):
@@ -174,7 +181,7 @@ class TestCodedJoins:
         # Both key columns are duplicate-heavy: both dictionaries build.
         assert encode_values([r["B/id"] for r in build]) is not None
         assert encode_values([r["P/id"] for r in probe]) is not None
-        out = self.assert_encoded_matches_rows(provider, join)
+        out = self.assert_encoded_matches_oracle(provider, join)
         assert len(out) > 0
 
     def test_probe_side_only_encoded(self, accel_mode):
@@ -186,7 +193,7 @@ class TestCodedJoins:
         provider, join = join_provider(build, probe)
         assert encode_values([r["B/id"] for r in build]) is None
         assert encode_values([r["P/id"] for r in probe]) is not None
-        out = self.assert_encoded_matches_rows(provider, join)
+        out = self.assert_encoded_matches_oracle(provider, join)
         assert len(out) == 40 * 8
 
     def test_generic_fallback_when_nothing_encodes(self, accel_mode):
@@ -195,7 +202,7 @@ class TestCodedJoins:
         provider, join = join_provider(build, probe)
         assert encode_values([r["B/id"] for r in build]) is None
         assert encode_values([r["P/id"] for r in probe]) is None
-        out = self.assert_encoded_matches_rows(provider, join)
+        out = self.assert_encoded_matches_oracle(provider, join)
         assert len(out) == 40
 
     def test_no_matches_yields_empty(self, accel_mode):
@@ -205,7 +212,7 @@ class TestCodedJoins:
         probe = [{"P/id": f"z{rng.randrange(8)}", "P/v": i}
                  for i in range(80)]
         provider, join = join_provider(build, probe)
-        out = self.assert_encoded_matches_rows(provider, join)
+        out = self.assert_encoded_matches_oracle(provider, join)
         assert len(out) == 0
 
     def test_fusion_across_empty_intermediate(self, accel_mode):
@@ -235,8 +242,8 @@ class TestCodedJoins:
         assert len(batch) == 0
         assert set(batch.schema.attribute_names) == {
             "D/id", "D/v", "H/id", "H/v", "T/id", "T/v"}
-        assert outer.execute(scans) == batch.to_relation(
-            outer.schema().name)
+        assert logical_of(outer).evaluate(provider) == \
+            batch.to_relation()
 
 
 class TestEncodedDistinct:

@@ -277,7 +277,7 @@ class TestPhysicalOperators:
             build=self.scan(provider, "w2"),
             probe=self.scan(provider, "w1"),
             conditions=(("D2/id", "D1/id"),))
-        out = join.execute(scans)
+        out = join.execute_encoded(scans).to_relation()
         assert fetched["w1"] is not None  # semi-join filter arrived
         assert fetched["w1"].values == frozenset({2, 3, 9})
         assert sorted(r["D1/id"] for r in out) == [2, 3]
@@ -296,7 +296,7 @@ class TestPhysicalOperators:
             build=self.scan(provider, "w2"),
             probe=self.scan(provider, "w1"),
             conditions=(("D2/id", "D1/id"),))
-        out = join.execute(Spy(provider))
+        out = join.execute_encoded(Spy(provider))
         assert len(out) == 0
         assert seen == ["w2"]  # probe never fetched
 
@@ -314,15 +314,16 @@ class TestPhysicalOperators:
         with pytest.raises(TypeError):
             # the join itself still needs hashable keys; pushdown just
             # must not be the thing that raises first on the scan side
-            join.execute(RelationScanProvider(provider))
+            join.execute_encoded(RelationScanProvider(provider))
 
     def test_union_distinct_single_pass(self, provider):
         branch = self.scan(provider, "w1", ["D1/id"])
         union = PhysicalUnion((branch, branch), distinct=True)
-        out = union.execute(RelationScanProvider(provider))
+        out = union.execute_encoded(RelationScanProvider(provider))
         assert len(out) == 3  # duplicates collapsed
         union_all = PhysicalUnion((branch, branch), distinct=False)
-        assert len(union_all.execute(RelationScanProvider(provider))) == 6
+        assert len(union_all.execute_encoded(
+            RelationScanProvider(provider))) == 6
 
     def test_union_incompatible_schemas_rejected(self, provider):
         with pytest.raises(SchemaError, match="incompatible"):

@@ -20,24 +20,21 @@ def churn(scenario, n=1):
 
 
 class TestKillSwitch:
-    def test_env_disables_incremental(self, scenario, monkeypatch):
-        monkeypatch.setenv("REPRO_INCREMENTAL", "0")
-        engine = QueryEngine(scenario.ontology)
+    def test_incremental_off_evicts(self, scenario):
+        engine = QueryEngine(scenario.ontology, incremental=False)
         assert not engine.incremental
         engine.answer(EXEMPLARY_QUERY)
         churn(scenario)
-        engine.answer(EXEMPLARY_QUERY)
+        answer = engine.answer(EXEMPLARY_QUERY)
         stats = engine.answer_cache.stats
         assert stats.evictions == 1  # the old contract: evict + rerun
         assert stats.seeds == 0 and stats.patches == 0
+        oracle = QueryEngine(scenario.ontology, use_planner=False,
+                             use_cache=False, use_answer_cache=False)
+        assert answer == oracle.answer(EXEMPLARY_QUERY)
 
-    def test_explicit_argument_beats_env(self, scenario, monkeypatch):
-        monkeypatch.setenv("REPRO_INCREMENTAL", "0")
-        assert QueryEngine(scenario.ontology, incremental=True
-                           ).incremental
-        monkeypatch.delenv("REPRO_INCREMENTAL")
-        assert not QueryEngine(scenario.ontology, incremental=False
-                               ).incremental
+    def test_incremental_on_by_default(self, scenario):
+        assert QueryEngine(scenario.ontology).incremental
 
 
 class TestPatchLifecycle:

@@ -8,9 +8,7 @@ from repro.datasets import EXEMPLARY_QUERY, build_supersede
 from repro.query.planner import plan_ucq
 from repro.query.rewriter import rewrite
 from repro.relational.physical import as_scan_provider
-from repro.streaming import (
-    DeltaBatch, StandingQuery, build_states, incremental_env_enabled,
-)
+from repro.streaming import DeltaBatch, StandingQuery, build_states
 
 
 def make_plan(scenario, distinct=True):
@@ -193,15 +191,6 @@ class TestStateFactory:
         empty = {s: DeltaBatch.empty(s.schema) for s in scans}
         out = root.apply(empty)
         assert len(out) == 0
-
-
-def test_env_flag_parsing(monkeypatch):
-    monkeypatch.delenv("REPRO_INCREMENTAL", raising=False)
-    assert incremental_env_enabled()
-    monkeypatch.setenv("REPRO_INCREMENTAL", "0")
-    assert not incremental_env_enabled()
-    monkeypatch.setenv("REPRO_INCREMENTAL", "1")
-    assert incremental_env_enabled()
 
 
 def test_snapshot_is_atomic_with_refresh(monkeypatch):
