@@ -472,10 +472,6 @@ class ProtocolEndpoint:
                             in service.mdm.engine.plan_metrics_log()],
                         "wrapper_timings":
                             service.mdm.engine.wrapper_timings(),
-                        "adaptive":
-                            service.mdm.engine.adaptive_memo.snapshot()
-                            if service.mdm.engine.adaptive_memo
-                            is not None else None,
                     },
                 },
                 elapsed_ms=_elapsed(started))

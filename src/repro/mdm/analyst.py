@@ -204,17 +204,7 @@ def describe_service(service: "GovernedService") -> str:
             f"{journal.get('seq')} (boot {journal.get('boot_id')}, "
             f"snapshot seq {journal.get('snapshot_seq')}, "
             f"replica lag {lag})")
-    engine = service.mdm.engine
-    memo = engine.adaptive_memo
-    if memo is None:
-        lines.append("  adaptive planner: disabled")
-    else:
-        snap = memo.snapshot()
-        lines.append(
-            f"  adaptive planner: {snap['scan_observations']} scan / "
-            f"{snap['join_observations']} join observation(s), "
-            f"memo version {snap['version']}")
-    timings = engine.wrapper_timings()
+    timings = service.mdm.engine.wrapper_timings()
     if timings:
         lines.append("  observed scan timings (recent runs):")
         for wrapper in sorted(timings):

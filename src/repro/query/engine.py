@@ -36,7 +36,7 @@ from repro.query.answer_cache import (
 from repro.query.cache import CacheStats, RewriteCache, \
     canonical_omq_key
 from repro.query.omq import OMQ, parse_omq
-from repro.query.planner import CardinalityMemo, PhysicalPlan, plan_ucq
+from repro.query.planner import PhysicalPlan, plan_ucq
 from repro.query.rewriter import RewritingResult, rewrite
 from repro.relational.algebra import DataProvider
 from repro.relational.metrics import PlanMetrics, scan_timings
@@ -48,7 +48,7 @@ from repro.streaming.standing import StandingQuery
 
 __all__ = ["QueryEngine"]
 
-#: default bound of the SPARQL-text → OMQ parse memo (LRU entries)
+#: bound of the SPARQL-text → OMQ parse memo (LRU entries)
 PARSE_MEMO_MAX = 1024
 
 #: per-query PlanMetrics trees retained for explain/describe (LRU)
@@ -63,11 +63,9 @@ class QueryEngine:
                  cache: RewriteCache | None = None,
                  use_cache: bool = True,
                  use_planner: bool = True,
-                 adaptive: bool = True,
                  answer_cache: AnswerCache | None = None,
                  use_answer_cache: bool = True,
-                 incremental: bool = True,
-                 parse_memo_max: int = PARSE_MEMO_MAX) -> None:
+                 incremental: bool = True) -> None:
         if cache is not None and not use_cache:
             raise ValueError(
                 "an explicit cache contradicts use_cache=False; pass "
@@ -76,8 +74,6 @@ class QueryEngine:
             raise ValueError(
                 "an explicit answer_cache contradicts "
                 "use_answer_cache=False; pass one or the other")
-        if parse_memo_max < 1:
-            raise ValueError("parse_memo_max must be >= 1")
         self.ontology = ontology
         self.prefixes = dict(prefixes or {})
         #: route evaluation through the physical planner (projection and
@@ -85,13 +81,6 @@ class QueryEngine:
         #: False = naive logical evaluation, the reference oracle the
         #: equivalence suites and ``bench_columnar`` compare against.
         self.use_planner = use_planner
-        #: observed-cardinality feedback into planning (None when off —
-        #: via ``adaptive=False``, or because the planner itself is
-        #: off). The memo is epoch-validated per evaluation and
-        #: versioned; memoized plans re-plan when it learns something
-        #: new.
-        self.adaptive_memo: CardinalityMemo | None = (
-            CardinalityMemo() if use_planner and adaptive else None)
         #: canonical OMQ key → last run's PlanMetrics tree (LRU-bounded
         #: observability feed of explain(analyze=True) and describe)
         self._metrics_log: "OrderedDict[str, PlanMetrics]" = \
@@ -125,7 +114,6 @@ class QueryEngine:
         #: the stale-memo check and the clear happen under the same
         #: critical section, so a concurrent parse can never revive an
         #: entry built under the previous prefix bindings.
-        self.parse_memo_max = parse_memo_max
         self._parse_memo: "OrderedDict[str, OMQ]" = OrderedDict()
         self._parse_memo_prefixes = dict(self.prefixes)
         self._parse_lock = threading.Lock()
@@ -151,7 +139,7 @@ class QueryEngine:
             if self._parse_memo_prefixes == prefixes:
                 self._parse_memo[query] = omq
                 self._parse_memo.move_to_end(query)
-                while len(self._parse_memo) > self.parse_memo_max:
+                while len(self._parse_memo) > PARSE_MEMO_MAX:
                     self._parse_memo.popitem(last=False)
         return omq
 
@@ -179,13 +167,8 @@ class QueryEngine:
                        scan_cache: ScanCache | None) -> ScanProvider:
         """The physical scan provider one evaluation runs against."""
         scans = as_scan_provider(provider, self.ontology.physical_wrapper)
-        if scan_cache is not None or self.adaptive_memo is not None:
-            fingerprint = self.ontology.fingerprint()
-            if scan_cache is not None:
-                scan_cache.validate(fingerprint)
-            if self.adaptive_memo is not None:
-                self.adaptive_memo.validate(fingerprint)
         if scan_cache is not None:
+            scan_cache.validate(self.ontology.fingerprint())
             scans = CachingScanProvider(scans, scan_cache)
         return scans
 
@@ -197,35 +180,24 @@ class QueryEngine:
         (whose construction issues SPARQL feature→attribute lookups)
         rides along: plan once, execute per call. The memo lives and
         dies with the cached rewriting — release-aware invalidation of
-        the rewrite cache invalidates the plan too. With the adaptive
-        tier on, a memoized plan also goes stale when the cardinality
-        memo has learned something since it was planned
-        (``memo_version``) — the next call re-plans with the observed
-        numbers. Estimates only steer join order, so staleness can
-        never change an answer.
+        the rewrite cache invalidates the plan too. Estimates only steer
+        join order, so a plan built under older estimates can never
+        change an answer.
         """
         plans: dict[bool, PhysicalPlan] = \
             result.__dict__.setdefault("_plans", {})
-        memo = self.adaptive_memo
         plan = plans.get(distinct)
-        if plan is not None and memo is not None \
-                and plan.memo_version != memo.version:
-            plan = None  # the memo learned something: re-plan
         if plan is None:
-            plan = plan_ucq(self.ontology, result.ucq, scans, distinct,
-                            memo=memo)
+            plan = plan_ucq(self.ontology, result.ucq, scans, distinct)
             plans[distinct] = plan
         return plan
 
-    def _record_metrics(self, key: str, plan: PhysicalPlan,
-                        scans: ScanProvider) -> None:
-        """Fold one execution's metrics into the adaptive memo and the
-        bounded observability log."""
+    def _record_metrics(self, key: str, plan: PhysicalPlan) -> None:
+        """Keep one execution's metrics in the bounded log behind
+        ``explain(analyze=True)`` and :meth:`wrapper_timings`."""
         metrics = plan.last_metrics
         if metrics is None:
             return
-        if self.adaptive_memo is not None:
-            self.adaptive_memo.observe(metrics, scans.data_version)
         with self._metrics_lock:
             self._metrics_log[key] = metrics
             self._metrics_log.move_to_end(key)
@@ -243,8 +215,7 @@ class QueryEngine:
                 "concepts involved: "
                 f"{[c.local_name for c in result.concepts]}")
         if not self.use_planner:
-            return result.ucq.execute(self.ontology, provider, distinct,
-                                      use_planner=False)
+            return result.ucq.execute(self.ontology, provider, distinct)
         scans = self._scan_provider(provider, scan_cache)
         plan = self._plan_cached(result, distinct, scans)
 
@@ -256,7 +227,7 @@ class QueryEngine:
             key = canonical_omq_key(omq)
         if cache is None:
             relation = plan.execute(scans)
-            self._record_metrics(key, plan, scans)
+            self._record_metrics(key, plan)
             return relation
         fingerprint = self.ontology.fingerprint()
         versions = tuple(sorted(
@@ -273,7 +244,7 @@ class QueryEngine:
             if patched is not None:
                 return patched
         relation = plan.execute(scans)
-        self._record_metrics(key, plan, scans)
+        self._record_metrics(key, plan)
         cache.store(key, distinct, fingerprint, versions, relation)
         return relation
 

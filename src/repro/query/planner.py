@@ -28,24 +28,18 @@ object that executes — the two can no longer diverge, and
 ``explain(analyze=True)`` appends the last run's observed per-operator
 metrics.
 
-**Adaptive feedback** (PR 10): every execution records a
-:class:`~repro.relational.metrics.PlanMetrics` tree; a
-:class:`CardinalityMemo` folds the *observed* scan cardinalities and
-join selectivities back into planning, overriding ``estimate_rows``
-guesses the next time the same shape plans — so a wrapper that
-mis-estimates its size gets the right join order from the second run
-on. The memo is bounded, invalidated at ontology-epoch boundaries like
-every other cache, and switched off per engine by
-``QueryEngine(adaptive=False)``.
+Plans are a pure function of the rewriting and the wrapper estimates
+they were planned with: execution records a
+:class:`~repro.relational.metrics.PlanMetrics` tree for observability
+only, never feeding it back into planning.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from collections import Counter
 from dataclasses import dataclass, field as dataclass_field
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Callable
 
 from repro.core.ontology import BDIOntology
 from repro.errors import RewritingError, UnanswerableQueryError
@@ -60,170 +54,12 @@ from repro.relational.schema import RelationSchema
 from repro.relational.walk import Walk
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.ontology import OntologyFingerprint
     from repro.query.ucq import UCQ
 
-__all__ = ["CardinalityMemo", "PhysicalPlan", "plan_ucq", "plan_walk"]
+__all__ = ["PhysicalPlan", "plan_ucq", "plan_walk"]
 
 #: Resolves a wrapper name to its estimated cardinality (None = unknown).
 Estimator = Callable[[str], "int | None"]
-
-#: Refines a join's output estimate from its two input estimates
-#: (conditions, build_estimate, probe_estimate) → rows or None.
-JoinRefiner = Callable[
-    ["tuple[tuple[str, str], ...]", "int | None", "int | None"],
-    "int | None"]
-
-
-class CardinalityMemo:
-    """Observed-cardinality store feeding the planner (adaptive tier).
-
-    Execution metrics flow in through :meth:`observe`; the next
-    planning of the same shape reads them back out:
-
-    * **scan cardinalities** — keyed ``(wrapper, data_version)`` so a
-      data write naturally invalidates the observation; recorded only
-      from *unfiltered* scans (a semi-join-filtered probe fetch says
-      nothing about the wrapper's true size). They override the
-      wrapper's ``estimate_rows`` guess via :meth:`estimator`.
-    * **join selectivities** — keyed by the join's orientation-free
-      condition signature; they refine the intermediate-size guesses
-      the greedy orderer chains through multi-join walks
-      (:meth:`join_estimate`). Selectivities observed under a pushed
-      semi-join filter are biased low against unfiltered estimates —
-      they steer ordering, never correctness.
-
-    Bounded (first-observed evicts first), cleared at ontology-epoch
-    boundaries like every other cache, and versioned: :attr:`version`
-    advances whenever an observation changes what planning would see,
-    so plan caches know their memoized plans went stale.
-    """
-
-    def __init__(self, capacity: int = 256) -> None:
-        self._lock = threading.Lock()
-        self._fingerprint: "OntologyFingerprint | None" = \
-            None  # guarded-by: _lock
-        #: (wrapper, data_version) → observed unfiltered scan rows
-        self._scan_rows: dict[tuple[str, int], int] = \
-            {}  # guarded-by: _lock
-        #: canonical condition signature → rows_out / (build × probe)
-        self._join_selectivity: dict[tuple[str, ...], float] = \
-            {}  # guarded-by: _lock
-        self.capacity = capacity
-        self.version = 0  # guarded-by: _lock
-
-    @staticmethod
-    def _signature(conditions: "Iterable[tuple[str, str]]"
-                   ) -> tuple[str, ...]:
-        """Orientation-free identity of a join's condition set (build
-        and probe sides swap between plans of the same walk)."""
-        return tuple(sorted("=".join(sorted(pair))
-                            for pair in conditions))
-
-    def validate(self, fingerprint: "OntologyFingerprint") -> None:
-        """Drop every observation if the ontology evolved since they
-        were made (epoch invalidation, mirroring the scan cache)."""
-        with self._lock:
-            if self._fingerprint is not None \
-                    and self._fingerprint != fingerprint \
-                    and (self._scan_rows or self._join_selectivity):
-                self._scan_rows.clear()
-                self._join_selectivity.clear()
-                self.version += 1
-            self._fingerprint = fingerprint
-
-    def observe(self, metrics: "PlanMetrics | None",
-                data_version: Callable[[str], int]) -> bool:
-        """Fold one execution's metrics tree into the memo.
-
-        Returns True (and advances :attr:`version`) when anything
-        planning-visible changed — the caller's cue to re-plan
-        memoized shapes.
-        """
-        if metrics is None:
-            return False
-        changed = False
-        with self._lock:
-            for node in metrics.walk():
-                if node.failed:
-                    continue
-                if node.kind == "scan" \
-                        and not node.detail.get("filtered"):
-                    wrapper = node.detail.get("wrapper")
-                    if not isinstance(wrapper, str):
-                        continue
-                    key = (wrapper, data_version(wrapper))
-                    if self._scan_rows.get(key) != node.rows_out:
-                        stale = [k for k in self._scan_rows
-                                 if k[0] == wrapper and k != key]
-                        for k in stale:
-                            del self._scan_rows[k]
-                        self._scan_rows[key] = node.rows_out
-                        changed = True
-                elif node.kind == "join" and len(node.children) == 2:
-                    raw = str(node.detail.get("conditions", ""))
-                    pairs = [tuple(part.split("=", 1))
-                             for part in raw.split(",")
-                             if "=" in part]
-                    build_rows = node.children[0].rows_out
-                    probe_rows = node.children[1].rows_out
-                    if not pairs or not build_rows or not probe_rows:
-                        continue
-                    signature = self._signature(pairs)  # type: ignore[arg-type]
-                    selectivity = node.rows_out / (build_rows
-                                                   * probe_rows)
-                    if self._join_selectivity.get(signature) \
-                            != selectivity:
-                        self._join_selectivity[signature] = selectivity
-                        changed = True
-            while len(self._scan_rows) > self.capacity:
-                del self._scan_rows[next(iter(self._scan_rows))]
-            while len(self._join_selectivity) > self.capacity:
-                del self._join_selectivity[
-                    next(iter(self._join_selectivity))]
-            if changed:
-                self.version += 1
-        return changed
-
-    def scan_estimate(self, wrapper: str,
-                      data_version: int) -> "int | None":
-        with self._lock:
-            return self._scan_rows.get((wrapper, data_version))
-
-    def estimator(self, base: Estimator,
-                  data_version: Callable[[str], int]) -> Estimator:
-        """An estimator preferring observed cardinalities over *base*'s
-        guesses (falling back wrapper-by-wrapper)."""
-        def estimate(name: str) -> "int | None":
-            observed = self.scan_estimate(name, data_version(name))
-            if observed is not None:
-                return observed
-            return base(name)
-        return estimate
-
-    def join_estimate(self,
-                      conditions: "tuple[tuple[str, str], ...]",
-                      build_estimate: "int | None",
-                      probe_estimate: "int | None") -> "int | None":
-        """Refined join-output estimate from an observed selectivity,
-        or None when the signature was never observed (or an input is
-        unknown)."""
-        if build_estimate is None or probe_estimate is None:
-            return None
-        with self._lock:
-            selectivity = self._join_selectivity.get(
-                self._signature(conditions))
-        if selectivity is None:
-            return None
-        return round(selectivity * build_estimate * probe_estimate)
-
-    def snapshot(self) -> dict[str, int]:
-        """Observability counters for ``describe_service``."""
-        with self._lock:
-            return {"scan_observations": len(self._scan_rows),
-                    "join_observations": len(self._join_selectivity),
-                    "version": self.version}
-
 
 def _order_key(estimate: "int | None", name: str) -> tuple:
     """Sort known-small first; unknown cardinalities last, by name."""
@@ -238,16 +74,12 @@ class PhysicalPlan:
     ucq: "UCQ"
     root: PhysicalOperator
     distinct: bool = True
-    #: :attr:`CardinalityMemo.version` this plan was planned under —
-    #: plan caches re-plan when the memo has since learned something
-    memo_version: "int | None" = None
     #: metrics tree of the most recent :meth:`execute` (None before
-    #: the first run, or when metrics were disabled for the run)
+    #: the first run)
     last_metrics: "PlanMetrics | None" = dataclass_field(
         default=None, compare=False)
 
-    def execute(self, provider: ScanProvider,
-                collect_metrics: bool = True) -> Relation:
+    def execute(self, provider: ScanProvider) -> Relation:
         """Materialize the plan; output columns are feature names.
 
         The operator tree exchanges :class:`~repro.relational.columnar.
@@ -255,18 +87,14 @@ class PhysicalPlan:
         pipeline segments into single gather passes; rows are
         materialized exactly once, here at the plan boundary.
 
-        Unless ``collect_metrics=False``, the run records a
-        per-operator :class:`~repro.relational.metrics.PlanMetrics`
-        tree onto :attr:`last_metrics` (also on failure, with the
-        aborted frame flagged) — the feed of ``explain(analyze=True)``
-        and the adaptive planner.
+        The run records a per-operator
+        :class:`~repro.relational.metrics.PlanMetrics` tree onto
+        :attr:`last_metrics` (also on failure, with the aborted frame
+        flagged) — the feed of ``explain(analyze=True)`` and the
+        engine's wrapper timings.
         """
-        collector = (MetricsCollector(time.perf_counter)
-                     if collect_metrics else None)
+        collector = MetricsCollector(time.perf_counter)
         try:
-            # Even with metrics off, install the (None) collector: a
-            # plan executing inside another instrumented execution
-            # must not leak frames into the outer tree.
             with collecting(collector):
                 # Present the output under a friendly relation name
                 # instead of the internal plan-derived one (mirrors
@@ -276,7 +104,7 @@ class PhysicalPlan:
                                         batch.schema.attributes)
                 return Relation.from_trusted(schema, batch.to_rows())
         finally:
-            if collector is not None and collector.root is not None:
+            if collector.root is not None:
                 self.last_metrics = collector.root
 
     def wrappers(self) -> set[str]:
@@ -317,17 +145,13 @@ class PhysicalPlan:
 
 
 def plan_walk(walk: Walk, mapping: dict[str, str],
-              estimate: Estimator,
-              refine: "JoinRefiner | None" = None) -> PhysicalOperator:
+              estimate: Estimator) -> PhysicalOperator:
     """Lower one walk into a physical branch.
 
     *mapping* is the branch's closing projection: output column name →
     qualified attribute (:meth:`UCQ.branch_mapping
     <repro.query.ucq.UCQ.branch_mapping>`). Only attributes reachable
-    from it — plus join keys — are scanned. *refine* (usually
-    :meth:`CardinalityMemo.join_estimate`) sharpens the
-    intermediate-size guesses chained through multi-join walks from
-    observed selectivities.
+    from it — plus join keys — are scanned.
     """
     if not walk.schemas:
         raise RewritingError("cannot lower an empty walk")
@@ -424,14 +248,9 @@ def plan_walk(walk: Walk, mapping: dict[str, str],
                                 build_estimate=build_estimate)
         included.add(newcomer)
         pending.difference_update(used)
-        refined = (refine(conditions, tree_estimate, new_estimate)
-                   if refine is not None else None)
-        if refined is not None:
-            tree_estimate = refined
-        else:
-            known = [e for e in (tree_estimate, new_estimate)
-                     if e is not None]
-            tree_estimate = min(known) if known else None
+        known = [e for e in (tree_estimate, new_estimate)
+                 if e is not None]
+        tree_estimate = min(known) if known else None
 
     # Conditions between wrappers already joined (cycles) are not
     # expected from the rewriting algorithm; mirror Walk.to_expression
@@ -446,15 +265,11 @@ def plan_walk(walk: Walk, mapping: dict[str, str],
 
 def plan_ucq(ontology: BDIOntology, ucq: "UCQ",
              provider: ScanProvider | None = None,
-             distinct: bool = True,
-             memo: "CardinalityMemo | None" = None) -> PhysicalPlan:
+             distinct: bool = True) -> PhysicalPlan:
     """Plan the full union: one physical branch per walk.
 
     *provider* supplies cardinality estimates (plan-time only); when
-    omitted, bound physical wrappers are consulted directly. *memo*
-    (the adaptive tier) overlays observed cardinalities over those
-    estimates and stamps the plan with the memo version it saw, so
-    plan caches can re-plan once execution teaches the memo better.
+    omitted, bound physical wrappers are consulted directly.
     """
     if not ucq.walks:
         raise UnanswerableQueryError(
@@ -471,32 +286,15 @@ def plan_ucq(ontology: BDIOntology, ucq: "UCQ",
             except Exception:
                 return None
 
-    refine: "JoinRefiner | None" = None
-    memo_version: "int | None" = None
-    if memo is not None:
-        def version_of(name: str) -> int:
-            if provider is not None:
-                return provider.data_version(name)
-            try:
-                return ontology.physical_wrapper(name).data_version()
-            except Exception:
-                return 0
-
-        estimate = memo.estimator(estimate, version_of)
-        refine = memo.join_estimate
-        memo_version = memo.version
-
     branches = [
-        plan_walk(walk, ucq.branch_mapping(ontology, walk), estimate,
-                  refine)
+        plan_walk(walk, ucq.branch_mapping(ontology, walk), estimate)
         for walk in ucq.walks]
     root: PhysicalOperator
     if len(branches) == 1 and not distinct:
         root = branches[0]
     else:
         root = PhysicalUnion(tuple(branches), distinct=distinct)
-    plan = PhysicalPlan(ucq=ucq, root=root, distinct=distinct,
-                        memo_version=memo_version)
+    plan = PhysicalPlan(ucq=ucq, root=root, distinct=distinct)
 
     # Annotate scans shared between branches: with a ScanCache-backed
     # provider these fetch once for the whole union.

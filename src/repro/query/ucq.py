@@ -12,7 +12,6 @@ precisely how historical queries keep working after evolution).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from repro.core.ontology import BDIOntology
 from repro.core.vocabulary import qualified_attribute_name, wrapper_uri
@@ -23,9 +22,6 @@ from repro.relational.algebra import (
 from repro.relational.rows import Relation
 from repro.relational.walk import Walk
 from repro.rdf.term import IRI
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.relational.physical import ScanCache
 
 __all__ = ["UCQ"]
 
@@ -113,30 +109,14 @@ class UCQ:
 
     def execute(self, ontology: BDIOntology,
                 provider: DataProvider | None = None,
-                distinct: bool = True,
-                use_planner: bool = True,
-                scan_cache: "ScanCache | None" = None) -> Relation:
-        """Evaluate the UCQ; *provider* defaults to the bound wrappers.
+                distinct: bool = True) -> Relation:
+        """Evaluate the logical Π̃/⋈̃ tree naively; *provider* defaults
+        to the bound wrappers.
 
-        By default the physical planner lowers the union (projection and
-        ID-filter pushdown, shared scans via *scan_cache* when given);
-        ``use_planner=False`` evaluates the logical Π̃/⋈̃ tree naively —
-        the baseline the equivalence suite and benchmarks compare
-        against.
+        This is the reference oracle the equivalence suites and
+        benchmarks compare against; planned execution goes through
+        :class:`~repro.query.engine.QueryEngine`.
         """
-        if use_planner:
-            from repro.query.planner import plan_ucq
-            from repro.relational.physical import (
-                CachingScanProvider, as_scan_provider,
-            )
-            resolve = (ontology.physical_wrapper
-                       if provider is None else None)
-            scans = as_scan_provider(provider, resolve)
-            if scan_cache is not None:
-                scan_cache.validate(ontology.fingerprint())
-                scans = CachingScanProvider(scans, scan_cache)
-            plan = plan_ucq(ontology, self, scans, distinct)
-            return plan.execute(scans)
         expression = self.to_expression(ontology, distinct)
         if provider is None:
             provider = ontology.data_provider

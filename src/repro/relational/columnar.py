@@ -26,8 +26,7 @@ memo — never mutate a column list you did not build yourself. The
 row-value accessors (:meth:`ColumnBatch.column` /
 :meth:`ColumnBatch.column_at`) return defensive copies for exactly that
 reason; operators on the hot path use the explicitly shared
-:meth:`ColumnBatch.raw_column_at` / :meth:`ColumnBatch.dense_columns`
-views instead.
+:meth:`ColumnBatch.dense_columns` view instead.
 
 **Dictionary encoding** lives here too: an :class:`EncodedColumn`
 is a column's dictionary encoding — one small-int code per stored row
@@ -221,16 +220,6 @@ class ColumnBatch:
                    _length=len(rows))
 
     @classmethod
-    def from_relation(cls, relation: "Relation") -> "ColumnBatch":
-        """The batch view of a relation, memoized on the relation.
-
-        Shared scans hitting one cached
-        :class:`~repro.relational.rows.Relation` pivot to columns once;
-        every later consumer reuses the same (immutable) column lists.
-        """
-        return relation.columnar()
-
-    @classmethod
     def empty(cls, schema: RelationSchema) -> "ColumnBatch":
         return cls(schema, [[] for _ in schema.attributes], _length=0)
 
@@ -272,7 +261,7 @@ class ColumnBatch:
 
         Returning the underlying list when ``selection is None`` let
         callers corrupt columns shared with memoized relations; use
-        :meth:`raw_column_at` where the (documented read-only) shared
+        :meth:`dense_columns` where the (documented read-only) shared
         view is wanted on a hot path.
         """
         column = self.columns[index]
@@ -280,24 +269,12 @@ class ColumnBatch:
             return list(column)
         return list(map(column.__getitem__, self.selection))
 
-    def raw_column_at(self, index: int) -> list[object]:
-        """Live values at column *index* without a defensive copy.
-
-        When the batch is dense this is the *underlying* column list —
-        shared with every aliasing batch and possibly a memoized
-        relation pivot. Callers must treat it as immutable; operators
-        use it to avoid a copy per join key / gather source.
-        """
-        column = self.columns[index]
-        if self.selection is None:
-            return column
-        return list(map(column.__getitem__, self.selection))
-
     def dense_columns(self) -> tuple[list[object], ...]:
         """Every column with the selection applied (compacted).
 
-        Like :meth:`raw_column_at`, dense results share the underlying
-        column lists — treat them as read-only.
+        Dense results share the underlying column lists — with every
+        aliasing batch and possibly a memoized relation pivot — so
+        treat them as read-only.
         """
         if self.selection is None:
             return self.columns
@@ -374,31 +351,6 @@ class ColumnBatch:
             indices = [base[i] for i in indices]
         return ColumnBatch(self.schema, self.columns, indices,
                            _encodings=self._encodings)
-
-    def filter_in(self, attribute: str,
-                  values: frozenset | set) -> "ColumnBatch":
-        """Vectorized membership filter → selection vector.
-
-        When the column is dictionary-encoded the membership test runs
-        on codes: the value set is translated into an allowed-code set
-        once (one hash per *distinct* value), then every row is a
-        small-int set probe.
-        """
-        index = self._index_of(attribute)
-        encoded = self.encoded_at(index)
-        if encoded is not None:
-            allowed = {code for value, code in encoded.index.items()
-                       if value in values}
-            codes = encoded.select(self.selection)
-            keep = [i for i, code in enumerate(codes)
-                    if code in allowed]
-        else:
-            column = self.raw_column_at(index)
-            keep = [i for i, value in enumerate(column)
-                    if value in values]
-        if len(keep) == len(self):
-            return self
-        return self.select(keep)
 
     def rename(self, mapping: Mapping[str, str],
                name: str | None = None) -> "ColumnBatch":
@@ -501,11 +453,6 @@ class ColumnBatch:
         return ColumnBatch(self.schema, columns, _length=len(keep))
 
     # -- boundary adapters ---------------------------------------------------
-
-    def iter_rows(self) -> Iterable[dict[str, object]]:
-        names = self.schema.attribute_names
-        for values in zip(*self.dense_columns()):
-            yield dict(zip(names, values))
 
     def to_rows(self) -> list[dict[str, object]]:
         """Pivot back to row dicts (the batch→row adapter)."""

@@ -4,15 +4,14 @@ Every physical operator (:mod:`repro.relational.physical`) wraps its
 execution in the thread's active :class:`MetricsCollector`, producing a
 :class:`PlanMetrics` tree that mirrors the plan shape — one node per
 operator with rows-in (sum of the children's outputs), rows-out, and
-elapsed seconds. The tree feeds three consumers:
+elapsed seconds. It is observability only — planning never reads it.
+The tree feeds two consumers:
 
 * ``PhysicalPlan.explain(analyze=True)`` renders it inline with the
   plan notation;
 * :func:`repro.mdm.analyst.describe_service` / ``GET /v1/describe``
   surface the last run's scan timings so a fleet operator can spot a
-  slow wrapper without a profiler;
-* the adaptive planner (:mod:`repro.query.planner`) feeds observed
-  scan/join cardinalities back into its estimates.
+  slow wrapper without a profiler.
 
 Determinism note: this module is import-reachable from the streaming
 replay path, so it never reads a clock itself — the party that starts a

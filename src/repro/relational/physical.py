@@ -114,10 +114,6 @@ class ScanStats:
     evictions: int = 0
 
     @property
-    def shared_fetches_avoided(self) -> int:
-        return self.hits
-
-    @property
     def hit_rate(self) -> float:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0

@@ -6,6 +6,7 @@ from repro.evaluation.worst_case import (
     build_worst_case, fit_constant, run_sweep, worst_case_query,
 )
 from repro.query.coverage import covering_and_minimal
+from repro.query.engine import QueryEngine
 from repro.query.rewriter import rewrite
 
 
@@ -42,8 +43,7 @@ class TestWorstCaseConstruction:
     def test_execution_with_data(self):
         setup = build_worst_case(concepts=3, wrappers_per_concept=2,
                                  rows_per_wrapper=4)
-        result = rewrite(setup.ontology, setup.query)
-        table = result.ucq.execute(setup.ontology)
+        table = QueryEngine(setup.ontology).answer(setup.query)
         assert len(table) > 0
         assert set(table.schema.attribute_names) == {"val", "val_2",
                                                      "val_3"}

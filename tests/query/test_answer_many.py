@@ -6,6 +6,7 @@ import pytest
 
 from repro.datasets import EXEMPLARY_QUERY
 from repro.errors import UnanswerableQueryError
+from repro.query import engine as engine_module
 from repro.query.engine import QueryEngine
 
 #: the same OMQ as EXEMPLARY_QUERY under different SPARQL surface syntax
@@ -89,8 +90,9 @@ class TestBatchFailures:
 
 
 class TestParseMemo:
-    def test_memo_is_lru_bounded(self, ontology):
-        engine = QueryEngine(ontology, parse_memo_max=2)
+    def test_memo_is_lru_bounded(self, ontology, monkeypatch):
+        monkeypatch.setattr(engine_module, "PARSE_MEMO_MAX", 2)
+        engine = QueryEngine(ontology)
         spacings = [EXEMPLARY_QUERY + "\n" * i for i in range(5)]
         for query in spacings:
             engine.rewrite(query)
@@ -99,8 +101,10 @@ class TestParseMemo:
         assert engine.cache_stats.misses == 1
         assert engine.cache_stats.hits == 4
 
-    def test_memo_keeps_recently_used_entries(self, ontology):
-        engine = QueryEngine(ontology, parse_memo_max=2)
+    def test_memo_keeps_recently_used_entries(self, ontology,
+                                              monkeypatch):
+        monkeypatch.setattr(engine_module, "PARSE_MEMO_MAX", 2)
+        engine = QueryEngine(ontology)
         a, b, c = (EXEMPLARY_QUERY, EXEMPLARY_QUERY + "\n",
                    EXEMPLARY_QUERY + "\n\n")
         engine.rewrite(a)
@@ -120,7 +124,3 @@ class TestParseMemo:
         engine.rewrite(EXEMPLARY_QUERY)
         # The stale memo (built under the old bindings) was dropped.
         assert engine.parse_memo_size() == 1
-
-    def test_parse_memo_max_validated(self, ontology):
-        with pytest.raises(ValueError):
-            QueryEngine(ontology, parse_memo_max=0)

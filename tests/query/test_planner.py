@@ -237,13 +237,6 @@ class TestEngineIntegration:
         assert planned == naive
         assert len(planned) > 0
 
-    def test_ucq_execute_planned_equals_naive(self, evolved):
-        engine = QueryEngine(evolved.ontology)
-        result = engine.rewrite(EXEMPLARY_QUERY)
-        planned = result.ucq.execute(evolved.ontology)
-        naive = result.ucq.execute(evolved.ontology, use_planner=False)
-        assert planned == naive
-
     def test_answer_many_shares_scans(self, evolved):
         fetches = []
         for wrapper in evolved.wrappers.values():
@@ -283,6 +276,17 @@ class TestEngineIntegration:
         assert plan.wrappers() == {"w1", "w3", "w4"}
         assert "physical plan" in plan.explain()
 
+    def test_plan_is_reused_across_answers(self, evolved):
+        # A memoized plan depends only on its rewriting: executing it
+        # never replaces it, so the plan that ran is the one explained.
+        engine = QueryEngine(evolved.ontology)
+        plan = engine.plan(EXEMPLARY_QUERY)
+        engine.answer(EXEMPLARY_QUERY)
+        engine.answer(EXEMPLARY_QUERY)
+        assert engine.plan(EXEMPLARY_QUERY) is plan
+        assert engine.plan(EXEMPLARY_QUERY) is engine.plan(EXEMPLARY_QUERY)
+        assert plan.last_metrics is not None
+
     def test_plan_unanswerable_raises(self, evolved):
         engine = QueryEngine(evolved.ontology)
         query = """
@@ -301,113 +305,10 @@ class TestEngineIntegration:
 
 
 class TestAdaptivePlanning:
-    def metrics_tree(self, wa_rows=100, wb_rows=10, out_rows=5):
-        """A hand-built metrics tree shaped like wa ⋈ wb."""
-        from repro.relational.metrics import PlanMetrics
-        return PlanMetrics(
-            kind="join", label="⋈ₕ[DA/id=DB/id]", rows_out=out_rows,
-            detail={"conditions": "DA/id=DB/id"},
-            children=[
-                PlanMetrics(kind="scan", label="scan wa",
-                            rows_out=wa_rows,
-                            detail={"wrapper": "wa"}),
-                PlanMetrics(kind="scan", label="scan wb",
-                            rows_out=wb_rows,
-                            detail={"wrapper": "wb"}),
-            ])
-
-    def test_observe_feeds_estimator_and_join_refiner(self):
-        from repro.query.planner import CardinalityMemo
-        memo = CardinalityMemo()
-        assert memo.observe(self.metrics_tree(), lambda name: 0)
-        assert memo.version == 1
-        # Observed cardinalities override the base estimator…
-        estimate = memo.estimator(lambda name: 1, lambda name: 0)
-        assert estimate("wa") == 100
-        assert estimate("wb") == 10
-        assert estimate("unseen") == 1  # …wrapper by wrapper.
-        # Join selectivity 5/(100×10) refines chained estimates
-        # orientation-free.
-        conditions = (("DA/id", "DB/id"),)
-        assert memo.join_estimate(conditions, 100, 10) == 5
-        assert memo.join_estimate((("DB/id", "DA/id"),), 200, 10) == 10
-        assert memo.join_estimate(conditions, None, 10) is None
-        # Re-observing the same numbers changes nothing.
-        assert not memo.observe(self.metrics_tree(), lambda name: 0)
-        assert memo.version == 1
-
-    def test_filtered_scans_are_not_observed(self):
-        from repro.query.planner import CardinalityMemo
-        from repro.relational.metrics import PlanMetrics
-        memo = CardinalityMemo()
-        filtered = PlanMetrics(kind="scan", label="scan wa [σ]",
-                               rows_out=3,
-                               detail={"wrapper": "wa",
-                                       "filtered": True})
-        assert not memo.observe(filtered, lambda name: 0)
-        assert memo.scan_estimate("wa", 0) is None
-
-    def test_data_version_keys_out_stale_observations(self):
-        from repro.query.planner import CardinalityMemo
-        memo = CardinalityMemo()
-        memo.observe(self.metrics_tree(wa_rows=100), lambda name: 0)
-        assert memo.scan_estimate("wa", 0) == 100
-        # A write bumps the wrapper's data version: the observation
-        # keyed under the old version no longer answers.
-        assert memo.scan_estimate("wa", 1) is None
-        memo.observe(self.metrics_tree(wa_rows=7), lambda name: 1)
-        assert memo.scan_estimate("wa", 1) == 7
-        assert memo.scan_estimate("wa", 0) is None  # superseded
-
-    def test_observed_cardinalities_flip_the_build_side(self):
-        walk, provider = two_wrapper_walk(
-            [{"DA/id": 1, "DA/v": 1}], [{"DB/id": 1, "DB/v": 1}])
-        base = {"wa": 1, "wb": 10}.get
-        join = plan_walk(walk, {"v": "DA/v"}, base).child
-        assert join.build.wrapper_name == "wa"  # trusts the estimates
-
-        from repro.query.planner import CardinalityMemo
-        memo = CardinalityMemo()
-        memo.observe(self.metrics_tree(wa_rows=100, wb_rows=10),
-                     lambda name: 0)
-        learned = memo.estimator(base, lambda name: 0)
-        rejoin = plan_walk(walk, {"v": "DA/v"}, learned).child
-        assert rejoin.build.wrapper_name == "wb"  # observed truth wins
-
-    def test_engine_replans_once_the_memo_learns(self, evolved):
-        engine = QueryEngine(evolved.ontology)
-        memo = engine.adaptive_memo
-        assert memo is not None
-        first = engine.plan(EXEMPLARY_QUERY)
-        assert first.memo_version == memo.version
-        engine.answer(EXEMPLARY_QUERY)
-        assert memo.snapshot()["scan_observations"] > 0
-        # Execution taught the memo: the cached plan is stale and the
-        # next planning sees the observed cardinalities.
-        second = engine.plan(EXEMPLARY_QUERY)
-        assert second is not first
-        assert second.memo_version == memo.version
-        # With nothing new learned, the plan is reused as before.
-        assert engine.plan(EXEMPLARY_QUERY) is second
-
-    def test_adaptive_off_keeps_oracle_answers(self, evolved):
-        engine = QueryEngine(evolved.ontology, adaptive=False)
-        assert engine.adaptive_memo is None
-        planned = engine.answer(EXEMPLARY_QUERY)
-        naive = QueryEngine(evolved.ontology, use_planner=False,
-                            use_cache=False).answer(EXEMPLARY_QUERY)
-        assert planned == naive  # static planning never changes answers
-        assert QueryEngine(evolved.ontology).adaptive_memo is not None
-
     def test_explain_analyze_renders_runtime_metrics(self, evolved):
-        # The answer cache would serve the second run from memory and
-        # leave the re-planned plan unexecuted (and metric-less).
-        engine = QueryEngine(evolved.ontology, use_answer_cache=False)
+        engine = QueryEngine(evolved.ontology)
         assert "not yet executed" in engine.explain(EXEMPLARY_QUERY,
                                                     analyze=True)
-        # Two runs: the first teaches the memo (forcing a re-plan), the
-        # second executes the settled plan and leaves its metrics on it.
-        engine.answer(EXEMPLARY_QUERY)
         engine.answer(EXEMPLARY_QUERY)
         text = engine.explain(EXEMPLARY_QUERY, analyze=True)
         assert "runtime metrics (last run):" in text

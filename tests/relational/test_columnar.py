@@ -49,11 +49,11 @@ class TestConstruction:
 
     def test_from_relation_memoizes_on_the_relation(self):
         relation = Relation(schema_of(), ROWS)
-        first = ColumnBatch.from_relation(relation)
-        assert ColumnBatch.from_relation(relation) is first
+        first = relation.columnar()
+        assert relation.columnar() is first
         # appending invalidates the memo
         relation.append({"D/id": 4, "D/a": "z", "D/b": 40})
-        again = ColumnBatch.from_relation(relation)
+        again = relation.columnar()
         assert again is not first
         assert len(again) == 4
 
@@ -68,17 +68,13 @@ class TestSelection:
 
     def test_all_rows_filtered(self):
         batch = batch_of(ROWS)
-        none = batch.filter_in("D/id", frozenset({99}))
+        none = batch.select([])
         assert len(none) == 0
         assert none.to_rows() == []
         assert none.dense_columns() == ([], [], [])
         # operations on the empty selection stay well-formed
         assert len(none.distinct()) == 0
         assert len(none.rename({"k": "D/id"})) == 0
-
-    def test_filter_keeping_everything_returns_self(self):
-        batch = batch_of(ROWS)
-        assert batch.filter_in("D/id", frozenset({1, 2, 3})) is batch
 
     def test_select_composes_through_existing_selection(self):
         batch = batch_of(ROWS).select([2, 1])  # rows 3, 2
