@@ -9,8 +9,15 @@ from __future__ import annotations
 
 import json
 import pathlib
+import time
+from typing import Callable
 
 import pytest
+
+import repro.core.ontology as ontology_mod
+import repro.core.release as release_mod
+import repro.query.intra_concept as intra_mod
+from repro.core.ontology import BDIOntology
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -44,3 +51,52 @@ def write_json(results_dir):
                         + "\n", encoding="utf-8")
         print(f"\n===== {path.name} =====\n{path.read_text()}")
     return _write
+
+
+class CatalogColdTimer:
+    """Times cold queries that really miss the ontology's lookup catalog.
+
+    ``BDIOntology`` answers its metadata lookups from a catalog valid for
+    one state of ``T``, so repeating a ``use_cache=False`` query on an
+    unchanged ontology would time catalog hits. :meth:`time` first makes
+    a content-neutral edit (remove one triple of G, add it back), which
+    advances the mutation counter and so drops the catalog, then times
+    the call and counts the SPARQL selects it issued.
+    """
+
+    def __init__(self, monkeypatch: pytest.MonkeyPatch) -> None:
+        self.selects = 0
+        # The lookups call the ``select`` each module imported by name.
+        for module in (ontology_mod, release_mod, intra_mod):
+            monkeypatch.setattr(module, "select",
+                                self._counted(module.select))
+
+    def _counted(self, select: Callable) -> Callable:
+        def counted(*args, **kwargs):
+            self.selects += 1
+            return select(*args, **kwargs)
+        return counted
+
+    @staticmethod
+    def drop_catalog(ontology: BDIOntology) -> None:
+        triple = next(iter(ontology.g))
+        ontology.g.remove(triple)
+        ontology.g.add(triple)
+
+    def time(self, ontology: BDIOntology,
+             call: Callable[[], object]) -> tuple[float, int]:
+        """``(seconds, selects)`` of one catalog-cold *call*."""
+        self.drop_catalog(ontology)
+        return self.time_as_is(call)
+
+    def time_as_is(self, call: Callable[[], object]) -> tuple[float, int]:
+        """``(seconds, selects)`` of *call* on the catalog as it stands."""
+        before = self.selects
+        start = time.perf_counter()
+        call()
+        return time.perf_counter() - start, self.selects - before
+
+
+@pytest.fixture()
+def catalog_cold(monkeypatch) -> CatalogColdTimer:
+    return CatalogColdTimer(monkeypatch)

@@ -8,7 +8,8 @@ LAV mapping subgraph. It exposes:
 * the ontology-level queries that Algorithms 2-5 issue (ID features of a
   concept, wrappers providing a feature of a concept, edge-providing
   wrappers, attribute↔feature resolution) — implemented as *literal*
-  SPARQL queries over the dataset, as in the paper;
+  SPARQL queries over the dataset, as in the paper, parsed once and
+  answered once per state of ``T`` from a lookup catalog;
 * binding of physical wrappers so that rewritten walks can be executed;
 * growth statistics (triple counts per graph) for the §6.4 study.
 """
@@ -16,7 +17,9 @@ LAV mapping subgraph. It exposes:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import (
+    TYPE_CHECKING, Callable, Hashable, Iterable, TypeVar, cast,
+)
 
 from repro.core.global_graph import GlobalGraph
 from repro.core.mapping_graph import MappingGraph
@@ -31,7 +34,7 @@ from repro.errors import OntologyError, UnknownWrapperError
 from repro.rdf.dataset import Dataset
 from repro.rdf.graph import Graph
 from repro.rdf.namespace import M as M_NS
-from repro.rdf.sparql import select
+from repro.rdf.sparql import parse_sparql, select
 from repro.rdf.term import IRI
 from repro.relational.rows import Relation
 from repro.relational.schema import Attribute, RelationSchema
@@ -40,6 +43,29 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.wrappers.base import Wrapper
 
 __all__ = ["BDIOntology", "EvolutionEvent", "OntologyFingerprint"]
+
+_T = TypeVar("_T")
+
+# The lookups of Algorithms 3-5, kept as the paper's literal SPARQL but
+# parsed once at import; each call binds its IRIs into the ?slots.
+_ID_FEATURES = parse_sparql("""
+    SELECT ?t WHERE {
+        ?concept G:hasFeature ?t .
+        ?t rdfs:subClassOf sc:identifier
+    }""")
+_FEATURE_GRAPHS = parse_sparql("""
+    SELECT ?g WHERE {
+        GRAPH ?g { ?concept G:hasFeature ?feature }
+    }""")
+_EDGE_GRAPHS = parse_sparql("""
+    SELECT ?g WHERE {
+        GRAPH ?g { ?tail ?x ?head }
+    }""")
+_PROVIDING_ATTRIBUTES = parse_sparql("""
+    SELECT ?a WHERE {
+        ?a owl:sameAs ?feature .
+        ?wrapper S:hasAttribute ?a
+    }""")
 
 
 @dataclass(frozen=True)
@@ -106,6 +132,9 @@ class BDIOntology:
         self._evolution_bracket_gap: bool | None = None
         self._evolution_listeners: \
             list[Callable[[EvolutionEvent], None]] = []
+        #: (dataset mutation count, lookup key -> answer): the lookup
+        #: catalog, valid only while the counter still reads that count
+        self._catalog: tuple[int, dict[Hashable, object]] = (-1, {})
         if include_metamodel:
             self._g.update(global_metamodel())
             self._s.update(source_metamodel())
@@ -306,18 +335,41 @@ class BDIOntology:
 
     # -- ontology-level queries used by the algorithms -----------------------------
 
+    def _lookup(self, key: Hashable, compute: Callable[[], _T]) -> _T:
+        """Answer a metadata lookup from the catalog of the current T.
+
+        The catalog is keyed by the dataset's mutation counter, which
+        every effective edit advances. A different counter drops the
+        whole catalog, whoever made the edit and whether or not it
+        changed a triple count. A miss runs *compute* and stores its
+        answer only if the counter did not move meanwhile, so an answer
+        computed across an edit is never served later. Stored answers
+        are immutable (tuples, IRIs, frozen schemas); the public methods
+        hand out fresh lists. Concurrent readers at most recompute an
+        answer: each stores into the dict tagged with the count it read.
+        """
+        state = self.dataset.mutation_count()
+        catalog = self._catalog
+        if catalog[0] != state:
+            catalog = self._catalog = (state, {})
+        elif key in catalog[1]:
+            return cast(_T, catalog[1][key])
+        value = compute()
+        if self.dataset.mutation_count() == state:
+            catalog[1][key] = value
+        return value
+
     def id_features_of(self, concept: IRI | str) -> list[IRI]:
         """Algorithm 3 line 10 / Algorithm 5 line 12, literally:
 
         ``SELECT ?t FROM T WHERE {⟨c, G:hasFeature, ?t⟩ .
         ⟨?t, rdfs:subClassOf, sc:identifier⟩}`` under RDFS entailment.
         """
-        rows = select(self._g, f"""
-            SELECT ?t WHERE {{
-                <{concept}> G:hasFeature ?t .
-                ?t rdfs:subClassOf sc:identifier
-            }}""")
-        return sorted({IRI(str(r["t"])) for r in rows})
+        def compute() -> tuple[IRI, ...]:
+            rows = select(self._g, _ID_FEATURES,
+                          bindings={"concept": IRI(str(concept))})
+            return tuple(sorted({IRI(str(r["t"])) for r in rows}))
+        return list(self._lookup(("id_features", str(concept)), compute))
 
     def wrappers_providing(self, concept: IRI | str,
                            feature: IRI | str) -> list[IRI]:
@@ -326,29 +378,35 @@ class BDIOntology:
         ``SELECT ?g FROM T WHERE { GRAPH ?g {⟨c, G:hasFeature, f⟩} }``;
         graph names are translated back to wrapper URIs via ``M:mapping``.
         """
-        rows = select(self.dataset, f"""
-            SELECT ?g WHERE {{
-                GRAPH ?g {{ <{concept}> G:hasFeature <{feature}> }}
-            }}""")
-        return self._graphs_to_wrappers(IRI(str(r["g"])) for r in rows)
+        def compute() -> tuple[IRI, ...]:
+            rows = select(self.dataset, _FEATURE_GRAPHS,
+                          bindings={"concept": IRI(str(concept)),
+                                    "feature": IRI(str(feature))})
+            return self._graphs_to_wrappers(IRI(str(r["g"])) for r in rows)
+        return list(self._lookup(
+            ("wrappers_providing", str(concept), str(feature)), compute))
 
     def edge_providers(self, source_concept: IRI | str,
                        target_concept: IRI | str) -> list[IRI]:
         """Algorithm 5 lines 9-10: wrappers whose mapping contains the
         concept-to-concept edge (any predicate)."""
-        rows = select(self.dataset, f"""
-            SELECT ?g WHERE {{
-                GRAPH ?g {{ <{source_concept}> ?x <{target_concept}> }}
-            }}""")
-        return self._graphs_to_wrappers(IRI(str(r["g"])) for r in rows)
+        def compute() -> tuple[IRI, ...]:
+            rows = select(self.dataset, _EDGE_GRAPHS,
+                          bindings={"tail": IRI(str(source_concept)),
+                                    "head": IRI(str(target_concept))})
+            return self._graphs_to_wrappers(IRI(str(r["g"])) for r in rows)
+        return list(self._lookup(
+            ("edge_providers", str(source_concept), str(target_concept)),
+            compute))
 
-    def _graphs_to_wrappers(self, graph_names: Iterable[IRI]) -> list[IRI]:
+    def _graphs_to_wrappers(self, graph_names: Iterable[IRI]
+                            ) -> tuple[IRI, ...]:
         out: set[IRI] = set()
         for name in graph_names:
             owners = [s for s in self._m.subjects(M_NS.mapping, name)
                       if isinstance(s, IRI)]
             out.update(owners)
-        return sorted(out)
+        return tuple(sorted(out))
 
     def attribute_providing(self, wrapper: IRI | str,
                             feature: IRI | str) -> IRI | None:
@@ -357,14 +415,15 @@ class BDIOntology:
         ``SELECT ?a FROM T WHERE {⟨?a, owl:sameAs, f⟩ .
         ⟨w, S:hasAttribute, ?a⟩}``
         """
-        rows = select(self.dataset, f"""
-            SELECT ?a WHERE {{
-                ?a owl:sameAs <{feature}> .
-                <{wrapper}> S:hasAttribute ?a
-            }}""")
-        if not rows:
-            return None
-        return sorted(IRI(str(r["a"])) for r in rows)[0]
+        def compute() -> IRI | None:
+            rows = select(self.dataset, _PROVIDING_ATTRIBUTES,
+                          bindings={"wrapper": IRI(str(wrapper)),
+                                    "feature": IRI(str(feature))})
+            if not rows:
+                return None
+            return sorted(IRI(str(r["a"])) for r in rows)[0]
+        return self._lookup(
+            ("attribute_providing", str(wrapper), str(feature)), compute)
 
     def feature_of_attribute(self, attribute: IRI | str) -> IRI | None:
         """Algorithm 4 line 18 (``⟨a, owl:sameAs, ?f⟩``)."""
@@ -391,6 +450,11 @@ class BDIOntology:
         wrapper_iri = (IRI(str(wrapper))
                        if str(wrapper).startswith(str(wrapper_uri("")))
                        else wrapper_uri(str(wrapper)))
+        return self._lookup(
+            ("wrapper_relation_schema", str(wrapper_iri)),
+            lambda: self._build_relation_schema(wrapper_iri))
+
+    def _build_relation_schema(self, wrapper_iri: IRI) -> RelationSchema:
         if not self._s.contains(wrapper_iri, None, None) and not any(
                 True for _ in self._s.match(None, None, wrapper_iri)):
             raise UnknownWrapperError(

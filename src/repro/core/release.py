@@ -28,7 +28,7 @@ from repro.core.vocabulary import attribute_uri, source_uri
 from repro.errors import ReleaseError
 from repro.rdf.graph import Graph
 from repro.rdf.namespace import G as G_NS
-from repro.rdf.sparql import select
+from repro.rdf.sparql import parse_sparql, select
 from repro.rdf.term import IRI
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -36,6 +36,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["Release", "new_release", "prevalidate_release",
            "subgraph_concepts"]
+
+# Algorithm 1's lookups over S, parsed once at import.
+_DATA_SOURCES = parse_sparql(
+    "SELECT ?ds WHERE { ?ds rdf:type S:DataSource }")
+_ATTRIBUTES = parse_sparql("SELECT ?a WHERE { ?a rdf:type S:Attribute }")
 
 
 def subgraph_concepts(subgraph: Graph) -> frozenset[IRI]:
@@ -210,9 +215,7 @@ def new_release(ontology: BDIOntology, release: Release,
         # Lines 2-5: register the data source when first seen.
         src_uri = source_uri(release.source_name)
         known_sources = {
-            str(r["ds"]) for r in select(
-                ontology.s,
-                "SELECT ?ds WHERE { ?ds rdf:type S:DataSource }")
+            str(r["ds"]) for r in select(ontology.s, _DATA_SOURCES)
         }
         if str(src_uri) not in known_sources:
             ontology.sources.add_data_source(release.source_name)
@@ -223,9 +226,7 @@ def new_release(ontology: BDIOntology, release: Release,
 
         # Lines 9-15: register attributes (reused within the source).
         known_attributes = {
-            str(r["a"]) for r in select(
-                ontology.s,
-                "SELECT ?a WHERE { ?a rdf:type S:Attribute }")
+            str(r["a"]) for r in select(ontology.s, _ATTRIBUTES)
         }
         for attribute in release.attributes:
             attr_uri = attribute_uri(release.source_name, attribute)

@@ -82,62 +82,38 @@ def _connected_order(partial: list[ConceptWalks],
     return order
 
 
-class _JoinContext:
-    """Caches ontology lookups used repeatedly during join discovery."""
-
-    def __init__(self, ontology: BDIOntology) -> None:
-        self.ontology = ontology
-        self._ids: dict[IRI, list[IRI]] = {}
-        self._providers: dict[tuple[IRI, IRI], list[str]] = {}
-        self._attr: dict[tuple[str, IRI], str | None] = {}
-
-    def id_features(self, concept: IRI) -> list[IRI]:
-        if concept not in self._ids:
-            self._ids[concept] = self.ontology.id_features_of(concept)
-        return self._ids[concept]
-
-    def edge_providers(self, a: IRI, b: IRI) -> list[str]:
-        key = (a, b)
-        if key not in self._providers:
-            self._providers[key] = [
-                wrapper_local_name(w)
-                for w in self.ontology.edge_providers(a, b)]
-        return self._providers[key]
-
-    def attribute_of(self, wrapper_name: str,
-                     feature: IRI) -> str | None:
-        key = (wrapper_name, feature)
-        if key not in self._attr:
-            attr = self.ontology.attribute_providing(
-                wrapper_uri(wrapper_name), feature)
-            self._attr[key] = (qualified_attribute_name(attr)
-                               if attr is not None else None)
-        return self._attr[key]
-
-    def holders_in(self, walk: Walk,
-                   feature: IRI) -> list[tuple[str, str]]:
-        """Wrappers of *walk* having an attribute mapped to *feature*."""
-        out = []
-        for name in sorted(walk.wrapper_names):
-            attr = self.attribute_of(name, feature)
-            if attr is not None:
-                out.append((name, attr))
-        return out
+def _attribute_of(ontology: BDIOntology, wrapper_name: str,
+                  feature: IRI) -> str | None:
+    """The qualified attribute of *wrapper_name* mapped to *feature*."""
+    attr = ontology.attribute_providing(wrapper_uri(wrapper_name), feature)
+    return qualified_attribute_name(attr) if attr is not None else None
 
 
-def _discover_edge(ctx: _JoinContext, left: Walk, right: Walk,
+def _holders_in(ontology: BDIOntology, walk: Walk,
+                feature: IRI) -> list[tuple[str, str]]:
+    """Wrappers of *walk* having an attribute mapped to *feature*."""
+    out = []
+    for name in sorted(walk.wrapper_names):
+        attr = _attribute_of(ontology, name, feature)
+        if attr is not None:
+            out.append((name, attr))
+    return out
+
+
+def _discover_edge(ontology: BDIOntology, left: Walk, right: Walk,
                    tail: IRI, head: IRI) -> list[tuple[list[str],
                                                        list[JoinCondition]]]:
     """All realizations of the φ-edge ``tail→head`` between two walks.
 
     Returns ``(bridge wrappers to add, join conditions)`` alternatives.
     """
-    providers = ctx.edge_providers(tail, head)
+    providers = [wrapper_local_name(w)
+                 for w in ontology.edge_providers(tail, head)]
     if not providers:
         return []
 
-    head_ids = ctx.id_features(head)
-    tail_ids = ctx.id_features(tail)
+    head_ids = ontology.id_features_of(head)
+    tail_ids = ontology.id_features_of(tail)
     if head_ids:
         join_feature = head_ids[0]
         fallback_used = False
@@ -148,8 +124,8 @@ def _discover_edge(ctx: _JoinContext, left: Walk, right: Walk,
         return []
 
     provider_set = set(providers)
-    holders_left = ctx.holders_in(left, join_feature)
-    holders_right = ctx.holders_in(right, join_feature)
+    holders_left = _holders_in(ontology, left, join_feature)
+    holders_right = _holders_in(ontology, right, join_feature)
 
     alternatives: list[tuple[list[str], list[JoinCondition]]] = []
 
@@ -174,12 +150,14 @@ def _discover_edge(ctx: _JoinContext, left: Walk, right: Walk,
         anchor_feature = tail_ids[0]
         in_walks = left.wrapper_names | right.wrapper_names
         for bridge in sorted(provider_set - in_walks):
-            bridge_join_attr = ctx.attribute_of(bridge, join_feature)
-            bridge_anchor_attr = ctx.attribute_of(bridge, anchor_feature)
+            bridge_join_attr = _attribute_of(ontology, bridge, join_feature)
+            bridge_anchor_attr = _attribute_of(ontology, bridge,
+                                               anchor_feature)
             if bridge_join_attr is None or bridge_anchor_attr is None:
                 continue
             for r_name, r_attr in holders_right:
-                for l_name, l_attr in ctx.holders_in(left, anchor_feature):
+                for l_name, l_attr in _holders_in(ontology, left,
+                                                  anchor_feature):
                     alternatives.append((
                         [bridge],
                         [JoinCondition(l_name, l_attr,
@@ -199,7 +177,6 @@ def inter_concept_generation(ontology: BDIOntology,
     concepts = [cw.concept for cw in partial_walks]
     edges = _concept_edges(expanded, concepts)
     ordered = _connected_order(partial_walks, edges)
-    ctx = _JoinContext(ontology)
 
     current = list(ordered[0].walks)
     processed = {ordered[0].concept}
@@ -221,7 +198,7 @@ def inter_concept_generation(ontology: BDIOntology,
             # Steps 9-10: discover a realization for every connecting edge.
             per_edge: list[list[tuple[list[str], list[JoinCondition]]]] = []
             for a, b in connecting:
-                realizations = _discover_edge(ctx, left, right, a, b)
+                realizations = _discover_edge(ontology, left, right, a, b)
                 per_edge.append(realizations)
             if not per_edge or any(not r for r in per_edge):
                 continue  # this pair cannot be joined

@@ -20,11 +20,15 @@ from typing import Iterator
 from repro.core.ontology import BDIOntology
 from repro.core.vocabulary import qualified_attribute_name
 from repro.query.omq import OMQ
-from repro.rdf.sparql import select
+from repro.rdf.sparql import parse_sparql, select
 from repro.rdf.term import IRI
 from repro.relational.walk import Walk
 
 __all__ = ["ConceptWalks", "intra_concept_generation"]
+
+# Step 3's lookup over the query pattern, parsed once at import.
+_REQUESTED_FEATURES = parse_sparql(
+    "SELECT ?f WHERE { ?concept G:hasFeature ?f }")
 
 
 @dataclass
@@ -51,9 +55,9 @@ def intra_concept_generation(ontology: BDIOntology, concepts: list[IRI],
         # in the *query pattern* graph Q'G.φ.
         features = {
             IRI(str(row["f"]))
-            for row in select(expanded.phi, f"""
-                SELECT ?f WHERE {{ <{concept}> G:hasFeature ?f }}""",
-                entailment=False)
+            for row in select(expanded.phi, _REQUESTED_FEATURES,
+                              entailment=False,
+                              bindings={"concept": concept})
         }
         if not features:
             # A concept with no requested features and no ID cannot anchor

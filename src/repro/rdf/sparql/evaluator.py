@@ -20,7 +20,7 @@ switched on, in which case subclass/type matching is answered through
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping
 
 from repro.errors import SparqlEvaluationError
 from repro.rdf.dataset import Dataset
@@ -185,18 +185,25 @@ def _eval_patterns(scope: _Scope, patterns: tuple, index: int,
 
 def evaluate(target: Graph | Dataset, query: SelectQuery | str,
              entailment: bool = True,
-             prefixes: dict[str, str] | None = None) -> list[Solution]:
+             prefixes: dict[str, str] | None = None,
+             bindings: Mapping[str, Term] | None = None) -> list[Solution]:
     """Evaluate *query* against *target*, returning projected solutions.
 
     ``entailment=True`` (the default, matching the paper's RDFS entailment
     regime) answers ``rdfs:subClassOf`` / ``rdf:type`` patterns through the
-    transitive closure.
+    transitive closure. *bindings* pre-binds variables by name before
+    evaluation, exactly as if their terms had been written into the
+    query text; that lets a template parsed once at import answer every
+    lookup (``SELECT ?t WHERE { ?c G:hasFeature ?t }`` with ``c`` bound).
     """
     if isinstance(query, str):
         query = parse_sparql(query, prefixes)
     scope = _Scope(target, query.from_graphs, entailment)
+    start: Solution = ({Variable(name): term
+                        for name, term in bindings.items()}
+                       if bindings else {})
 
-    raw = _eval_patterns(scope, query.patterns, 0, {})
+    raw = _eval_patterns(scope, query.patterns, 0, start)
     projected_vars = query.projected()
 
     results: list[Solution] = []
@@ -214,7 +221,9 @@ def evaluate(target: Graph | Dataset, query: SelectQuery | str,
 
 def select(target: Graph | Dataset, query: SelectQuery | str,
            entailment: bool = True,
-           prefixes: dict[str, str] | None = None) -> list[dict[str, Term]]:
+           prefixes: dict[str, str] | None = None,
+           bindings: Mapping[str, Term] | None = None,
+           ) -> list[dict[str, Term]]:
     """Like :func:`evaluate` but keys results by variable *name*.
 
     This is the convenience entry point used by the BDI algorithms::
@@ -223,7 +232,7 @@ def select(target: Graph | Dataset, query: SelectQuery | str,
             SELECT ?ds WHERE { ?ds rdf:type S:DataSource }
         ''')
     """
-    solutions = evaluate(target, query, entailment, prefixes)
+    solutions = evaluate(target, query, entailment, prefixes, bindings)
     return [{var.name: term for var, term in sol.items()}
             for sol in solutions]
 

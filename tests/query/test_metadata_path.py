@@ -1,16 +1,23 @@
-"""The metadata path copies nothing: rewrite, plan and answer read ``T``
-through zero-copy union views, never through a materialised union."""
+"""The metadata path copies nothing and repeats nothing: rewrite, plan
+and answer read ``T`` through zero-copy union views, never through a
+materialised union, and parse no lookup template and repeat no lookup
+while ``T`` stays unchanged."""
 
 from __future__ import annotations
 
 import pytest
 
+import repro.core.ontology as ontology_mod
+import repro.core.release as release_mod
+import repro.query.intra_concept as intra_mod
+import repro.rdf.sparql.parser as parser_mod
 from repro.core.ontology import BDIOntology
 from repro.datasets import EXEMPLARY_QUERY, build_supersede
 from repro.evolution.growth import replay_wordpress
 from repro.evolution.wordpress import WORDPRESS_RELEASES
 from repro.query import QueryEngine
 from repro.rdf.dataset import Dataset
+from repro.rdf.term import IRI
 from repro.wrappers.base import StaticWrapper
 
 POSTS_QUERY = """
@@ -72,3 +79,146 @@ def test_wordpress_history_makes_no_copy(copies):
     assert len(result.walks) == len(WORDPRESS_RELEASES)
     assert len(answer) == 2 * len(WORDPRESS_RELEASES)
     assert copies == []
+
+
+@pytest.fixture()
+def work(monkeypatch):
+    """Count SPARQL parses and the selects the metadata lookups issue."""
+    counts = {"parses": 0, "selects": 0}
+    parse = parser_mod._Parser.parse
+
+    def counted_parse(self):
+        counts["parses"] += 1
+        return parse(self)
+
+    monkeypatch.setattr(parser_mod._Parser, "parse", counted_parse)
+    for module in (ontology_mod, release_mod, intra_mod):
+        select = module.select
+
+        def counted_select(*args, _select=select, **kwargs):
+            counts["selects"] += 1
+            return _select(*args, **kwargs)
+
+        monkeypatch.setattr(module, "select", counted_select)
+
+    def measure(call):
+        before = dict(counts)
+        call()
+        return {key: counts[key] - before[key] for key in counts}
+    return measure
+
+
+def test_wordpress_lookup_counts(work):
+    """The historical posts query after all 15 releases: every lookup is
+    answered once per state of T, from a template parsed at import."""
+    ontology, _ = replay_wordpress()
+    spare = (IRI("urn:test:a"), IRI("urn:test:p"), IRI("urn:test:b"))
+    ontology.g.add(spare)
+
+    def plan():
+        QueryEngine(ontology, use_cache=False).plan(POSTS_QUERY)
+
+    cold = work(plan)
+    assert cold["parses"] <= 4
+    assert cold["selects"] <= 34
+    # Same T: every ontology lookup is a catalog hit; only the
+    # query-local φ lookup runs.
+    assert work(plan)["selects"] <= 1
+    # A count-neutral edit (remove one triple, add another) still drops
+    # the whole catalog.
+    counts = ontology.triple_counts()
+    ontology.g.remove(spare)
+    ontology.g.add((IRI("urn:test:a"), IRI("urn:test:p"),
+                    IRI("urn:test:c")))
+    assert ontology.triple_counts() == counts
+    assert work(plan) == cold
+
+
+class TestCatalogFreshness:
+    """The lookup catalog never serves an answer of an earlier T."""
+
+    def test_steward_edit_reaches_schema_and_plan(self):
+        from repro.rdf.namespace import RDFS, SC, SUP
+        ontology = build_supersede().ontology
+        engine = QueryEngine(ontology)
+        oracle = QueryEngine(ontology, use_planner=False, use_cache=False,
+                             use_answer_cache=False)
+        before = ontology.wrapper_relation_schema("w1")
+        walks = [w.notation() for w in engine.rewrite(EXEMPLARY_QUERY).walks]
+        assert engine.answer(EXEMPLARY_QUERY) == oracle.answer(
+            EXEMPLARY_QUERY)
+
+        ontology.begin_evolution()
+        ontology.g.add((SUP.lagRatio, RDFS.subClassOf, SC.identifier))
+        ontology.note_evolution([SUP.InfoMonitor], "lagRatio is an ID")
+
+        after = ontology.wrapper_relation_schema("w1")
+        assert not before.attribute("D1/lagRatio").is_id
+        assert after.attribute("D1/lagRatio").is_id
+        assert [w.notation() for w in
+                engine.rewrite(EXEMPLARY_QUERY).walks] != walks
+        assert engine.answer(EXEMPLARY_QUERY) == oracle.answer(
+            EXEMPLARY_QUERY)
+
+    def test_lookup_overlapping_a_mutation_is_not_stored(self, monkeypatch):
+        from repro.rdf.namespace import RDFS, SC, SUP
+        ontology = build_supersede().ontology
+        select = ontology_mod.select
+        calls = []
+
+        def select_then_edit(*args, **kwargs):
+            rows = select(*args, **kwargs)
+            calls.append(rows)
+            if len(calls) == 1:  # a writer lands mid-lookup, once
+                ontology.g.add((SUP.lagRatio, RDFS.subClassOf,
+                                SC.identifier))
+            return rows
+
+        monkeypatch.setattr(ontology_mod, "select", select_then_edit)
+        assert ontology.id_features_of(SUP.InfoMonitor) == []
+        # Recomputed at the new T, then stored: the third call is a hit.
+        assert ontology.id_features_of(SUP.InfoMonitor) == [SUP.lagRatio]
+        assert ontology.id_features_of(SUP.InfoMonitor) == [SUP.lagRatio]
+        assert len(calls) == 2
+
+    def test_returned_lists_are_private(self):
+        from repro.rdf.namespace import SUP
+        ontology = build_supersede().ontology
+        ids = ontology.id_features_of(SUP.Monitor)
+        providers = ontology.wrappers_providing(SUP.Monitor, SUP.monitorId)
+        edges = ontology.edge_providers(SUP.Monitor, SUP.InfoMonitor)
+        expected = (list(ids), list(providers), list(edges))
+        for answer in (ids, providers, edges):
+            answer.append(IRI("urn:test:junk"))
+        assert (ontology.id_features_of(SUP.Monitor),
+                ontology.wrappers_providing(SUP.Monitor, SUP.monitorId),
+                ontology.edge_providers(SUP.Monitor, SUP.InfoMonitor),
+                ) == expected
+
+    def test_restored_snapshot_answers_as_the_writer(self):
+        from types import SimpleNamespace
+
+        from repro.storage.snapshot import restore_state, take_snapshot
+        writer = build_supersede(with_evolution=True).ontology
+
+        def every_lookup(ontology):
+            concepts = writer.globals.concepts()
+            features = writer.globals.features()
+            wrappers = writer.sources.wrappers()
+            return (
+                [ontology.id_features_of(c) for c in concepts],
+                [ontology.wrappers_providing(c, f)
+                 for c in concepts for f in features],
+                [ontology.edge_providers(a, b)
+                 for a in concepts for b in concepts],
+                [ontology.attribute_providing(w, f)
+                 for w in wrappers for f in features],
+                [ontology.wrapper_relation_schema(w) for w in wrappers],
+            )
+
+        expected = every_lookup(writer)  # also fills the writer's catalog
+        restored, _ = restore_state(take_snapshot(
+            SimpleNamespace(ontology=writer), seq=0))
+        assert restored.fingerprint() == writer.fingerprint()
+        assert every_lookup(restored) == expected
+        assert every_lookup(writer) == expected

@@ -218,6 +218,22 @@ class TestEvaluator:
             }""")
         assert rows == []
 
+    @pytest.mark.parametrize("concept", ["http://x/c1", "http://x/c2"])
+    def test_bindings_match_inline_iri(self, small_graph, concept):
+        template = parse_sparql("""
+            SELECT ?f WHERE {
+                ?c G:hasFeature ?f .
+                ?f rdfs:subClassOf sc:identifier
+            }""")
+        inline = select(small_graph, f"""
+            SELECT ?f WHERE {{
+                <{concept}> G:hasFeature ?f .
+                ?f rdfs:subClassOf sc:identifier
+            }}""")
+        bound = select(small_graph, template,
+                       bindings={"c": IRI(concept)})
+        assert bound == inline  # and ?c, bound but not projected, is absent
+
     def test_shared_variable_consistency(self, small_graph):
         # ?x must bind consistently across patterns.
         rows = select(small_graph, """
