@@ -18,7 +18,14 @@ walk the planner emits a tree of physical operators
 * **shared scans** — branches reading the same ``(wrapper, columns)``
   are annotated, and executing the plan through a
   :class:`~repro.relational.physical.ScanCache`-backed provider fetches
-  each of them exactly once per batch.
+  each of them exactly once per batch;
+* **set semantics** — under DISTINCT, walks that are one conjunctive
+  query (same wrappers, same equality closure, same output mapping:
+  :meth:`~repro.relational.walk.Walk.closure_key`) are planned once,
+  and every scan below a join drops duplicate rows at the leaf, since
+  δπ(R ⋈ S) = δπ(δπ′R ⋈ δπ″S) when π′ and π″ keep the join keys. The
+  UCQ itself — and so the paper's walk counts — is untouched; bag
+  plans (``distinct=False``) keep every walk and every row.
 
 Plans are pure descriptions: :meth:`PhysicalPlan.execute` takes the
 :class:`~repro.relational.physical.ScanProvider` to run against, so one
@@ -145,13 +152,16 @@ class PhysicalPlan:
 
 
 def plan_walk(walk: Walk, mapping: dict[str, str],
-              estimate: Estimator) -> PhysicalOperator:
+              estimate: Estimator,
+              distinct: bool = False) -> PhysicalOperator:
     """Lower one walk into a physical branch.
 
     *mapping* is the branch's closing projection: output column name →
     qualified attribute (:meth:`UCQ.branch_mapping
     <repro.query.ucq.UCQ.branch_mapping>`). Only attributes reachable
-    from it — plus join keys — are scanned.
+    from it — plus join keys — are scanned. With *distinct* (the
+    branch feeds a DISTINCT union) every scan below a join
+    deduplicates its rows.
     """
     if not walk.schemas:
         raise RewritingError("cannot lower an empty walk")
@@ -176,6 +186,10 @@ def plan_walk(walk: Walk, mapping: dict[str, str],
                 f"wrapper of walk {walk.notation()}")
 
     estimates = {name: estimate(name) for name in walk.schemas}
+    # A lone scan fetches exactly the branch's output columns, so the
+    # closing projection's DISTINCT pre-pass already drops its
+    # duplicates; deduplicating at the leaf pays only below a join.
+    dedup = distinct and len(walk.schemas) > 1
 
     def leaf(name: str) -> PhysicalScan:
         schema = walk.schemas[name]
@@ -190,7 +204,7 @@ def plan_walk(walk: Walk, mapping: dict[str, str],
             columns = tuple(a.name for a in attrs)
             scan_schema = RelationSchema(schema.name, attrs,
                                          schema.source)
-        return PhysicalScan(scan_schema, columns, total)
+        return PhysicalScan(scan_schema, columns, total, dedup=dedup)
 
     order = sorted(walk.schemas)
     start = min(order, key=lambda n: _order_key(estimates[n], n))
@@ -266,7 +280,8 @@ def plan_walk(walk: Walk, mapping: dict[str, str],
 def plan_ucq(ontology: BDIOntology, ucq: "UCQ",
              provider: ScanProvider | None = None,
              distinct: bool = True) -> PhysicalPlan:
-    """Plan the full union: one physical branch per walk.
+    """Plan the full union: one physical branch per walk — per class
+    of equivalent walks when *distinct*.
 
     *provider* supplies cardinality estimates (plan-time only); when
     omitted, bound physical wrappers are consulted directly.
@@ -286,14 +301,29 @@ def plan_ucq(ontology: BDIOntology, ucq: "UCQ",
             except Exception:
                 return None
 
-    branches = [
-        plan_walk(walk, ucq.branch_mapping(ontology, walk), estimate)
-        for walk in ucq.walks]
+    # Under set semantics a walk equivalent to an earlier one adds no
+    # row: plan the first walk of each class, in UCQ order. Bag
+    # semantics needs every walk's duplicates, so each is its own key.
+    branches: list[PhysicalOperator] = []
+    walks: list[int] = []
+    position_of: dict[object, int] = {}
+    for index, walk in enumerate(ucq.walks):
+        mapping = ucq.branch_mapping(ontology, walk)
+        key = ((walk.closure_key(), tuple(mapping.items()))
+               if distinct else index)
+        position = position_of.get(key)
+        if position is not None:
+            walks[position] += 1
+            continue
+        position_of[key] = len(branches)
+        branches.append(plan_walk(walk, mapping, estimate, distinct))
+        walks.append(1)
     root: PhysicalOperator
     if len(branches) == 1 and not distinct:
         root = branches[0]
     else:
-        root = PhysicalUnion(tuple(branches), distinct=distinct)
+        root = PhysicalUnion(tuple(branches), distinct=distinct,
+                             walks=tuple(walks))
     plan = PhysicalPlan(ucq=ucq, root=root, distinct=distinct)
 
     # Annotate scans shared between branches: with a ScanCache-backed

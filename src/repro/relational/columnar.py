@@ -51,7 +51,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.relational.rows import Relation
 
 __all__ = ["ColumnBatch", "EncodedColumn", "concat_batches",
-           "encode_values"]
+           "encode_values", "first_occurrences"]
 
 #: columns at least this long are subject to the high-cardinality
 #: fallback check; shorter ones always encode (the dictionary is tiny)
@@ -159,6 +159,35 @@ def encode_values(column: Sequence[object]) -> EncodedColumn | None:
     return EncodedColumn(codes, values, index)
 
 
+def first_occurrences(lanes: Sequence[Any]) -> "list[int] | None":
+    """Keep list of first-occurrence rows over parallel *lanes*, or
+    ``None`` when every row is already unique (keep everything, gather
+    nothing twice). Encoded lanes carry int codes, so the zip keys hash
+    small ints instead of arbitrary objects; when every lane is an
+    int64 vector the packed numpy kernel runs instead."""
+    if lanes and all(map(accel.is_array, lanes)):
+        return accel.first_occurrence_keep(lanes)
+    keys: Iterable[object]
+    if len(lanes) == 1:
+        keys = lanes[0]  # scalar fast path (codes when encoded)
+    else:
+        keys = zip(*lanes)
+    seen: set = set()
+    keep: list[int] = []
+    add = seen.add
+    for i, key in enumerate(keys):
+        if key not in seen:
+            add(key)
+            keep.append(i)
+    if len(keep) == len(lanes[0]):
+        return None
+    return keep
+
+
+#: marks a :meth:`ColumnBatch.distinct_keep` memo not yet computed
+_UNKNOWN: Any = object()
+
+
 class ColumnBatch:
     """A batch of rows stored column-wise.
 
@@ -170,7 +199,7 @@ class ColumnBatch:
     """
 
     __slots__ = ("schema", "columns", "selection", "_length",
-                 "_encodings")
+                 "_encodings", "_keep")
 
     def __init__(self, schema: RelationSchema,
                  columns: Sequence[list[object]],
@@ -196,6 +225,9 @@ class ColumnBatch:
         #: high-cardinality column) so it is not retried.
         self._encodings: "dict[int, EncodedColumn | None]" = \
             _encodings if _encodings is not None else {}
+        #: memo of :meth:`distinct_keep` — per batch object, never
+        #: shared: a view with another selection has other live rows
+        self._keep: Any = _UNKNOWN
         if _length is not None:
             stored = _length
         else:
@@ -322,6 +354,47 @@ class ColumnBatch:
         key = id(self.columns[index])  # repro-lint: disable=replay-determinism -- process-local memo key, never serialized
         self._encodings[key] = encoded
 
+    def distinct_keep(self) -> "list[int] | None":
+        """First-occurrence keep list over the live rows, memoized.
+
+        Positions index live rows; ``None`` means every row is already
+        unique. Every column dictionary-encodes first (memoized like
+        any encoding), so the dedup runs on int code lanes — packed
+        into one int64 key per row when numpy is present. The result is
+        memoized on this batch object: a scan batch memoized on its
+        relation, and shared through the scan cache, pays the pass once
+        per fetch.
+        """
+        keep = self._keep
+        if keep is _UNKNOWN:
+            keep = self._first_occurrence_keep()
+            self._keep = keep
+        return keep
+
+    def _first_occurrence_keep(self) -> "list[int] | None":
+        if not self.columns:
+            # Zero-column rows are all equal: at most one survives.
+            return [0] if len(self) > 1 else None
+        sel = self.selection
+        encodings = [self.encoded_at(i)
+                     for i in range(len(self.columns))]
+        lanes: list[Any] = []
+        if accel.available() and all(
+                enc is not None for enc in encodings):
+            for enc in encodings:
+                vector = enc.codes_vector()  # type: ignore[union-attr]
+                lanes.append(vector if sel is None
+                             else accel.take(vector, sel))
+        else:
+            for enc, column in zip(encodings, self.columns):
+                if enc is not None:
+                    lanes.append(enc.select(sel))
+                elif sel is None:
+                    lanes.append(column)
+                else:
+                    lanes.append(list(map(column.__getitem__, sel)))
+        return first_occurrences(lanes)
+
     def compact(self) -> "ColumnBatch":
         """A selection-free copy (no-op when already dense)."""
         if self.selection is None:
@@ -434,19 +507,8 @@ class ColumnBatch:
         lanes: list[list[Any]] = [
             enc.select(self.selection) if enc is not None else live
             for enc, live in zip(encodings, dense)]
-        keys: Iterable[object]
-        if len(lanes) == 1:
-            keys = lanes[0]  # scalar fast path (codes when encoded)
-        else:
-            keys = zip(*lanes)
-        seen: set = set()
-        keep: list[int] = []
-        add = seen.add
-        for i, key in enumerate(keys):
-            if key not in seen:
-                add(key)
-                keep.append(i)
-        if len(keep) == len(self):
+        keep = first_occurrences(lanes)
+        if keep is None:
             return self.compact()
         columns = tuple(list(map(column.__getitem__, keep))
                         for column in dense)

@@ -36,7 +36,7 @@ from repro.errors import SchemaError
 from repro.relational import accel
 from repro.relational.algebra import DataProvider
 from repro.relational.columnar import ColumnBatch, EncodedColumn, \
-    concat_batches
+    concat_batches, first_occurrences
 from repro.relational.metrics import active_collector
 from repro.relational.rows import Relation
 from repro.relational.schema import Attribute, RelationSchema
@@ -568,7 +568,7 @@ class FusedBatch:
                 encodings.append(None)
                 lanes.append(self.value_lane(leaf_pos, column))
         if distinct:
-            keep = _first_occurrences(lanes)
+            keep = first_occurrences(lanes)
             if keep is not None:
                 lanes = [accel.take(lane, keep)
                          if accel.is_array(lane)
@@ -590,32 +590,6 @@ class FusedBatch:
                 batch.install_encoding(position, EncodedColumn(
                     lane, encoded.values, encoded.index))
         return batch
-
-
-def _first_occurrences(lanes: Sequence[list[Any]],
-                       ) -> "list[int] | None":
-    """Keep list of first-occurrence rows over *lanes*, or ``None``
-    when every row is already unique (keep everything, gather nothing
-    twice). Encoded lanes carry int codes, so the zip keys hash small
-    ints instead of arbitrary objects — same dedup strategy as
-    :meth:`ColumnBatch.distinct`."""
-    if lanes and all(map(accel.is_array, lanes)):
-        return accel.first_occurrence_keep(lanes)
-    keys: Iterable[object]
-    if len(lanes) == 1:
-        keys = lanes[0]
-    else:
-        keys = zip(*lanes)
-    seen: set = set()
-    keep: list[int] = []
-    add = seen.add
-    for i, key in enumerate(keys):
-        if key not in seen:
-            add(key)
-            keep.append(i)
-    if len(keep) == len(lanes[0]):
-        return None
-    return keep
 
 
 # ---------------------------------------------------------------------------
@@ -718,7 +692,14 @@ class PhysicalOperator:
 @dataclass
 class PhysicalScan(PhysicalOperator):
     """A leaf scan with pushed-down projection (and, at run time, an
-    optional pushed-down semi-join filter)."""
+    optional pushed-down semi-join filter).
+
+    With ``dedup`` the scan keeps only the first occurrence of each
+    fetched row. The planner sets it on scans below a join under
+    DISTINCT, where δπ(R ⋈ S) = δπ(δπ′R ⋈ δπ″S) whenever π′ and π″
+    keep the join keys — and a scan fetches exactly its join keys plus
+    its outputs.
+    """
 
     relation_schema: RelationSchema
     #: qualified column subset to fetch; None = all columns
@@ -727,6 +708,8 @@ class PhysicalScan(PhysicalOperator):
     total_columns: int = 0
     #: filled by the planner: "(shared ×3)" etc.
     annotation: str = ""
+    #: set semantics: drop duplicate fetched rows at the leaf
+    dedup: bool = False
 
     @property
     def wrapper_name(self) -> str:
@@ -756,9 +739,17 @@ class PhysicalScan(PhysicalOperator):
         # the relation-memoized batch — and the dictionary encodings
         # memoized on it — stays the *same object* for every query
         # scanning this wrapper, instead of one rename wrapper each.
+        # The dedup keep list is memoized on that same batch, so a scan
+        # cache hit reuses it, and it composes with any selection.
         batch = provider.scan(self.wrapper_name, self.columns,
                               runtime_filter).columnar()
-        return FusedBatch.from_batch(batch)
+        fused = FusedBatch.from_batch(batch)
+        if self.dedup:
+            keep = batch.distinct_keep()
+            if keep is not None:
+                return FusedBatch(fused.leaves, fused.compose(keep),
+                                  len(keep))
+        return fused
 
     def _metrics_entry(self, runtime_filter: IdFilter | None
                        ) -> tuple[str, str, dict[str, object] | None]:
@@ -778,8 +769,9 @@ class PhysicalScan(PhysicalOperator):
                       if self.total_columns else 0)
             cols = (f"cols={len(self.columns)}/{self.total_columns}"
                     f" [pushed ↓{pushed}]")
+        dedup = " dedup" if self.dedup else ""
         note = f" {self.annotation}" if self.annotation else ""
-        return [f"{pad}scan {self.wrapper_name} {cols}{note}"]
+        return [f"{pad}scan {self.wrapper_name} {cols}{dedup}{note}"]
 
 
 @dataclass
@@ -1053,6 +1045,10 @@ class PhysicalUnion(PhysicalOperator):
 
     branches: tuple[PhysicalOperator, ...]
     distinct: bool = True
+    #: UCQ walks each branch stands for (explain only; empty = one
+    #: each). The planner folds equivalent walks into one branch under
+    #: DISTINCT.
+    walks: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         if not self.branches:
@@ -1101,8 +1097,15 @@ class PhysicalUnion(PhysicalOperator):
     def explain_lines(self, indent: int = 0) -> list[str]:
         pad = "  " * indent
         kind = "distinct" if self.distinct else "all"
-        lines = [f"{pad}∪ {kind} [{len(self.branches)} branch"
-                 f"{'es' if len(self.branches) != 1 else ''}]"]
-        for branch in self.branches:
-            lines.extend(branch.explain_lines(indent + 1))
+        count = len(self.branches)
+        walks = self.walks or (1,) * count
+        folded = (f"; {sum(walks)} equivalent walks"
+                  if sum(walks) > count else "")
+        lines = [f"{pad}∪ {kind} [{count} branch"
+                 f"{'es' if count != 1 else ''}{folded}]"]
+        for branch, folds in zip(self.branches, walks):
+            branch_lines = branch.explain_lines(indent + 1)
+            if folds > 1:
+                branch_lines[0] += f" [{folds} equivalent walks]"
+            lines.extend(branch_lines)
         return lines

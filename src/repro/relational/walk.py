@@ -5,6 +5,9 @@ restricted projection of its attributes, and wrappers are pairwise
 connected through restricted equi-joins on ID attributes. Two walks are
 equivalent when they join the same wrappers with the same conditions,
 regardless of join order — :meth:`Walk.equivalence_key` captures that.
+Walks whose conditions equate the same attributes, even through
+different spanning trees, are one conjunctive query —
+:meth:`Walk.closure_key` captures that coarser equivalence.
 
 The rewriting algorithm (Algorithms 4 and 5) manipulates walks abstractly
 and only at the very end lowers them onto the relational algebra tree via
@@ -106,6 +109,35 @@ class Walk:
             self.wrapper_names,
             frozenset(j.normalized() for j in self.joins),
         )
+
+    def closure_key(self) -> tuple:
+        """Walks over the same wrappers whose join conditions induce the
+        same equality closure are one conjunctive query.
+
+        Coarser than :meth:`equivalence_key`: on a star whose satellites
+        all carry the hub's ID, every spanning tree of the ID joins
+        (``H.id=S1.id, H.id=S2.id`` vs ``H.id=S1.id, S1.id=S2.id``)
+        equates the same attributes, so all of them share one key. The
+        key is the wrapper names plus the partition of
+        ``(wrapper, attribute)`` the conditions induce (a union-find).
+        """
+        parent: dict[tuple[str, str], tuple[str, str]] = {}
+
+        def find(node: tuple[str, str]) -> tuple[str, str]:
+            while parent.setdefault(node, node) != node:
+                node = parent[node]
+            return node
+
+        for join in self.joins:
+            left = find((join.left_wrapper, join.left_attribute))
+            right = find((join.right_wrapper, join.right_attribute))
+            if left != right:
+                parent[max(left, right)] = min(left, right)
+        classes: dict[tuple[str, str], set[tuple[str, str]]] = {}
+        for node in parent:
+            classes.setdefault(find(node), set()).add(node)
+        return (self.wrapper_names,
+                frozenset(frozenset(c) for c in classes.values()))
 
     def __len__(self) -> int:
         return len(self.schemas)

@@ -79,6 +79,17 @@ def test_randomized_walk_equivalence(seed, use_accel, monkeypatch):
     blind = plan_walk(walk, mapping, lambda name: None)
     assert blind.execute_encoded(scans).to_relation() == naive
 
+    # Set semantics: deduplicated scans under a DISTINCT union give the
+    # oracle's set (random rows repeat, so the scans do drop rows).
+    from repro.relational.physical import PhysicalUnion
+    deduped = PhysicalUnion(
+        (plan_walk(walk, mapping, scans.estimate, distinct=True),))
+    # A lone scan leaves dedup to the closing projection.
+    assert all(scan.dedup == (len(walk.schemas) > 1)
+               for scan in _scans_of(deduped))
+    assert deduped.execute_encoded(scans).to_relation() == \
+        naive.distinct()
+
 
 @pytest.mark.parametrize("seed", range(12))
 @pytest.mark.parametrize("distinct", [True, False])
@@ -114,7 +125,7 @@ def test_randomized_union_equivalence(seed, distinct, monkeypatch):
             FinalProject(renamed_walk.to_expression(), mapping))
         scans = RelationScanProvider(provider)
         branches_physical.append(
-            plan_walk(renamed_walk, mapping, scans.estimate))
+            plan_walk(renamed_walk, mapping, scans.estimate, distinct))
 
     from repro.relational import accel
     from repro.relational.physical import PhysicalUnion
@@ -263,6 +274,10 @@ class TestEngineIntegration:
         assert "shared ×2" in text
         assert "semi-join" in text
         assert "final UCQ" in text
+        # Set semantics: DISTINCT scans deduplicate; the two supersede
+        # walks join different wrappers, so neither folds.
+        assert "dedup" in text
+        assert "equivalent walks" not in text
 
     def test_explain_without_planner_keeps_logical_form(self, evolved):
         text = QueryEngine(evolved.ontology,
@@ -304,7 +319,7 @@ class TestEngineIntegration:
             plan_ucq(evolved.ontology, UCQ(features=[], walks=[]))
 
 
-class TestAdaptivePlanning:
+class TestRuntimeMetrics:
     def test_explain_analyze_renders_runtime_metrics(self, evolved):
         engine = QueryEngine(evolved.ontology)
         assert "not yet executed" in engine.explain(EXEMPLARY_QUERY,
@@ -351,6 +366,66 @@ class TestAdaptivePlanning:
         for entry in timings.values():
             assert entry["scans"] >= 1
             assert entry["seconds"] >= 0.0
+
+
+class TestSetSemantics:
+    """Under DISTINCT the plan executes one branch per class of
+    equivalent walks and deduplicates its scans; the UCQ is unchanged."""
+
+    @pytest.mark.parametrize("satellites,walks", [(2, 2), (3, 6)])
+    def test_star_walks_plan_one_branch(self, star, satellites, walks):
+        from repro.relational.physical import PhysicalUnion
+        ontology, query, _ = star(satellites)
+        engine = QueryEngine(ontology)
+        ucq = engine.rewrite(query).ucq
+        assert len(ucq.walks) == walks  # the paper's count stands
+        plan = plan_ucq(ontology, ucq)
+        assert isinstance(plan.root, PhysicalUnion)
+        assert len(plan.root.branches) == 1
+        assert plan.root.walks == (walks,)
+        assert all(scan.dedup for scan in plan.scans())
+        assert plan.execute(WrapperScanProvider(
+            ontology.physical_wrapper)) == ucq.execute(ontology)
+        text = plan.explain()
+        assert f"∪ distinct [1 branch; {walks} equivalent walks]" in text
+        assert "dedup" in text
+
+    def test_bag_plan_keeps_every_walk(self, star):
+        ontology, query, _ = star(3)
+        ucq = QueryEngine(ontology).rewrite(query).ucq
+        plan = plan_ucq(ontology, ucq, distinct=False)
+        assert len(plan.root.branches) == len(ucq.walks) == 6
+        assert not any(scan.dedup for scan in plan.scans())
+        bag = plan.execute(WrapperScanProvider(ontology.physical_wrapper))
+        assert bag == ucq.execute(ontology, distinct=False)
+        assert len(bag) > len(ucq.execute(ontology))  # duplicates kept
+
+    def test_walks_over_different_wrappers_stay_apart(self):
+        from repro.evolution.growth import replay_wordpress
+        from repro.evolution.wordpress import WORDPRESS_RELEASES
+        ontology, records = replay_wordpress()
+        for spec, record in zip(WORDPRESS_RELEASES, records):
+            id_attr = "ID" if "ID" in spec.fields else "id"
+            ontology.bind_wrapper(StaticWrapper(
+                record.wrapper, "wordpress_posts", [id_attr],
+                [f for f in spec.fields if f != id_attr],
+                [{name: f"{spec.version}/{name}/{i % 2}"
+                  for name in spec.fields} for i in range(4)]))
+        query = """
+        SELECT ?x ?y WHERE {
+            VALUES (?x ?y) { (<urn:wordpress:post/id>
+                              <urn:wordpress:post/title>) }
+            <urn:wordpress:Post> G:hasFeature <urn:wordpress:post/id> .
+            <urn:wordpress:Post> G:hasFeature <urn:wordpress:post/title>
+        }"""
+        engine = QueryEngine(ontology)
+        ucq = engine.rewrite(query).ucq
+        plan = engine.plan(query)
+        # One walk — and one branch — per release.
+        assert len(ucq.walks) == len(WORDPRESS_RELEASES)
+        assert len(plan.root.branches) == len(ucq.walks)
+        assert "equivalent walks" not in plan.explain()
+        assert engine.answer(query) == ucq.execute(ontology)
 
 
 class TestScanCacheIntegration:

@@ -15,10 +15,11 @@ from repro.relational import accel
 from repro.relational.algebra import Join, Scan
 from repro.relational.columnar import (
     ENCODE_MIN_ROWS, ColumnBatch, EncodedColumn, encode_values,
+    first_occurrences,
 )
 from repro.relational.physical import (
-    PhysicalHashJoin, PhysicalScan, RelationScanProvider,
-    _first_occurrences,
+    CachingScanProvider, PhysicalHashJoin, PhysicalScan,
+    RelationScanProvider, ScanCache,
 )
 from repro.relational.rows import Relation
 from repro.relational.schema import RelationSchema
@@ -288,6 +289,39 @@ class TestEncodedDistinct:
         batch = ColumnBatch(schema, (), _length=5)
         assert len(batch.distinct()) == 1
 
+    def test_distinct_keep_indexes_live_rows(self, accel_mode):
+        schema = RelationSchema.of("w", ids=["a"], non_ids=["b"])
+        columns = [["x", "y", "x", "y", "x"], [1, 2, 1, 2, 2]]
+        # live rows: (x,2) (x,1) (x,1) (y,2) → keep positions 0, 1, 3
+        batch = ColumnBatch(schema, columns, selection=[4, 2, 0, 1])
+        keep = batch.distinct_keep()
+        assert keep == [0, 1, 3]
+        assert batch.distinct_keep() is keep  # memoized on the batch
+        assert ColumnBatch(schema, columns,
+                           selection=[3, 4]).distinct_keep() is None
+
+    def test_dedup_scan_pays_once_per_fetch(self, accel_mode,
+                                            monkeypatch):
+        relation = rel("w", ["a"], ["b"], [
+            {"a": "x", "b": 1}, {"a": "x", "b": 1}, {"a": "y", "b": 2}])
+        scans = CachingScanProvider(
+            RelationScanProvider({"w": relation}), ScanCache())
+        scan = PhysicalScan(relation.schema, None, 2, dedup=True)
+        calls = []
+        original = ColumnBatch._first_occurrence_keep
+
+        def counted(batch):
+            calls.append(batch)
+            return original(batch)
+
+        monkeypatch.setattr(ColumnBatch, "_first_occurrence_keep",
+                            counted)
+        for _ in range(3):
+            out = scan.execute_fused(scans).materialize()
+            assert out.to_rows() == [{"a": "x", "b": 1},
+                                     {"a": "y", "b": 2}]
+        assert len(calls) == 1
+
 
 # ---------------------------------------------------------------------------
 # The numpy kernels themselves (parity against the pure loops)
@@ -380,11 +414,11 @@ class TestFirstOccurrenceKeep:
         assert accel.first_occurrence_keep(lanes) == [0, 1, 2]
 
     def test_engine_helper_dispatches_to_kernel(self):
-        # _first_occurrences takes the kernel only when every lane is
+        # first_occurrences takes the kernel only when every lane is
         # already an int64 vector (i.e. came off the accelerated path).
         arrays = [accel.index_array([0, 1, 0, 1]),
                   accel.index_array([2, 3, 2, 3])]
-        assert _first_occurrences(arrays) == [0, 1]
+        assert first_occurrences(arrays) == [0, 1]
         # Mixed/plain lanes use the zip path with identical results.
-        assert _first_occurrences([[0, 1, 0, 1], [2, 3, 2, 3]]) \
+        assert first_occurrences([[0, 1, 0, 1], [2, 3, 2, 3]]) \
             == [0, 1]

@@ -88,6 +88,33 @@ class TestWalkBuilding:
         b = Walk.single(W3, set())
         assert a.equivalence_key() != b.equivalence_key()
 
+    def test_closure_key_equates_spanning_trees(self):
+        hub = RelationSchema.of("h", ids=["H/id"], source="H")
+        s1 = RelationSchema.of("s1", ids=["S1/id"], source="S1")
+        s2 = RelationSchema.of("s2", ids=["S2/id"], source="S2")
+
+        def star(*joins):
+            walk = Walk.single(hub, set())
+            walk.add_wrapper(s1, set())
+            walk.add_wrapper(s2, set())
+            for join in joins:
+                walk.add_join(join)
+            return walk
+
+        h_s1 = JoinCondition("h", "H/id", "s1", "S1/id")
+        h_s2 = JoinCondition("h", "H/id", "s2", "S2/id")
+        s1_s2 = JoinCondition("s1", "S1/id", "s2", "S2/id")
+        through_hub = star(h_s1, h_s2)
+        through_s1 = star(h_s1, s1_s2)
+        # Different conditions, one equality closure: one CQ.
+        assert through_hub.equivalence_key() != \
+            through_s1.equivalence_key()
+        assert through_hub.closure_key() == through_s1.closure_key()
+        assert through_hub.closure_key()[1] == frozenset({frozenset(
+            {("h", "H/id"), ("s1", "S1/id"), ("s2", "S2/id")})})
+        # A partial closure is a different query.
+        assert star(h_s1).closure_key() != through_hub.closure_key()
+
 
 class TestConnectivityAndLowering:
     def test_single_wrapper_connected(self):

@@ -112,6 +112,51 @@ class TestPatchLifecycle:
         return key, True, scenario.ontology.fingerprint()
 
 
+class TestSetSemanticsPatches:
+    """Scan dedup is not mirrored in the standing state: the scan
+    states keep the full bag, so deleting one of two duplicate rows
+    leaves the answer tuple supported, and deleting the last removes
+    it."""
+
+    def test_duplicate_deletes_patch_exactly(self, star):
+        rows = [{"hid": "h0", "m": "a"}, {"hid": "h0", "m": "a"},
+                {"hid": "h1", "m": "b"}]
+        ontology, query, wrappers = star(
+            2, satellite_rows=[rows, [{"hid": "h0", "m": "x"},
+                                      {"hid": "h1", "m": "y"}]])
+        engine = QueryEngine(ontology)
+        oracle = QueryEngine(ontology, use_planner=False,
+                             use_cache=False, use_answer_cache=False)
+
+        def tuples():
+            answer = engine.answer(query)
+            assert answer == oracle.answer(query)
+            names = answer.schema.attribute_names
+            return {tuple(row[n] for n in names) for row in answer}
+
+        # The standing query mirrors a plan whose scans deduplicate.
+        assert all(scan.dedup for scan in engine.plan(query).scans())
+        assert ("lag-0", "a", "x") in tuples()
+        wrappers["wSat1"].append_rows([{"hid": "h9", "m": "z"}])
+        tuples()  # first stale miss seeds the standing query
+        satellite = wrappers["wSat0"]
+        removed = []
+
+        def first_copy(row):
+            if row["m"] == "a" and not removed:
+                removed.append(row)
+                return True
+            return False
+
+        satellite.remove_rows(first_copy)
+        assert ("lag-0", "a", "x") in tuples()  # one copy still there
+        satellite.remove_rows(lambda row: row["m"] == "a")
+        assert ("lag-0", "a", "x") not in tuples()  # last copy gone
+        stats = engine.answer_cache.stats
+        assert stats.seeds == 1 and stats.patches == 2
+        assert stats.fallbacks == 0
+
+
 class TestServingPanels:
     def test_register_panel_warms_and_refreshes(self, scenario):
         from repro.mdm import MDM
