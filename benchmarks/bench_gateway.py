@@ -15,6 +15,12 @@ Two asserted properties of the protocol redesign (ISSUE 4):
   materialized answer, because the snapshot stays server-side and only
   the page crosses the wire.
 
+It also reports ``reused_answer_speedup``: the gateway encoding the
+reply of a 10k-row answer the cache serves again (its rows encoded once
+and kept) against the same reply for a fresh answer (rows encoded every
+time). It must stay **≥5×**, and it collapses to ~1× if the answer
+cache stops marking the answers it reuses.
+
 Emits ``BENCH_gateway.json`` with the measured latencies.
 """
 
@@ -23,10 +29,13 @@ from __future__ import annotations
 import time
 
 from repro.api import GovernedClient, HttpGateway
+from repro.api.httpd import EncodedJSON, HttpResponse
+from repro.api.protocol import QueryRequest
 from repro.core.release import new_release
 from repro.evolution.release_builder import build_release
 from repro.mdm.system import MDM
 from repro.rdf.namespace import Namespace
+from repro.relational.rows import Relation
 from repro.wrappers.base import StaticWrapper
 
 B = Namespace("urn:gateway:")
@@ -36,6 +45,7 @@ FIELDS = ["device", "region", "status", "payload"]
 PAGE_SIZE = 50
 OVERHEAD_LIMIT = 0.15
 FIRST_PAGE_SPEEDUP_FLOOR = 2.0
+REUSED_ANSWER_SPEEDUP_FLOOR = 5.0
 
 
 def build_service():
@@ -83,6 +93,16 @@ def _best_of(fn, repeat: int) -> float:
     return best
 
 
+def _encode_reply(response, relation: Relation) -> bytes:
+    """The body the gateway sends for a full answer (see
+    ``_GatewayRoutes._serve_query``)."""
+    envelope = response.to_dict()
+    encoded = relation.rows_json()
+    if encoded is not None:
+        envelope["rows"] = EncodedJSON(encoded)
+    return HttpResponse.json(200, envelope).body
+
+
 def test_protocol_overhead_and_first_page_latency(write_result,
                                                   write_json):
     mdm, query = build_service()
@@ -123,6 +143,17 @@ def test_protocol_overhead_and_first_page_latency(write_result,
         page_s = _best_of(first_page, wire_repeat)
     speedup = full_s / page_s
 
+    # A hit: the answer cache has served this relation before, so it
+    # keeps its encoded rows. The fresh twin holds the same rows but was
+    # never reused, so every reply encodes them again.
+    response = service.endpoint.handle_query(QueryRequest(query=query))
+    reused = response.relation
+    fresh = Relation.from_trusted(reused.schema, reused.rows)
+    assert _encode_reply(response, reused) == _encode_reply(response, fresh)
+    reused_s = _best_of(lambda: _encode_reply(response, reused), repeat)
+    fresh_s = _best_of(lambda: _encode_reply(response, fresh), repeat)
+    reused_speedup = fresh_s / reused_s
+
     report = "\n".join([
         "protocol overhead + gateway first-page latency "
         f"({ROWS} rows, page={PAGE_SIZE})",
@@ -137,6 +168,11 @@ def test_protocol_overhead_and_first_page_latency(write_result,
         f"  gateway first page           {page_s * 1e3:9.3f} ms"
         f"   speedup: {speedup:.2f}x"
         f"  (floor {FIRST_PAGE_SPEEDUP_FLOOR:.1f}x)",
+        "",
+        f"  encode fresh answer          {fresh_s * 1e3:9.3f} ms",
+        f"  encode reused answer         {reused_s * 1e3:9.3f} ms"
+        f"   speedup: {reused_speedup:.2f}x"
+        f"  (floor {REUSED_ANSWER_SPEEDUP_FLOOR:.1f}x)",
     ])
     write_result("gateway_protocol.txt", report)
     write_json("gateway", {
@@ -149,6 +185,9 @@ def test_protocol_overhead_and_first_page_latency(write_result,
         "gateway_full_ms": round(full_s * 1e3, 3),
         "gateway_first_page_ms": round(page_s * 1e3, 3),
         "first_page_speedup": round(speedup, 2),
+        "encode_fresh_ms": round(fresh_s * 1e3, 3),
+        "encode_reused_ms": round(reused_s * 1e3, 3),
+        "reused_answer_speedup": round(reused_speedup, 2),
     })
 
     assert overhead < OVERHEAD_LIMIT, (
@@ -157,3 +196,6 @@ def test_protocol_overhead_and_first_page_latency(write_result,
     assert speedup >= FIRST_PAGE_SPEEDUP_FLOOR, (
         f"first page only {speedup:.2f}x faster than full "
         f"materialization (floor {FIRST_PAGE_SPEEDUP_FLOOR}x)")
+    assert reused_speedup >= REUSED_ANSWER_SPEEDUP_FLOOR, (
+        f"a reused answer encodes only {reused_speedup:.2f}x faster than "
+        f"a fresh one (floor {REUSED_ANSWER_SPEEDUP_FLOOR}x)")

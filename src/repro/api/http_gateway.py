@@ -40,7 +40,8 @@ from typing import Any
 from repro.errors import MalformedRequestError
 from repro.api.endpoint import ProtocolEndpoint
 from repro.api.httpd import (
-    AsyncHttpServer, HttpRequest, HttpResponse, error_payload,
+    AsyncHttpServer, EncodedJSON, HttpRequest, HttpResponse,
+    error_payload,
 )
 from repro.api.protocol import (
     ErrorInfo, QueryRequest, ReleaseRequest, http_status_of,
@@ -121,11 +122,25 @@ class _GatewayRoutes:
             return self._error(400, "malformed_request",
                                "epoch/page_size must be integers and "
                                "timeout a number of seconds")
+        return self._serve_query(payload)
+
+    def _serve_query(self, payload: Any) -> HttpResponse:
+        """One query envelope, from a POST body or GET parameters.
+
+        A full answer (no cursor) that the answer cache serves again
+        takes its ``rows`` from :meth:`Relation.rows_json
+        <repro.relational.rows.Relation.rows_json>`, encoded once; the
+        body is the same bytes as encoding ``to_dict()``.
+        """
         try:
             response = self.endpoint.handle_query(
                 QueryRequest.from_dict(payload))
-            return self._reply(self._status_of(response),
-                               response.to_dict())
+            envelope = response.to_dict()
+            if response.relation is not None and response.cursor is None:
+                encoded = response.relation.rows_json()
+                if encoded is not None:
+                    envelope["rows"] = EncodedJSON(encoded)
+            return self._reply(self._status_of(response), envelope)
         except Exception as exc:
             info = ErrorInfo.of(exc)
             return self._error(http_status_of(info.code), info.code,
@@ -149,10 +164,7 @@ class _GatewayRoutes:
                         [QueryRequest.from_dict(item) for item in batch])
                     return self._reply(200, {"responses": [
                         r.to_dict() for r in responses]})
-                response = endpoint.handle_query(
-                    QueryRequest.from_dict(payload))
-                return self._reply(self._status_of(response),
-                                   response.to_dict())
+                return self._serve_query(payload)
             if request.path == "/v1/releases":
                 response = endpoint.handle_release(
                     ReleaseRequest.from_dict(payload))

@@ -38,8 +38,8 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-__all__ = ["AsyncHttpServer", "HttpRequest", "HttpResponse",
-           "error_payload"]
+__all__ = ["AsyncHttpServer", "EncodedJSON", "HttpRequest",
+           "HttpResponse", "error_payload"]
 
 #: request bodies above this are rejected (a malformed-client guard,
 #: not a security boundary — the server is an internal service door)
@@ -66,6 +66,51 @@ def error_payload(code: str, message: str,
         "error": {"code": code, "kind": kind, "message": message,
                   "retryable": retryable, "details": None},
     }
+
+
+class EncodedJSON:
+    """A JSON value encoded ahead of time.
+
+    :meth:`HttpResponse.json` splices it verbatim where it sits as a
+    top-level payload value. *text* must equal
+    ``json.dumps(value, sort_keys=True).encode("utf-8")``, so the body
+    is byte-identical to encoding the value in place.
+    """
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: bytes) -> None:
+        self.text = text
+
+
+def _encode_json(payload: Any) -> bytes:
+    """``json.dumps(payload, sort_keys=True)`` as UTF-8 bytes, with any
+    top-level :class:`EncodedJSON` value spliced in as it is."""
+    if not isinstance(payload, dict) or not any(
+            isinstance(value, EncodedJSON) for value in payload.values()):
+        return json.dumps(payload, sort_keys=True).encode("utf-8")
+    # Encode each run of plain keys in one call without its braces, and
+    # copy the spliced bytes once, into the joined body.
+    pieces: list[bytes] = [b"{"]
+    plain: dict[str, Any] = {}
+    for key in sorted(payload):
+        value = payload[key]
+        if not isinstance(value, EncodedJSON):
+            plain[key] = value
+            continue
+        if plain:
+            pieces += [json.dumps(plain, sort_keys=True)
+                       .encode("utf-8")[1:-1], b", "]
+            plain = {}
+        pieces += [json.dumps(key).encode("utf-8"), b": ", value.text,
+                   b", "]
+    if plain:
+        pieces.append(json.dumps(plain, sort_keys=True)
+                      .encode("utf-8")[1:-1])
+    else:
+        pieces.pop()  # the separator after the last spliced value
+    pieces.append(b"}")
+    return b"".join(pieces)
 
 
 @dataclass
@@ -95,8 +140,9 @@ class HttpResponse:
     @classmethod
     def json(cls, status: int, payload: Any, *,
              close: bool = False) -> "HttpResponse":
-        body = json.dumps(payload, sort_keys=True).encode("utf-8")
-        return cls(status=status, body=body, close=close)
+        """A JSON reply; every JSON body is built here (see
+        :func:`_encode_json`)."""
+        return cls(status=status, body=_encode_json(payload), close=close)
 
 
 class _Malformed(Exception):  # repro-lint: disable=error-taxonomy -- internal framing sentinel: caught inside this module and turned into a canned 400 reply; it never crosses the protocol surface as a typed error

@@ -132,9 +132,10 @@ class BDIOntology:
         self._evolution_bracket_gap: bool | None = None
         self._evolution_listeners: \
             list[Callable[[EvolutionEvent], None]] = []
-        #: (dataset mutation count, lookup key -> answer): the lookup
-        #: catalog, valid only while the counter still reads that count
-        self._catalog: tuple[int, dict[Hashable, object]] = (-1, {})
+        #: (state of T, lookup key -> answer): the lookup catalog,
+        #: valid only while :meth:`_state` still reads that state
+        self._catalog: tuple[tuple[int, int], dict[Hashable, object]] = \
+            ((-1, -1), {})
         if include_metamodel:
             self._g.update(global_metamodel())
             self._s.update(source_metamodel())
@@ -322,40 +323,56 @@ class BDIOntology:
         sorted mapping named-graph inventory (each LAV graph is one
         wrapper, so a release landing always perturbs it) and the
         dataset's mutation counter (so count-neutral edits perturb it
-        too).
+        too). It is answered from the lookup catalog, keyed on the epoch
+        as well, so repeated calls at one state of ``T`` compute it once.
         """
+        epoch = self._epoch
+        return self._lookup(("fingerprint", epoch), lambda: (
+            OntologyFingerprint(epoch=epoch, structure=self._structure())))
+
+    def _structure(self) -> int:
         counts = self.triple_counts()
         lav_names = tuple(sorted(
             str(name) for name in self.dataset.graph_names()
             if str(name).startswith(str(mapping_graph_uri("")))))
-        structure = hash((counts["G"], counts["S"], counts["M"],
-                          counts["lav_graphs"], lav_names,
-                          self.dataset.mutation_count()))
-        return OntologyFingerprint(epoch=self._epoch, structure=structure)
+        return hash((counts["G"], counts["S"], counts["M"],
+                     counts["lav_graphs"], lav_names,
+                     self.dataset.mutation_count()))
 
     # -- ontology-level queries used by the algorithms -----------------------------
+
+    def _state(self) -> tuple[int, int]:
+        """The key of the lookup catalog: one value per state of ``T``.
+
+        The dataset's mutation counter advances on every effective edit
+        and on every graph drop. Creating an empty named graph
+        (:meth:`Dataset.graph <repro.rdf.dataset.Dataset.graph>`) does
+        not advance it, but it changes the LAV inventory, so the
+        named-graph count is part of the key too.
+        """
+        return self.dataset.mutation_count(), self.dataset.graph_count()
 
     def _lookup(self, key: Hashable, compute: Callable[[], _T]) -> _T:
         """Answer a metadata lookup from the catalog of the current T.
 
-        The catalog is keyed by the dataset's mutation counter, which
-        every effective edit advances. A different counter drops the
-        whole catalog, whoever made the edit and whether or not it
+        The catalog is keyed by :meth:`_state`. A different state drops
+        the whole catalog, whoever made the edit and whether or not it
         changed a triple count. A miss runs *compute* and stores its
-        answer only if the counter did not move meanwhile, so an answer
+        answer only if the state did not move meanwhile, so an answer
         computed across an edit is never served later. Stored answers
-        are immutable (tuples, IRIs, frozen schemas); the public methods
-        hand out fresh lists. Concurrent readers at most recompute an
-        answer: each stores into the dict tagged with the count it read.
+        are immutable (tuples, IRIs, frozen schemas, fingerprints); the
+        public methods hand out fresh lists. Concurrent readers at most
+        recompute an answer: each stores into the dict tagged with the
+        state it read.
         """
-        state = self.dataset.mutation_count()
+        state = self._state()
         catalog = self._catalog
         if catalog[0] != state:
             catalog = self._catalog = (state, {})
         elif key in catalog[1]:
             return cast(_T, catalog[1][key])
         value = compute()
-        if self.dataset.mutation_count() == state:
+        if self._state() == state:
             catalog[1][key] = value
         return value
 

@@ -23,7 +23,10 @@ evolution listener (the same hook that clears the scan cache), keeping
 memory tight across epochs.
 
 Entries are shared objects: treat returned relations as immutable,
-exactly like rewrite-cache results and shared scans.
+exactly like rewrite-cache results and shared scans. A relation the
+cache serves again (a hit, or a patched answer) is marked reused, so
+the gateway encodes its rows once (:meth:`~repro.relational.rows.
+Relation.rows_json`); a fresh answer keeps no encoded copy.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ def answer_cache_env_enabled() -> bool:
 
 #: the data-state evidence of one answer: ``(wrapper, data_version)``
 #: per wrapper the plan scanned, sorted for a canonical representation
-DataVersions = "tuple[tuple[str, int], ...]"
+DataVersions = "tuple[tuple[str, object], ...]"
 
 
 @dataclass
@@ -112,7 +115,7 @@ class CachedAnswer:
     key: str
     distinct: bool
     fingerprint: "OntologyFingerprint"
-    data_versions: "tuple[tuple[str, int], ...]"
+    data_versions: "tuple[tuple[str, object], ...]"
     relation: Relation
     hit_count: int = 0
     standing: "StandingQuery | None" = field(
@@ -149,7 +152,7 @@ class AnswerCache:
 
     def lookup(self, key: str, distinct: bool,
                fingerprint: "OntologyFingerprint",
-               data_versions: "tuple[tuple[str, int], ...]",
+               data_versions: "tuple[tuple[str, object], ...]",
                patchable: bool = False) -> Relation | None:
         """The cached answer, or ``None`` when absent/stale.
 
@@ -183,6 +186,7 @@ class AnswerCache:
             entry.hit_count += 1
             self.stats.hits += 1
             self._entries.move_to_end(slot)
+            entry.relation.mark_reused()
             return entry.relation
 
     def patchable_entry(self, key: str, distinct: bool,
@@ -197,7 +201,7 @@ class AnswerCache:
             return entry
 
     def install_patch(self, entry: CachedAnswer, relation: Relation,
-                      data_versions: "tuple[tuple[str, int], ...]",
+                      data_versions: "tuple[tuple[str, object], ...]",
                       standing: "StandingQuery", kind: str) -> None:
         """Publish a maintained answer back into *entry*.
 
@@ -207,6 +211,7 @@ class AnswerCache:
         updated in place so a concurrent LRU eviction at worst orphans
         it — the returned relation stays correct either way.
         """
+        relation.mark_reused()
         with self._lock:
             entry.relation = relation
             entry.data_versions = data_versions
@@ -236,7 +241,7 @@ class AnswerCache:
 
     def store(self, key: str, distinct: bool,
               fingerprint: "OntologyFingerprint",
-              data_versions: "tuple[tuple[str, int], ...]",
+              data_versions: "tuple[tuple[str, object], ...]",
               relation: Relation) -> CachedAnswer:
         """Install an answer (last-writer-wins; LRU-evicts past cap)."""
         entry = CachedAnswer(key=key, distinct=distinct,

@@ -14,10 +14,11 @@ release touched.
 For multi-analyst workloads, :meth:`QueryEngine.answer_many` answers a
 whole batch at once: queries are deduplicated by canonical OMQ key
 (textual variants of one OMQ collapse onto one unit of work), each
-unique query is rewritten exactly once, and wrapper evaluation fans out
-across a thread pool. The engine's internal state (parse memo, rewrite
-cache) is thread-safe; consistency of answers *across* a concurrently
-landing release is the serving layer's job
+unique query is rewritten exactly once, cached answers are served
+inline, and the evaluation of the rest fans out across a thread pool.
+The engine's internal state (parse memo, rewrite cache) is thread-safe;
+consistency of answers *across* a concurrently landing release is the
+serving layer's job
 (:class:`repro.service.GovernedService`).
 """
 
@@ -26,7 +27,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from repro.core.ontology import BDIOntology
 from repro.errors import UnanswerableQueryError
@@ -41,7 +42,8 @@ from repro.query.rewriter import RewritingResult, rewrite
 from repro.relational.algebra import DataProvider
 from repro.relational.metrics import PlanMetrics, scan_timings
 from repro.relational.physical import (
-    CachingScanProvider, ScanCache, ScanProvider, as_scan_provider,
+    CachingScanProvider, ScanCache, ScanProvider, Unversioned,
+    as_scan_provider,
 )
 from repro.relational.rows import Relation
 from repro.streaming.standing import StandingQuery
@@ -109,46 +111,52 @@ class QueryEngine:
         #: re-executing. Only meaningful while the answer cache and
         #: planner are active.
         self.incremental = incremental
-        #: SPARQL text → parsed OMQ memo, LRU-bounded, valid for the
-        #: prefix bindings it was built under. Guarded by _parse_lock:
+        #: SPARQL text → (parsed OMQ, canonical key) memo, LRU-bounded,
+        #: valid for the prefix bindings it was built under. Guarded by
+        #: _parse_lock:
         #: the stale-memo check and the clear happen under the same
         #: critical section, so a concurrent parse can never revive an
         #: entry built under the previous prefix bindings.
-        self._parse_memo: "OrderedDict[str, OMQ]" = OrderedDict()
+        self._parse_memo: "OrderedDict[str, tuple[OMQ, str]]" = \
+            OrderedDict()
         self._parse_memo_prefixes = dict(self.prefixes)
         self._parse_lock = threading.Lock()
 
     # -- pipeline stages ----------------------------------------------------
 
-    def _parse(self, query: OMQ | str) -> OMQ:
+    def _parse(self, query: OMQ | str) -> tuple[OMQ, str]:
+        """The parsed OMQ and its :func:`canonical_omq_key`.
+
+        Both are memoized per SPARQL text, so repeated text neither
+        re-parses nor re-hashes.
+        """
         if not isinstance(query, str):
-            return query
+            return query, canonical_omq_key(query)
         with self._parse_lock:
             if self._parse_memo_prefixes != self.prefixes:
                 self._parse_memo.clear()
                 self._parse_memo_prefixes = dict(self.prefixes)
-            omq = self._parse_memo.get(query)
-            if omq is not None:
+            parsed = self._parse_memo.get(query)
+            if parsed is not None:
                 self._parse_memo.move_to_end(query)
-                return omq
+                return parsed
             prefixes = dict(self.prefixes)
         # Parse outside the lock (pure function of text + prefixes), so
         # concurrent cold parses of distinct queries do not serialize.
         omq = parse_omq(query, prefixes)
+        parsed = (omq, canonical_omq_key(omq))
         with self._parse_lock:
             if self._parse_memo_prefixes == prefixes:
-                self._parse_memo[query] = omq
+                self._parse_memo[query] = parsed
                 self._parse_memo.move_to_end(query)
                 while len(self._parse_memo) > PARSE_MEMO_MAX:
                     self._parse_memo.popitem(last=False)
-        return omq
+        return parsed
 
-    def _rewrite_parsed(self, omq: OMQ, key: str | None = None,
-                        ) -> RewritingResult:
+    def _rewrite_parsed(self, omq: OMQ, key: str) -> RewritingResult:
         """Cache-aware rewriting of an already parsed OMQ."""
         if self.cache is None:
             return rewrite(self.ontology, omq)
-        key = key if key is not None else canonical_omq_key(omq)
         result = self.cache.lookup(self.ontology, omq, key=key)
         if result is None:
             result = rewrite(self.ontology, omq)
@@ -161,7 +169,7 @@ class QueryEngine:
         Served from the rewriting cache when a valid entry exists; cached
         results are shared objects and must not be mutated.
         """
-        return self._rewrite_parsed(self._parse(query))
+        return self._rewrite_parsed(*self._parse(query))
 
     def _scan_provider(self, provider: DataProvider | None,
                        scan_cache: ScanCache | None) -> ScanProvider:
@@ -204,18 +212,27 @@ class QueryEngine:
             while len(self._metrics_log) > METRICS_LOG_MAX:
                 self._metrics_log.popitem(last=False)
 
-    def _evaluate(self, omq: OMQ, key: str | None,
-                  provider: DataProvider | None,
-                  distinct: bool,
-                  scan_cache: ScanCache | None = None) -> Relation:
-        result = self._rewrite_parsed(omq, key=key)
+    def _cached_or_pending(self, omq: OMQ, key: str,
+                           provider: DataProvider | None,
+                           distinct: bool,
+                           scan_cache: ScanCache | None,
+                           ) -> "Relation | Callable[[], Relation]":
+        """The cached answer of *omq*, or the call that computes it.
+
+        Rewriting, planning and the answer-cache lookup run here, once
+        per query; the returned call only executes (or patches) and
+        stores. :meth:`answer_many` serves the cached answers inline
+        and hands only the calls to its worker threads.
+        """
+        result = self._rewrite_parsed(omq, key)
         if not result.walks:
             raise UnanswerableQueryError(
                 "no covering and minimal walk answers the query; "
                 "concepts involved: "
                 f"{[c.local_name for c in result.concepts]}")
         if not self.use_planner:
-            return result.ucq.execute(self.ontology, provider, distinct)
+            return lambda: result.ucq.execute(self.ontology, provider,
+                                              distinct)
         scans = self._scan_provider(provider, scan_cache)
         plan = self._plan_cached(result, distinct, scans)
 
@@ -223,34 +240,43 @@ class QueryEngine:
         # wrappers) — explicit providers have no data_version evidence,
         # so answers computed against them are never cached.
         cache = self.answer_cache if provider is None else None
-        if key is None:
-            key = canonical_omq_key(omq)
         if cache is None:
-            relation = plan.execute(scans)
-            self._record_metrics(key, plan)
-            return relation
+            return lambda: self._execute(key, plan, scans)
         fingerprint = self.ontology.fingerprint()
         versions = tuple(sorted(
-            (name, scans.data_version(name))
-            for name in plan.wrappers()))
+            (name, scans.data_version(name)) for name in plan.wrappers()))
+        if any(isinstance(version, Unversioned) for _, version in versions):
+            # Fail closed: an answer read while a wrapper's version probe
+            # is broken is neither served from the cache nor stored in
+            # it, so it is never patched either.
+            return lambda: self._execute(key, plan, scans)
         cached = cache.lookup(key, distinct, fingerprint, versions,
                               patchable=self.incremental)
         if cached is not None:
             return cached
-        if self.incremental:
-            patched = self._patch_answer(cache, key, distinct,
-                                         fingerprint, versions, plan,
-                                         scans)
-            if patched is not None:
-                return patched
+
+        def compute() -> Relation:
+            if self.incremental:
+                patched = self._patch_answer(cache, key, distinct,
+                                             fingerprint, versions, plan,
+                                             scans)
+                if patched is not None:
+                    return patched
+            relation = self._execute(key, plan, scans)
+            cache.store(key, distinct, fingerprint, versions, relation)
+            return relation
+
+        return compute
+
+    def _execute(self, key: str, plan: PhysicalPlan,
+                 scans: ScanProvider) -> Relation:
         relation = plan.execute(scans)
         self._record_metrics(key, plan)
-        cache.store(key, distinct, fingerprint, versions, relation)
         return relation
 
     def _patch_answer(self, cache: AnswerCache, key: str,
                       distinct: bool, fingerprint: object,
-                      versions: "tuple[tuple[str, int], ...]",
+                      versions: "tuple[tuple[str, object], ...]",
                       plan: PhysicalPlan,
                       scans: ScanProvider) -> Relation | None:
         """Bring a data-stale cached answer current by O(Δ) maintenance.
@@ -326,8 +352,10 @@ class QueryEngine:
         """
         if scan_cache is None and self.use_planner:
             scan_cache = ScanCache()
-        return self._evaluate(self._parse(query), None, provider,
-                              distinct, scan_cache)
+        omq, key = self._parse(query)
+        step = self._cached_or_pending(omq, key, provider, distinct,
+                                       scan_cache)
+        return step if isinstance(step, Relation) else step()
 
     def answer_many(self, queries: Sequence[OMQ | str] | Iterable[OMQ | str],
                     provider: DataProvider | None = None,
@@ -342,11 +370,14 @@ class QueryEngine:
         textual variants of one OMQ (reformatted SPARQL, renamed
         prefixes, reordered triples) are rewritten *and evaluated*
         exactly once, with duplicates sharing the resulting relation
-        object (treat results as immutable). With ``workers > 1``,
-        evaluation of distinct queries fans out across a
-        :class:`~concurrent.futures.ThreadPoolExecutor` — wrappers over
-        I/O-bound sources overlap their fetches. ``workers=None`` (or
-        ``1``) evaluates sequentially on the calling thread.
+        object (treat results as immutable). Rewriting, planning and
+        the answer-cache lookup run on the calling thread, once per
+        unique query, and cached answers are served there. With
+        ``workers > 1``, evaluation of the remaining queries fans out
+        across a :class:`~concurrent.futures.ThreadPoolExecutor` —
+        wrappers over I/O-bound sources overlap their fetches; no pool
+        starts for fewer than two of them. ``workers=None`` (or ``1``)
+        evaluates sequentially on the calling thread.
 
         Failures: by default the first failing query raises after the
         whole batch settles (so sibling futures are never abandoned
@@ -362,39 +393,47 @@ class QueryEngine:
         """
         if scan_cache is None and self.use_planner:
             scan_cache = ScanCache()
-        omqs = [self._parse(query) for query in queries]
-        keys = [canonical_omq_key(omq) for omq in omqs]
+        parsed = [self._parse(query) for query in queries]
         unique: "OrderedDict[str, OMQ]" = OrderedDict()
-        for key, omq in zip(keys, omqs):
+        for omq, key in parsed:
             unique.setdefault(key, omq)
 
+        # Cached answers are served on this thread; only the answers
+        # that need computing go to the pool.
         outcomes: dict[str, Relation | Exception] = {}
+        pending: dict[str, Callable[[], Relation]] = {}
+        for key, omq in unique.items():
+            try:
+                step = self._cached_or_pending(omq, key, provider,
+                                               distinct, scan_cache)
+            except Exception as exc:  # propagated post-settle
+                outcomes[key] = exc
+                continue
+            if isinstance(step, Relation):
+                outcomes[key] = step
+            else:
+                pending[key] = step
 
-        def _answer_one(key: str, omq: OMQ) -> Relation:
-            return self._evaluate(omq, key, provider, distinct,
-                                  scan_cache)
-
-        if workers is not None and workers > 1 and len(unique) > 1:
+        if workers is not None and workers > 1 and len(pending) > 1:
             with ThreadPoolExecutor(
-                    max_workers=min(workers, len(unique)),
+                    max_workers=min(workers, len(pending)),
                     thread_name_prefix="repro-answer") as pool:
-                futures = {
-                    key: pool.submit(_answer_one, key, omq)
-                    for key, omq in unique.items()}
+                futures = {key: pool.submit(compute)
+                           for key, compute in pending.items()}
                 for key, future in futures.items():
                     try:
                         outcomes[key] = future.result()
                     except Exception as exc:  # propagated post-settle
                         outcomes[key] = exc
         else:
-            for key, omq in unique.items():
+            for key, compute in pending.items():
                 try:
-                    outcomes[key] = _answer_one(key, omq)
+                    outcomes[key] = compute()
                 except Exception as exc:
                     outcomes[key] = exc
 
         results: list[Relation | Exception] = []
-        for key in keys:
+        for _, key in parsed:
             outcome = outcomes[key]
             if isinstance(outcome, Exception) and not return_exceptions:
                 raise outcome

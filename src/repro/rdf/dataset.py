@@ -127,6 +127,10 @@ class Dataset:
         """Deterministically ordered list of named-graph IRIs."""
         return list(self._names)
 
+    def graph_count(self) -> int:
+        """Number of named graphs."""
+        return len(self._names)
+
     def named_graphs(self) -> Iterator[tuple[IRI, Graph]]:
         for name in self.graph_names():
             yield name, self._named[name]

@@ -128,9 +128,9 @@ def parse_ntriples(text: str) -> Graph:
     return g
 
 
-def parse_nquads(text: str) -> Dataset:
-    """Parse an N-Quads document into a dataset."""
-    ds = Dataset()
+def parse_nquads(text: str, into: Dataset | None = None) -> Dataset:
+    """Parse an N-Quads document into *into*, or into a new dataset."""
+    ds = Dataset() if into is None else into
     interned: dict[str, IRI] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         try:

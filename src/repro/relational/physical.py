@@ -47,7 +47,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "IdFilter", "ScanKey", "ScanStats", "ScanCache",
     "ScanProvider", "WrapperScanProvider", "RelationScanProvider",
-    "CachingScanProvider", "as_scan_provider",
+    "CachingScanProvider", "Unversioned", "as_scan_provider",
     "FusedBatch",
     "PhysicalOperator", "PhysicalScan", "PhysicalHashJoin",
     "PhysicalProject", "PhysicalUnion",
@@ -88,6 +88,24 @@ class IdFilter:
 # ---------------------------------------------------------------------------
 
 
+class Unversioned:
+    """The version token of a wrapper whose ``data_version`` probe raised.
+
+    It equals no other token, not even the next one minted for the same
+    wrapper, so nothing keyed on it is ever reused: a scan-cache key
+    misses and an answer is neither cached nor patched. *reason* names
+    the wrapper and the exception.
+    """
+
+    __slots__ = ("reason",)
+
+    def __init__(self, reason: str) -> None:
+        self.reason = reason
+
+    def __repr__(self) -> str:
+        return f"<Unversioned {self.reason}>"
+
+
 @dataclass(frozen=True)
 class ScanKey:
     """Identity of one physical scan result.
@@ -98,7 +116,7 @@ class ScanKey:
     """
 
     wrapper: str
-    data_version: int
+    data_version: "int | Unversioned"
     columns: frozenset[str] | None
     id_filter: tuple[str, frozenset] | None
 
@@ -112,16 +130,19 @@ class ScanStats:
     invalidations: int = 0
     #: entries dropped because their wrapper's data_version moved on
     evictions: int = 0
+    #: version probes that raised, by reason (see :class:`Unversioned`)
+    unversioned: dict[str, int] = field(default_factory=dict)
 
     @property
     def hit_rate(self) -> float:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
 
-    def snapshot(self) -> dict[str, int | float]:
+    def snapshot(self) -> dict[str, object]:
         return {"hits": self.hits, "misses": self.misses,
                 "invalidations": self.invalidations,
                 "evictions": self.evictions,
+                "unversioned": dict(self.unversioned),
                 "hit_rate": round(self.hit_rate, 4)}
 
 
@@ -159,7 +180,8 @@ class ScanCache:
         #: moves on, its superseded entries are evicted so a
         #: long-running cache cannot accumulate one generation of
         #: materialized relations per data write
-        self._versions: dict[str, int] = {}  # guarded-by: _lock
+        self._versions: dict[str, int | Unversioned] = \
+            {}  # guarded-by: _lock
         self._fingerprint: "OntologyFingerprint | None" = \
             None  # guarded-by: _lock
         self.stats = ScanStats()  # guarded-by: _lock
@@ -188,6 +210,13 @@ class ScanCache:
                 self._versions.clear()
                 self.stats.invalidations += 1
             self._fingerprint = fingerprint
+
+    def note_unversioned(self, token: Unversioned) -> None:
+        """Count one version probe that raised."""
+        with self._lock:
+            unversioned = self.stats.unversioned
+            unversioned[token.reason] = \
+                unversioned.get(token.reason, 0) + 1
 
     def get_or_fetch(self, key: ScanKey,
                      fetch: Callable[[], Relation]) -> Relation:
@@ -247,7 +276,7 @@ class ScanProvider:
         """Estimated cardinality of the wrapper (None = unknown)."""
         return None
 
-    def data_version(self, name: str) -> int:
+    def data_version(self, name: str) -> "int | Unversioned":
         """Version token of the wrapper's backing data."""
         return 0
 
@@ -295,11 +324,12 @@ class WrapperScanProvider(ScanProvider):
         except Exception:
             return None
 
-    def data_version(self, name: str) -> int:
+    def data_version(self, name: str) -> "int | Unversioned":
         try:
             return self._resolve(name).data_version()
-        except Exception:
-            return 0
+        except Exception as exc:
+            # Fail closed: a broken probe must not read as "unchanged".
+            return Unversioned(f"{name}: {type(exc).__name__}")
 
 
 class RelationScanProvider(ScanProvider):
@@ -374,7 +404,7 @@ class CachingScanProvider(ScanProvider):
              id_filter: IdFilter | None = None) -> Relation:
         key = ScanKey(
             wrapper=name,
-            data_version=self.inner.data_version(name),
+            data_version=self.data_version(name),
             columns=frozenset(columns) if columns is not None else None,
             id_filter=(id_filter.attribute, id_filter.values)
             if id_filter is not None else None)
@@ -384,8 +414,11 @@ class CachingScanProvider(ScanProvider):
     def estimate(self, name: str) -> int | None:
         return self.inner.estimate(name)
 
-    def data_version(self, name: str) -> int:
-        return self.inner.data_version(name)
+    def data_version(self, name: str) -> "int | Unversioned":
+        token = self.inner.data_version(name)
+        if isinstance(token, Unversioned):
+            self.cache.note_unversioned(token)
+        return token
 
 
 def as_scan_provider(provider: "DataProvider | ScanProvider | None",

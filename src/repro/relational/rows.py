@@ -8,6 +8,7 @@ to reproduce Tables 1 and 2 of the paper.
 
 from __future__ import annotations
 
+import json
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, \
     Mapping, Sequence
 
@@ -25,13 +26,16 @@ Row = Mapping[str, object]
 class Relation:
     """A materialized relation (bag semantics, stable order)."""
 
-    __slots__ = ("schema", "_rows", "_columnar")
+    __slots__ = ("schema", "_rows", "_columnar", "_reused", "_rows_json")
 
     def __init__(self, schema: RelationSchema,
                  rows: Iterable[Row] = ()) -> None:
         self.schema = schema
         self._rows: list[dict[str, object]] = []
         self._columnar: "ColumnBatch | None" = None
+        #: served more than once (see :meth:`mark_reused`)
+        self._reused = False
+        self._rows_json: bytes | None = None
         for row in rows:
             self.append(row)
 
@@ -75,7 +79,9 @@ class Relation:
             raise SchemaError(
                 f"row does not fit schema {self.schema.name}: "
                 + ", ".join(parts))
-        self._columnar = None  # the memoized batch no longer matches
+        # the memoized batch and encoding no longer match
+        self._columnar = None
+        self._rows_json = None
         self._rows.append(dict(row))
 
     def extend(self, rows: Iterable[Row]) -> None:
@@ -104,6 +110,32 @@ class Relation:
             batch = ColumnBatch.from_rows(self.schema, self._rows)
             self._columnar = batch
         return batch
+
+    def mark_reused(self) -> None:
+        """Note that this relation is being served again.
+
+        The answer cache calls this on a hit and when it installs a
+        patched answer. From then on :meth:`rows_json` encodes the rows
+        once and keeps the bytes.
+        """
+        self._reused = True
+
+    def rows_json(self) -> bytes | None:
+        """The rows as ``json.dumps(self.rows, sort_keys=True)`` UTF-8
+        bytes, encoded once and kept; None until :meth:`mark_reused`.
+
+        A fresh answer keeps no encoded copy: most are served once, and
+        a workload of fresh answers would hold every answer twice. The
+        bytes drop on :meth:`append`. Concurrent callers at most encode
+        twice.
+        """
+        if not self._reused:
+            return None
+        encoded = self._rows_json
+        if encoded is None:
+            encoded = json.dumps(self._rows, sort_keys=True).encode("utf-8")
+            self._rows_json = encoded
+        return encoded
 
     def column(self, name: str) -> list[object]:
         self.schema.attribute(name)  # validate

@@ -165,8 +165,7 @@ def restore_state(snapshot: Snapshot,
     the pending-gap flag come back exactly.
     """
     ontology = BDIOntology(include_metamodel=False)
-    for quad in parse_nquads(snapshot.nquads).quads():
-        ontology.dataset.add_quad(quad)
+    parse_nquads(snapshot.nquads, into=ontology.dataset)
     ontology.dataset.restore_mutation_counts(snapshot.mutation_counts)
     ontology.restore_evolution_state(
         snapshot.epoch,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import urllib.error
 import urllib.request
+from types import SimpleNamespace
 
 import pytest
 
@@ -234,3 +235,127 @@ def _request(query: str, request_id: str):
     from repro.api.protocol import QueryRequest
 
     return QueryRequest(query=query, request_id=request_id)
+
+
+class TestEncodedBodies:
+    """Every ``/v1/query`` body is byte-identical to encoding the
+    response's ``to_dict()``, whether its rows were encoded fresh,
+    taken from a reused answer's stored bytes, or paged."""
+
+    @pytest.fixture()
+    def served(self):
+        from repro.api.http_gateway import _GatewayRoutes
+        from repro.api.httpd import HttpRequest
+        from repro.datasets import EXEMPLARY_QUERY, build_supersede
+        from repro.mdm.system import MDM
+
+        scenario = build_supersede(with_evolution=True)
+        service = MDM(scenario.ontology).serving()
+        endpoint = service.endpoint
+        routes = _GatewayRoutes(endpoint)
+        seen = []
+        handle_query = endpoint.handle_query
+
+        def capture(request):
+            seen.append(handle_query(request))
+            return seen[-1]
+
+        endpoint.handle_query = capture
+
+        def send(method, query="", payload=None):
+            body = json.dumps(payload).encode() if payload else b""
+            return routes.handle(HttpRequest(
+                method=method, path="/v1/query", query=query, headers={},
+                body=body, content_length=len(body), keep_alive=True))
+
+        def call(method, query="", payload=None):
+            reply = send(method, query, payload)
+            response = seen[-1]
+            assert reply.body == json.dumps(
+                response.to_dict(), sort_keys=True).encode("utf-8")
+            assert response.ok
+            return response
+
+        def post(**payload):
+            return call("POST", payload={"query": EXEMPLARY_QUERY,
+                                         **payload})
+
+        yield SimpleNamespace(scenario=scenario, service=service,
+                              post=post, call=call, send=send)
+        service.close()
+
+    def test_first_serve_then_hits(self, served):
+        post = served.post
+        fresh = post(request_id="r1")
+        relation = fresh.relation
+        assert relation._rows_json is None  # fresh answers keep no bytes
+        hit = post(request_id="r2")
+        assert hit.relation is relation
+        stored = relation._rows_json
+        assert stored is not None
+        assert post(request_id="r3").relation._rows_json is stored
+        assert served.service.answer_cache.stats.hits == 2
+
+    def test_after_a_patch(self, served):
+        post = served.post
+        before = post().rows
+        served.scenario.wrappers["w3"].update_rows(
+            lambda row: row["appId"] == 2, {"appId": 3})
+        patched = post()
+        assert patched.rows != before
+        assert patched.relation._rows_json is not None
+        assert served.service.answer_cache.stats.seeds == 1
+
+    def test_paged_first_page_and_continuation(self, served):
+        post, call = served.post, served.call
+        post()
+        post()  # a hit: the relation now keeps its bytes
+        first = post(page_size=2)
+        assert first.cursor is not None and len(first.rows) == 2
+        second = call("POST", payload={"cursor": first.cursor})
+        assert second.page == 1 and len(second.rows) == 2
+
+    def test_get(self, served):
+        import urllib.parse
+
+        from repro.datasets import EXEMPLARY_QUERY
+        post, call = served.post, served.call
+        post()
+        query = urllib.parse.urlencode({"query": EXEMPLARY_QUERY,
+                                        "request_id": "g1"})
+        first = call("GET", query=query)
+        again = call("GET", query=query)
+        assert again.relation is first.relation
+        assert first.relation._rows_json is not None
+        assert again.request_id == "g1"
+
+    def test_concurrent_hits_encode_consistently(self, served):
+        import sys
+        import threading
+
+        from repro.datasets import EXEMPLARY_QUERY
+        send = served.send
+        expected = served.post().rows
+        bad: list[str] = []
+
+        def reader(i):
+            for j in range(20):
+                rid = f"t{i}-{j}"
+                body = json.loads(send("POST", payload={
+                    "query": EXEMPLARY_QUERY, "request_id": rid}).body)
+                if body["rows"] != expected or body["request_id"] != rid:
+                    bad.append(rid)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=reader, args=(i,))
+                       for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert bad == []

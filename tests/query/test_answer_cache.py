@@ -234,3 +234,89 @@ class TestServiceIntegration:
         stats = mdm.statistics()
         assert stats["cached_answers"] == 1
         assert stats["answer_cache_hits"] == 1
+
+
+class TestReusedAnswerEncoding:
+    def test_fresh_answer_keeps_no_bytes_and_a_hit_keeps_them(
+            self, scenario):
+        engine = QueryEngine(scenario.ontology)
+        fresh = engine.answer(EXEMPLARY_QUERY)
+        assert fresh.rows_json() is None
+        hit = engine.answer(EXEMPLARY_QUERY)
+        assert hit is fresh
+        assert hit.rows_json() is hit.rows_json()
+
+    def test_patched_answer_keeps_its_bytes(self, scenario):
+        engine = QueryEngine(scenario.ontology)
+        before = engine.answer(EXEMPLARY_QUERY)
+        scenario.wrappers["w3"].update_rows(
+            lambda row: row["appId"] == 2, {"appId": 3})
+        patched = engine.answer(EXEMPLARY_QUERY)
+        assert engine.answer_cache.stats.seeds == 1
+        assert patched is not before
+        assert patched.rows_json() is patched.rows_json()
+
+
+class TestFailClosedFreshness:
+    """A wrapper whose data_version probe raises is never read as
+    unchanged: no cached, scan-cached or patched answer goes stale."""
+
+    @staticmethod
+    def oracle(scenario):
+        return QueryEngine(scenario.ontology, use_planner=False,
+                           use_cache=False, use_answer_cache=False
+                           ).answer(EXEMPLARY_QUERY)
+
+    @staticmethod
+    def break_probe(wrapper):
+        def data_version():
+            raise RuntimeError("version probe is down")
+        wrapper.data_version = data_version
+
+    @staticmethod
+    def change(wrapper, old, new):
+        assert wrapper.update_rows(lambda row: row["appId"] == old,
+                                   {"appId": new}) > 0
+
+    def test_cached_answer_is_not_served_stale(self, scenario):
+        engine = QueryEngine(scenario.ontology)
+        w3 = scenario.wrappers["w3"]
+        engine.answer(EXEMPLARY_QUERY)
+        self.change(w3, 2, 3)
+        self.break_probe(w3)
+        assert engine.answer(EXEMPLARY_QUERY) == self.oracle(scenario)
+        self.change(w3, 3, 4)
+        assert engine.answer(EXEMPLARY_QUERY) == self.oracle(scenario)
+        stats = engine.answer_cache.stats
+        # uncacheable and unpatchable: only the first answer was stored
+        assert (stats.hits, stats.stores, stats.seeds) == (0, 1, 0)
+
+    def test_scan_cached_answer_is_not_served_stale(self, scenario):
+        from repro.relational.physical import ScanCache
+        engine = QueryEngine(scenario.ontology, use_answer_cache=False)
+        scans = ScanCache()
+        w3 = scenario.wrappers["w3"]
+        self.break_probe(w3)
+        first = engine.answer(EXEMPLARY_QUERY, scan_cache=scans)
+        assert first == self.oracle(scenario)
+        self.change(w3, 2, 3)
+        second = engine.answer(EXEMPLARY_QUERY, scan_cache=scans)
+        assert second == self.oracle(scenario)
+        assert second != first
+        probes = scans.stats.unversioned
+        assert list(probes) == ["w3: RuntimeError"]
+        assert probes["w3: RuntimeError"] >= 2
+        assert scans.stats.snapshot()["unversioned"] == probes
+
+    def test_patched_answer_is_not_served_stale(self, scenario):
+        engine = QueryEngine(scenario.ontology)
+        w3 = scenario.wrappers["w3"]
+        w3.supports_deltas = lambda: False  # patches rescan and diff
+        engine.answer(EXEMPLARY_QUERY)
+        self.change(w3, 2, 3)
+        assert engine.answer(EXEMPLARY_QUERY) == self.oracle(scenario)
+        assert engine.answer_cache.stats.seeds == 1
+        self.break_probe(w3)
+        for old, new in ((3, 4), (4, 5)):
+            self.change(w3, old, new)
+            assert engine.answer(EXEMPLARY_QUERY) == self.oracle(scenario)

@@ -24,6 +24,19 @@ WHERE {
 """
 
 
+#: a second OMQ over the same walk: the projection order differs, so
+#: its canonical key does too
+REORDERED_QUERY = """
+SELECT ?y ?x WHERE {
+    VALUES (?y ?x) { (sup:lagRatio sup:applicationId) }
+    sc:SoftwareApplication G:hasFeature sup:applicationId .
+    sc:SoftwareApplication sup:hasMonitor sup:Monitor .
+    sup:Monitor sup:generatesQoS sup:InfoMonitor .
+    sup:InfoMonitor G:hasFeature sup:lagRatio
+}
+"""
+
+
 def _canon(relation) -> list[tuple]:
     return sorted(tuple(sorted(row.items())) for row in relation.rows)
 
@@ -65,6 +78,53 @@ class TestBatchAnswering:
         batch = engine.answer_many([EXEMPLARY_QUERY, VARIANT_QUERY],
                                    workers=2)
         assert _canon(batch[0]) == _canon(batch[1])
+
+
+class TestCachedAnswersInline:
+    """Cached answers are served on the calling thread; a pool starts
+    only for two or more answers that need computing."""
+
+    @pytest.fixture()
+    def pools(self, monkeypatch):
+        started: list[int] = []
+        real = engine_module.ThreadPoolExecutor
+
+        def counted(*args, **kwargs):
+            started.append(kwargs.get("max_workers", 0))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(engine_module, "ThreadPoolExecutor", counted)
+        return started
+
+    def test_all_cached_batch_starts_no_thread(self, ontology, pools):
+        engine = QueryEngine(ontology)
+        cold = engine.answer_many([EXEMPLARY_QUERY, REORDERED_QUERY],
+                                  workers=4)
+        assert pools == [2]
+        warm = engine.answer_many(
+            [EXEMPLARY_QUERY, REORDERED_QUERY, VARIANT_QUERY], workers=4)
+        assert pools == [2]  # no pool for cached answers
+        assert warm[0] is cold[0] and warm[1] is cold[1]
+        assert warm[2] is warm[0]
+
+    def test_one_pending_answer_runs_inline(self, ontology, pools):
+        engine = QueryEngine(ontology)
+        engine.answer(EXEMPLARY_QUERY)
+        batch = engine.answer_many([EXEMPLARY_QUERY, REORDERED_QUERY],
+                                   workers=4)
+        assert pools == []
+        assert _canon(batch[1]) == _canon(engine.answer(REORDERED_QUERY))
+
+    def test_stats_count_once_per_unique_query(self, ontology):
+        engine = QueryEngine(ontology)
+        batch = [EXEMPLARY_QUERY, REORDERED_QUERY, VARIANT_QUERY]
+        engine.answer_many(batch, workers=4)
+        rewrites, answers = engine.cache_stats, engine.answer_cache_stats
+        assert (rewrites.misses, rewrites.hits) == (2, 0)
+        assert (answers.misses, answers.hits, answers.stores) == (2, 0, 2)
+        engine.answer_many(batch, workers=4)
+        assert (rewrites.misses, rewrites.hits) == (2, 2)
+        assert (answers.misses, answers.hits, answers.stores) == (2, 2, 2)
 
 
 class TestBatchFailures:
@@ -124,3 +184,22 @@ class TestParseMemo:
         engine.rewrite(EXEMPLARY_QUERY)
         # The stale memo (built under the old bindings) was dropped.
         assert engine.parse_memo_size() == 1
+
+    def test_canonical_key_computed_once_per_text(self, ontology,
+                                                  monkeypatch):
+        calls: list[str] = []
+        real = engine_module.canonical_omq_key
+
+        def counted(omq):
+            calls.append("key")
+            return real(omq)
+
+        monkeypatch.setattr(engine_module, "canonical_omq_key", counted)
+        engine = QueryEngine(ontology)
+        engine.answer(EXEMPLARY_QUERY)
+        assert len(calls) == 1
+        engine.answer(EXEMPLARY_QUERY)
+        engine.answer_many([EXEMPLARY_QUERY, EXEMPLARY_QUERY], workers=2)
+        assert len(calls) == 1  # carried in the parse memo
+        engine.answer_many([VARIANT_QUERY])
+        assert len(calls) == 2

@@ -222,3 +222,105 @@ class TestCatalogFreshness:
         assert restored.fingerprint() == writer.fingerprint()
         assert every_lookup(restored) == expected
         assert every_lookup(writer) == expected
+
+
+class TestFingerprintMemo:
+    """``fingerprint()`` is a catalog lookup: after every kind of edit
+    the memoized value equals a fresh computation, and warm calls
+    recount nothing."""
+
+    @staticmethod
+    def fresh(ontology):
+        from repro.core.ontology import OntologyFingerprint
+        return OntologyFingerprint(epoch=ontology.epoch,
+                                   structure=ontology._structure())
+
+    def assert_moves(self, ontology, edit):
+        before = ontology.fingerprint()
+        assert ontology.fingerprint() is before  # memoized
+        edit()
+        after = ontology.fingerprint()
+        assert after == self.fresh(ontology)
+        assert after != before
+        assert ontology.fingerprint() is after
+
+    @pytest.mark.parametrize("graph", ["g", "s", "m"])
+    def test_triple_added(self, graph):
+        ontology = build_supersede().ontology
+        triple = (IRI("urn:test:a"), IRI("urn:test:p"), IRI("urn:test:b"))
+        self.assert_moves(ontology,
+                          lambda: getattr(ontology, graph).add(triple))
+
+    def test_count_neutral_add_then_remove(self):
+        ontology = build_supersede().ontology
+        triple = (IRI("urn:test:a"), IRI("urn:test:p"), IRI("urn:test:b"))
+        counts = ontology.triple_counts()
+
+        def edit():
+            ontology.g.add(triple)
+            ontology.g.remove(triple)
+
+        self.assert_moves(ontology, edit)
+        assert ontology.triple_counts() == counts
+
+    def test_empty_lav_graph_created(self):
+        from repro.core.vocabulary import mapping_graph_uri
+        ontology = build_supersede().ontology
+        mutations = ontology.dataset.mutation_count()
+        self.assert_moves(ontology, lambda: ontology.dataset.graph(
+            mapping_graph_uri("w9")))
+        assert ontology.dataset.mutation_count() == mutations
+
+    def test_graph_dropped(self):
+        from repro.core.vocabulary import mapping_graph_uri
+        ontology = build_supersede().ontology
+        self.assert_moves(ontology, lambda: ontology.dataset.remove_graph(
+            mapping_graph_uri("w3")))
+
+    def test_release(self):
+        from repro.datasets.supersede import register_w4
+        scenario = build_supersede()
+        self.assert_moves(scenario.ontology,
+                          lambda: register_w4(scenario))
+
+    def test_epoch_alone(self):
+        ontology = build_supersede().ontology
+        self.assert_moves(ontology, lambda: ontology.note_evolution([]))
+
+    def test_snapshot_restore(self):
+        from types import SimpleNamespace
+
+        from repro.storage.snapshot import restore_state, take_snapshot
+        writer = build_supersede(with_evolution=True).ontology
+        writer.g.add((IRI("urn:test:a"), IRI("urn:test:p"),
+                      IRI("urn:test:b")))
+        restored, _ = restore_state(take_snapshot(
+            SimpleNamespace(ontology=writer), seq=0))
+        assert restored.fingerprint() == self.fresh(restored)
+        assert restored.fingerprint() == writer.fingerprint()
+        assert writer.fingerprint() == self.fresh(writer)
+
+    def test_warm_queries_recount_nothing(self, monkeypatch):
+        """N warm hits through the serving path run ``triple_counts``
+        zero times, however often each asks for the fingerprint."""
+        from repro.api import GovernedClient
+        from repro.mdm.system import MDM
+
+        ontology = build_supersede().ontology
+        service = MDM(ontology).serving()
+        client = GovernedClient(service)
+        first = client.query(EXEMPLARY_QUERY)
+        calls = {"triple_counts": 0, "fingerprint": 0}
+        for name in calls:
+            real = getattr(BDIOntology, name)
+
+            def counted(self, _real=real, _name=name):
+                calls[_name] += 1
+                return _real(self)
+
+            monkeypatch.setattr(BDIOntology, name, counted)
+        for _ in range(10):
+            assert client.query(EXEMPLARY_QUERY).rows == first.rows
+        service.close()
+        assert calls["fingerprint"] >= 10
+        assert calls["triple_counts"] == 0

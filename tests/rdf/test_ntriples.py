@@ -74,6 +74,17 @@ class TestNQuads:
             IRI("http://x/a"), None, None)
         assert back.default_graph.contains(IRI("http://x/c"), None, None)
 
+    def test_parse_into_existing_dataset(self):
+        source = Dataset()
+        source.graph("http://g/1").add(
+            (IRI("http://x/a"), IRI("http://x/p"), IRI("http://x/b")))
+        target = Dataset()
+        target.graph("http://g/2").add(
+            (IRI("http://x/c"), IRI("http://x/p"), IRI("http://x/d")))
+        assert parse_nquads(serialize_nquads(source), into=target) is target
+        assert target.quad_count() == 2
+        assert target.graph("http://g/1") == source.graph("http://g/1")
+
     def test_quad_line_has_graph_label(self):
         ds = Dataset()
         ds.graph("http://g/1").add(

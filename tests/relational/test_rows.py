@@ -1,5 +1,7 @@
 """Unit tests for relation instances."""
 
+import json
+
 import pytest
 
 from repro.errors import SchemaError
@@ -70,6 +72,34 @@ class TestRelation:
         r1 = Relation(SCHEMA, [{"id": 1, "v": "a"}])
         r2 = Relation(other_schema, [{"id": 1, "w": "a"}])
         assert r1 != r2
+
+
+class TestRowsJson:
+    ROWS = [{"v": "é", "id": 1}, {"id": 2, "v": None}]
+
+    def test_fresh_relation_keeps_no_bytes(self):
+        rel = Relation(SCHEMA, self.ROWS)
+        assert rel.rows_json() is None
+        assert rel._rows_json is None
+
+    def test_reused_relation_encodes_once(self):
+        rel = Relation(SCHEMA, self.ROWS)
+        rel.mark_reused()
+        first = rel.rows_json()
+        assert first == json.dumps(rel.rows, sort_keys=True).encode("utf-8")
+        assert rel.rows_json() is first
+
+    def test_append_drops_the_bytes(self):
+        rel = Relation(SCHEMA, self.ROWS)
+        rel.mark_reused()
+        before = rel.rows_json()
+        rel.append({"id": 3, "v": "c"})
+        assert rel._rows_json is None
+        after = rel.rows_json()
+        assert after != before
+        assert json.loads(after)[-1] == {"id": 3, "v": "c"}
+        rel.extend([{"id": 4, "v": "d"}])
+        assert json.loads(rel.rows_json())[-1] == {"id": 4, "v": "d"}
 
 
 class TestRenderTable:
