@@ -62,7 +62,7 @@ _EDGE_GRAPHS = parse_sparql("""
         GRAPH ?g { ?tail ?x ?head }
     }""")
 _PROVIDING_ATTRIBUTES = parse_sparql("""
-    SELECT ?a WHERE {
+    SELECT ?wrapper ?a WHERE {
         ?a owl:sameAs ?feature .
         ?wrapper S:hasAttribute ?a
     }""")
@@ -360,10 +360,11 @@ class BDIOntology:
         changed a triple count. A miss runs *compute* and stores its
         answer only if the state did not move meanwhile, so an answer
         computed across an edit is never served later. Stored answers
-        are immutable (tuples, IRIs, frozen schemas, fingerprints); the
-        public methods hand out fresh lists. Concurrent readers at most
-        recompute an answer: each stores into the dict tagged with the
-        state it read.
+        are never mutated (tuples, IRIs, frozen schemas, fingerprints,
+        and the per-feature providing map, which only
+        :meth:`attribute_providing` reads); the public methods hand out
+        fresh lists. Concurrent readers at most recompute an answer:
+        each stores into the dict tagged with the state it read.
         """
         state = self._state()
         catalog = self._catalog
@@ -431,16 +432,22 @@ class BDIOntology:
 
         ``SELECT ?a FROM T WHERE {⟨?a, owl:sameAs, f⟩ .
         ⟨w, S:hasAttribute, ?a⟩}``
+
+        Answered for every wrapper at once: one select per feature
+        leaves ``?wrapper`` unbound, and the catalog maps each wrapper
+        to its least providing attribute.
         """
-        def compute() -> IRI | None:
+        def compute() -> dict[str, IRI]:
             rows = select(self.dataset, _PROVIDING_ATTRIBUTES,
-                          bindings={"wrapper": IRI(str(wrapper)),
-                                    "feature": IRI(str(feature))})
-            if not rows:
-                return None
-            return sorted(IRI(str(r["a"])) for r in rows)[0]
-        return self._lookup(
-            ("attribute_providing", str(wrapper), str(feature)), compute)
+                          bindings={"feature": IRI(str(feature))})
+            least: dict[str, IRI] = {}
+            for r in rows:
+                name, attribute = str(r["wrapper"]), IRI(str(r["a"]))
+                if name not in least or attribute < least[name]:
+                    least[name] = attribute
+            return least
+        return self._lookup(("providing", str(feature)),
+                            compute).get(str(wrapper))
 
     def feature_of_attribute(self, attribute: IRI | str) -> IRI | None:
         """Algorithm 4 line 18 (``⟨a, owl:sameAs, ?f⟩``)."""

@@ -173,7 +173,9 @@ def describe_service(service: "GovernedService") -> str:
         f"  scan cache: {len(service.scan_cache)} cached scan(s), "
         f"hits = {scan_stats.hits}, misses = {scan_stats.misses}, "
         f"hit rate = {scan_stats.hit_rate:.1%}, "
-        f"invalidations = {scan_stats.invalidations}")
+        f"invalidations = {scan_stats.invalidations}, "
+        f"evictions: data version = {scan_stats.version_evictions}, "
+        f"rebind = {scan_stats.rebind_evictions}")
     answer_stats = service.answer_cache.stats
     lines.append(
         f"  answer cache: {len(service.answer_cache)} cached "

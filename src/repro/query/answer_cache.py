@@ -19,8 +19,9 @@ release-awareness:
 
 Both checks happen per lookup, so the cache is correct even without
 cooperation; the governed serving layer additionally clears it from its
-evolution listener (the same hook that clears the scan cache), keeping
-memory tight across epochs.
+evolution listener at every epoch boundary, keeping memory tight across
+epochs (the scan cache below is not cleared: scans do not depend on
+``T``).
 
 Entries are shared objects: treat returned relations as immutable,
 exactly like rewrite-cache results and shared scans. A relation the

@@ -176,7 +176,6 @@ class QueryEngine:
         """The physical scan provider one evaluation runs against."""
         scans = as_scan_provider(provider, self.ontology.physical_wrapper)
         if scan_cache is not None:
-            scan_cache.validate(self.ontology.fingerprint())
             scans = CachingScanProvider(scans, scan_cache)
         return scans
 
@@ -346,9 +345,10 @@ class QueryEngine:
         With the planner on (the default), union branches share one
         scan per ``(wrapper, columns, filter)`` through *scan_cache* —
         a private per-call cache unless the caller passes a longer-lived
-        one (the serving layer does, invalidating it at epoch
-        boundaries). Raises :class:`UnanswerableQueryError` when no
-        covering and minimal walk exists for the query.
+        one (the serving layer does; its scans outlive releases, keyed
+        by the bound wrapper object and its data version). Raises
+        :class:`UnanswerableQueryError` when no covering and minimal
+        walk exists for the query.
         """
         if scan_cache is None and self.use_planner:
             scan_cache = ScanCache()

@@ -15,7 +15,8 @@ assembles into a plan that
   the probe scan at run time);
 * fetches every ``(wrapper, columns, filter)`` combination **once** per
   batch/union via a :class:`ScanCache` (single-flight, thread-safe,
-  invalidated at evolution-epoch boundaries).
+  keyed by the bound wrapper object and its data version, so a scan
+  survives every release that does not rebind or change its wrapper).
 
 Operators exchange :class:`~repro.relational.columnar.ColumnBatch`
 values and, inside fused pipeline segments, :class:`FusedBatch` gather
@@ -29,8 +30,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, \
-    Sequence, TypeVar
+from typing import Any, Callable, Iterable, Mapping, Sequence, TypeVar
 
 from repro.errors import SchemaError
 from repro.relational import accel
@@ -40,9 +40,6 @@ from repro.relational.columnar import ColumnBatch, EncodedColumn, \
 from repro.relational.metrics import active_collector
 from repro.relational.rows import Relation
 from repro.relational.schema import Attribute, RelationSchema
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.ontology import OntologyFingerprint
 
 __all__ = [
     "IdFilter", "ScanKey", "ScanStats", "ScanCache",
@@ -110,12 +107,17 @@ class Unversioned:
 class ScanKey:
     """Identity of one physical scan result.
 
-    ``data_version`` ties the entry to the state of the backing data
-    (wrappers bump it when their source mutates in place), so a cache
-    can survive across calls without serving stale rows.
+    A scan's rows depend only on the object it reads, that object's
+    data, the columns and the filter; never on ``T``. ``bound`` is the
+    object itself (the bound wrapper, compared by identity), so a
+    rebind under the same name is a different key. ``data_version``
+    ties the entry to the state of the backing data (wrappers bump it
+    when their source mutates in place), so a cache can survive across
+    calls and releases without serving stale rows.
     """
 
     wrapper: str
+    bound: object
     data_version: "int | Unversioned"
     columns: frozenset[str] | None
     id_filter: tuple[str, frozenset] | None
@@ -127,9 +129,13 @@ class ScanStats:
 
     hits: int = 0
     misses: int = 0
+    #: explicit :meth:`ScanCache.clear` calls that dropped entries
     invalidations: int = 0
     #: entries dropped because their wrapper's data_version moved on
-    evictions: int = 0
+    version_evictions: int = 0
+    #: entries dropped because another object was bound under their
+    #: wrapper's name (re-registration, snapshot restore, replay)
+    rebind_evictions: int = 0
     #: version probes that raised, by reason (see :class:`Unversioned`)
     unversioned: dict[str, int] = field(default_factory=dict)
 
@@ -141,7 +147,8 @@ class ScanStats:
     def snapshot(self) -> dict[str, object]:
         return {"hits": self.hits, "misses": self.misses,
                 "invalidations": self.invalidations,
-                "evictions": self.evictions,
+                "version_evictions": self.version_evictions,
+                "rebind_evictions": self.rebind_evictions,
                 "unversioned": dict(self.unversioned),
                 "hit_rate": round(self.hit_rate, 4)}
 
@@ -166,24 +173,20 @@ class ScanCache:
     the rest block on the result, while *distinct* keys fetch fully in
     parallel (wrapper I/O overlaps).
 
-    Epoch invalidation: :meth:`validate` compares the ontology
-    fingerprint the cache was populated under with the current one and
-    clears everything on mismatch — a release landing through
-    Algorithm 1 (or any out-of-band mutation of ``T``) drops all cached
-    scans at the epoch boundary.
+    No epoch invalidation: a release adds wrappers and never changes
+    what an existing one reads, so its cached scans stay exact (the
+    paper's old wrappers keep serving historical queries). A key holds
+    the bound wrapper object and its data version; when either moves on
+    under a wrapper's name, that name's superseded entries are evicted,
+    so a long-running cache holds one generation per wrapper.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._entries: dict[ScanKey, _Inflight] = {}  # guarded-by: _lock
-        #: wrapper → data_version last seen; when a wrapper's version
-        #: moves on, its superseded entries are evicted so a
-        #: long-running cache cannot accumulate one generation of
-        #: materialized relations per data write
-        self._versions: dict[str, int | Unversioned] = \
+        #: wrapper name → (bound object, data_version) last seen
+        self._versions: dict[str, tuple[object, int | Unversioned]] = \
             {}  # guarded-by: _lock
-        self._fingerprint: "OntologyFingerprint | None" = \
-            None  # guarded-by: _lock
         self.stats = ScanStats()  # guarded-by: _lock
 
     def __len__(self) -> int:
@@ -201,16 +204,6 @@ class ScanCache:
                 self.stats.invalidations += 1
             return dropped
 
-    def validate(self, fingerprint: "OntologyFingerprint") -> None:
-        """Clear the cache if the ontology evolved since it was filled."""
-        with self._lock:
-            if self._fingerprint is not None and \
-                    self._fingerprint != fingerprint and self._entries:
-                self._entries.clear()
-                self._versions.clear()
-                self.stats.invalidations += 1
-            self._fingerprint = fingerprint
-
     def note_unversioned(self, token: Unversioned) -> None:
         """Count one version probe that raised."""
         with self._lock:
@@ -222,14 +215,19 @@ class ScanCache:
                      fetch: Callable[[], Relation]) -> Relation:
         with self._lock:
             last = self._versions.get(key.wrapper)
-            if last is not None and last != key.data_version:
-                stale = [k for k in self._entries
-                         if k.wrapper == key.wrapper
-                         and k.data_version != key.data_version]
-                for k in stale:
+            if last is not None and (last[0] is not key.bound
+                                     or last[1] != key.data_version):
+                stats = self.stats
+                for k in [k for k in self._entries
+                          if k.wrapper == key.wrapper
+                          and (k.bound is not key.bound
+                               or k.data_version != key.data_version)]:
                     del self._entries[k]
-                self.stats.evictions += len(stale)
-            self._versions[key.wrapper] = key.data_version
+                    if k.bound is key.bound:
+                        stats.version_evictions += 1
+                    else:
+                        stats.rebind_evictions += 1
+            self._versions[key.wrapper] = (key.bound, key.data_version)
             slot = self._entries.get(key)
             if slot is None:
                 slot = _Inflight()
@@ -279,6 +277,12 @@ class ScanProvider:
     def data_version(self, name: str) -> "int | Unversioned":
         """Version token of the wrapper's backing data."""
         return 0
+
+    def bound(self, name: str) -> object:
+        """The object a scan of *name* reads, compared by identity in
+        :class:`ScanKey`. By default the provider itself, so a cache
+        shared between calls never mixes two providers' rows."""
+        return self
 
 
 class WrapperScanProvider(ScanProvider):
@@ -330,6 +334,9 @@ class WrapperScanProvider(ScanProvider):
         except Exception as exc:
             # Fail closed: a broken probe must not read as "unchanged".
             return Unversioned(f"{name}: {type(exc).__name__}")
+
+    def bound(self, name: str) -> object:
+        return self._resolve(name)
 
 
 class RelationScanProvider(ScanProvider):
@@ -404,6 +411,7 @@ class CachingScanProvider(ScanProvider):
              id_filter: IdFilter | None = None) -> Relation:
         key = ScanKey(
             wrapper=name,
+            bound=self.inner.bound(name),
             data_version=self.data_version(name),
             columns=frozenset(columns) if columns is not None else None,
             id_filter=(id_filter.attribute, id_filter.values)
@@ -419,6 +427,9 @@ class CachingScanProvider(ScanProvider):
         if isinstance(token, Unversioned):
             self.cache.note_unversioned(token)
         return token
+
+    def bound(self, name: str) -> object:
+        return self.inner.bound(name)
 
 
 def as_scan_provider(provider: "DataProvider | ScanProvider | None",

@@ -165,14 +165,16 @@ class GovernedService:
         self.lock = EpochLock()
         self.stats = ServiceStats()
         #: shared physical-scan cache: every (wrapper, columns, filter)
-        #: combination is fetched once per epoch across all queries and
-        #: batches; any evolution event — a release landing through the
-        #: write section or a bypassed write — clears it, and wrappers'
-        #: data_version tokens key out in-place data mutations.
+        #: combination is fetched once across all queries, batches and
+        #: releases. A release adds a wrapper and changes no existing
+        #: one, so scans are not cleared at epoch boundaries: each key
+        #: holds the bound wrapper object and its data_version, which
+        #: key out rebinds (snapshot restore, journal replay,
+        #: re-registration) and in-place data mutations.
         self.scan_cache = ScanCache()
         #: the engine's full answer cache (repeated analyst panels skip
         #: execution entirely); cleared at every epoch boundary through
-        #: the evolution listener, exactly like the scan cache. If the
+        #: the evolution listener, because answers do change. If the
         #: engine was built with ``use_answer_cache=False`` the service
         #: installs its own so governed serving always has one.
         #: ``REPRO_ANSWER_CACHE=0`` in the environment opts a deployment
@@ -239,13 +241,12 @@ class GovernedService:
             self.mdm._serving = None
 
     def _on_evolution(self, event: EvolutionEvent) -> None:
-        # Epoch boundary: cached scans and materialized answers may
-        # describe the pre-release state; drop both (the answer cache's
-        # per-entry fingerprint evidence would key them out anyway —
-        # clearing eagerly frees the memory at the boundary), and
-        # supersede every open pagination cursor (a page stream never
-        # switches epochs).
-        self.scan_cache.clear()
+        # Epoch boundary: materialized answers may describe the
+        # pre-release state; drop them (the answer cache's per-entry
+        # fingerprint evidence would key them out anyway — clearing
+        # eagerly frees the memory at the boundary), and supersede
+        # every open pagination cursor (a page stream never switches
+        # epochs). Cached scans stay: their rows do not depend on T.
         self.answer_cache.clear()
         if self._endpoint is not None:
             self._endpoint.on_evolution(event)

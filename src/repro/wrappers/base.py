@@ -165,11 +165,14 @@ class Wrapper:
     def data_version(self) -> int:
         """Version token of the *data* behind the wrapper.
 
-        Scan caches key fetched relations by ``(wrapper, data_version,
-        columns, filter)``; a wrapper whose backing data can mutate in
-        place must change this token so cached scans are not served
-        stale. Immutable/deterministic sources may keep the default
-        ``0``.
+        Scan caches key fetched relations by ``(wrapper, bound object,
+        data_version, columns, filter)`` and keep them across releases;
+        a wrapper whose backing data can mutate in place must change
+        this token so cached scans are not served stale. A wrapper that
+        keeps the default ``0`` is treated as immutable for as long as
+        the same object stays bound, across releases too: only a rebind
+        (another object under its name) fetches it again. Every
+        production wrapper here overrides it.
         """
         return 0
 

@@ -53,9 +53,13 @@ class TestIdFilter:
         assert "2 ids" in IdFilter("a", {1, 2}).notation()
 
 
+BOUND = object()  # the object a test scan reads
+
+
 class TestScanCache:
-    def key(self, wrapper="w", version=0, columns=None, id_filter=None):
-        return ScanKey(wrapper, version, columns, id_filter)
+    def key(self, wrapper="w", version=0, columns=None, id_filter=None,
+            bound=BOUND):
+        return ScanKey(wrapper, bound, version, columns, id_filter)
 
     def test_miss_then_hit(self):
         cache = ScanCache()
@@ -108,7 +112,8 @@ class TestScanCache:
                                lambda: rel("w", ["a"], [], []))
         # Only the newest generation survives; no per-write leak.
         assert len(cache) == 1
-        assert cache.stats.evictions == 4
+        assert cache.stats.version_evictions == 4
+        assert cache.stats.rebind_evictions == 0
         # Other wrappers' entries are untouched by an eviction sweep.
         cache.get_or_fetch(self.key(wrapper="other"),
                            lambda: rel("o", ["a"], [], []))
@@ -116,16 +121,30 @@ class TestScanCache:
                            lambda: rel("w", ["a"], [], []))
         assert len(cache) == 2
 
-    def test_validate_clears_on_fingerprint_change(self):
-        from repro.core.ontology import OntologyFingerprint
+    def test_rebind_misses_and_evicts_the_old_object(self):
+        """Same name, same data_version, another object: a snapshot
+        restore, a journal replay or a re-registration bound a new
+        wrapper, so the old object's rows must not be served."""
         cache = ScanCache()
-        cache.validate(OntologyFingerprint(epoch=1, structure=42))
-        cache.get_or_fetch(self.key(), lambda: rel("w", ["a"], [], []))
-        cache.validate(OntologyFingerprint(epoch=1, structure=42))
-        assert len(cache) == 1  # unchanged fingerprint keeps entries
-        cache.validate(OntologyFingerprint(epoch=2, structure=43))
-        assert len(cache) == 0
-        assert cache.stats.invalidations == 1
+        old, new = object(), object()
+        first = cache.get_or_fetch(self.key(bound=old),
+                                   lambda: rel("w", ["a"], [], [{"a": 1}]))
+        cache.get_or_fetch(self.key(bound=old, columns=frozenset({"a"})),
+                           lambda: rel("w", ["a"], [], [{"a": 1}]))
+        cache.get_or_fetch(self.key(wrapper="other", bound=old),
+                           lambda: rel("o", ["a"], [], []))
+        second = cache.get_or_fetch(self.key(bound=new),
+                                    lambda: rel("w", ["a"], [], [{"a": 2}]))
+        assert second is not first
+        assert [r["a"] for r in second] == [2]
+        assert cache.stats.misses == 4 and cache.stats.hits == 0
+        # Both of the old object's scans of "w" are gone; "other" stays.
+        assert len(cache) == 2
+        assert cache.stats.rebind_evictions == 2
+        assert cache.stats.version_evictions == 0
+        assert cache.stats.invalidations == 0
+        assert cache.get_or_fetch(self.key(bound=new), lambda: None) \
+            is second
 
     def test_single_flight_under_threads(self):
         cache = ScanCache()
@@ -151,6 +170,47 @@ class TestScanCache:
         assert len(fetches) == 1
         assert all(r is results[0] for r in results)
         assert cache.stats.hits == 7
+
+    def test_rebinds_under_threads_never_mix_objects(self):
+        """Threads scanning one name while the bound object flips
+        between three: every scan returns rows of the object it asked
+        for, and the counters add up."""
+        import random
+        import sys
+        cache = ScanCache()
+        objects = [object() for _ in range(3)]
+        mixed = []
+        done = []
+
+        def worker(seed):
+            rng = random.Random(seed)
+            for _ in range(300):
+                tag = rng.randrange(3)
+                out = cache.get_or_fetch(
+                    self.key(bound=objects[tag]),
+                    lambda tag=tag: rel("w", ["a"], [], [{"a": tag}]))
+                if out.rows != [{"a": tag}]:
+                    mixed.append((tag, out.rows))
+            done.append(seed)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(seed,))
+                       for seed in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(done) == list(range(8))
+        assert mixed == []
+        stats = cache.stats
+        assert stats.hits + stats.misses == 8 * 300
+        assert len(cache) <= 1
+        assert stats.version_evictions == 0
 
 
 class TestRelationScanProvider:
@@ -236,6 +296,27 @@ class TestCachingScanProvider:
         scans.scan("w1")
         scans.scan("w1")
         assert len(calls) == 1
+
+    def test_rebound_wrapper_keys_out_its_predecessor(self):
+        bound = {"w1": StaticWrapper("w1", "D1", ["id"], [], [{"id": 1}])}
+        scans = CachingScanProvider(WrapperScanProvider(bound.__getitem__),
+                                    ScanCache())
+        assert scans.scan("w1").rows == [{"D1/id": 1}]
+        # Same name, same data_version 0, another object.
+        bound["w1"] = StaticWrapper("w1", "D1", ["id"], [], [{"id": 7}])
+        assert scans.data_version("w1") == 0
+        assert scans.scan("w1").rows == [{"D1/id": 7}]
+        assert scans.cache.stats.rebind_evictions == 1
+
+    def test_explicit_providers_never_share_rows(self, provider):
+        cache = ScanCache()
+        first = CachingScanProvider(RelationScanProvider(provider), cache)
+        other = {"w1": rel("w1", ["D1/id"], [], [{"D1/id": 4}],
+                           source="D1")}
+        second = CachingScanProvider(RelationScanProvider(other), cache)
+        assert len(first.scan("w1")) == 3
+        assert second.scan("w1").rows == [{"D1/id": 4}]
+        assert cache.stats.hits == 0
 
 
 class TestAsScanProvider:

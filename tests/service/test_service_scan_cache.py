@@ -1,23 +1,35 @@
-"""Serving-layer scan-cache tests: cross-query sharing, epoch
-invalidation, observability."""
+"""Serving-layer scan-cache tests: cross-query sharing, scans that
+outlive releases, rebinds, observability."""
 
+from repro.query import QueryEngine
 from repro.service.workload import (
-    analyst_panel, build_industrial_service, next_version_release,
+    LatencyWrapper, analyst_panel, build_industrial_service,
+    next_version_release,
 )
 
 
-def count_fetches(scenario):
-    """Instrument every bound wrapper; returns the live counter dict."""
-    counts: dict[str, int] = {}
-    for name, wrapper in scenario.ontology._physical.items():
+def count_fetches(scenario, counts=None, wrappers=None):
+    """Instrument *wrappers* (default: every bound wrapper); returns the
+    live counter dict, name → fetches."""
+    counts = {} if counts is None else counts
+    if wrappers is None:
+        wrappers = scenario.ontology._physical.values()
+    for wrapper in wrappers:
         original = wrapper.fetch_rows
 
-        def counted(columns=None, id_filter=None, _o=original, _n=name):
+        def counted(columns=None, id_filter=None, _o=original,
+                    _n=wrapper.name):
             counts[_n] = counts.get(_n, 0) + 1
             return _o(columns=columns, id_filter=id_filter)
 
         wrapper.fetch_rows = counted
     return counts
+
+
+def oracle(ontology, query):
+    """The naive reference answer at the current T."""
+    return QueryEngine(ontology, use_planner=False, use_cache=False,
+                       use_answer_cache=False).answer(query)
 
 
 class TestServingScanCache:
@@ -54,17 +66,46 @@ class TestServingScanCache:
         # five unique queries over five wrappers: exactly one fetch each
         assert sum(counts.values()) == 5
 
-    def test_release_invalidates_scan_cache(self):
+    def test_release_refetches_only_the_new_wrapper(self):
         scenario = build_industrial_service(rows_per_wrapper=4)
         service = scenario.mdm.serving()
         query = scenario.queries["twitter_api"]
         before = {r["id"] for r in service.answer(query)}
-        assert len(service.scan_cache) > 0
+        cached = len(service.scan_cache)
+        assert cached > 0
         release = next_version_release(scenario, rows_per_wrapper=4)
+        counts = count_fetches(scenario)
+        count_fetches(scenario, counts, [release.wrapper])
         service.apply_release(release)
-        assert len(service.scan_cache) == 0  # epoch boundary cleared it
-        after = {r["id"] for r in service.answer(query)}
-        assert after != before  # fresh rows, not a stale cached scan
+        assert len(service.scan_cache) == cached  # scans outlive it
+        answer = service.answer(query)
+        after = {r["id"] for r in answer}
+        assert after != before  # the new wrapper's rows are in
+        assert counts == {release.wrapper.name: 1}
+        assert answer == oracle(scenario.ontology, query)
+        assert service.scan_cache.stats.invalidations == 0
+
+    def test_rebound_wrapper_is_fetched_again(self):
+        scenario = build_industrial_service(rows_per_wrapper=4)
+        service = scenario.mdm.serving()
+        query = scenario.queries["twitter_api"]
+        service.answer(query)
+        old = scenario.ontology.physical_wrapper("twitter_api_v1")
+        rows = [{**row, "id": row["id"] + 100} for row in old._rows]
+        rebound = LatencyWrapper(old.name, old.source_name,
+                                 id_attributes=list(old.id_attributes),
+                                 non_id_attributes=list(
+                                     old.non_id_attributes),
+                                 rows=rows)
+        assert rebound.data_version() == old.data_version()
+        scenario.ontology.bind_wrapper(rebound)
+        service.answer_cache.clear()  # a bare bind is no epoch
+        answer = service.answer(query)
+        assert {r["id"] for r in answer} == {100, 101, 102, 103}
+        assert answer == oracle(scenario.ontology, query)
+        stats = service.scan_cache.stats
+        assert stats.rebind_evictions >= 1
+        assert stats.version_evictions == 0
 
     def test_describe_reports_scan_cache(self):
         scenario = build_industrial_service(rows_per_wrapper=2)
@@ -73,3 +114,4 @@ class TestServingScanCache:
         text = service.describe()
         assert "scan cache" in text
         assert "misses = 1" in text
+        assert "evictions: data version = 0, rebind = 0" in text
