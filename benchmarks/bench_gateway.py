@@ -21,15 +21,23 @@ and kept) against the same reply for a fresh answer (rows encoded every
 time). It must stay **≥5×**, and it collapses to ~1× if the answer
 cache stops marking the answers it reuses.
 
+And ``fresh_answer_encode_speedup``: the reply of a fresh 10k-row plan
+answer whose columns dictionary-encode, encoded from its columns,
+against the reply of a dict-backed twin of the same rows, including
+the ``to_rows`` pivot that builds the twin's row dicts. It must stay
+**≥2×**, and it collapses to ~1× if a plan answer is pivoted to row
+dicts or encoded row by row again.
+
 Emits ``BENCH_gateway.json`` with the measured latencies.
 """
 
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 
 from repro.api import GovernedClient, HttpGateway
-from repro.api.httpd import EncodedJSON, HttpResponse
+from repro.api.http_gateway import query_reply
 from repro.api.protocol import QueryRequest
 from repro.core.release import new_release
 from repro.evolution.release_builder import build_release
@@ -46,9 +54,27 @@ PAGE_SIZE = 50
 OVERHEAD_LIMIT = 0.15
 FIRST_PAGE_SPEEDUP_FLOOR = 2.0
 REUSED_ANSWER_SPEEDUP_FLOOR = 5.0
+FRESH_ANSWER_ENCODE_SPEEDUP_FLOOR = 2.0
 
 
-def build_service():
+def unique_rows():
+    """Near-unique strings: no column dictionary-encodes."""
+    return [{"id": i,
+             **{name: f"{name}-{i:05d}-{'x' * 24}" for name in FIELDS}}
+            for i in range(ROWS)]
+
+
+def coded_rows():
+    """Unique rows over low-cardinality columns (≤ 50 values each):
+    every column of the answer dictionary-encodes."""
+    statuses = ["ok", "warn", "fail", "unknown"]
+    return [{"id": i % 50, "device": f"device-{i // 50 % 10}",
+             "region": f"region-{i // 500 % 20}",
+             "status": statuses[i % 4], "payload": f"payload-{i % 7}"}
+            for i in range(ROWS)]
+
+
+def build_service(rows=None):
     """One concept, one 10k-row five-column wrapper, one OMQ."""
     mdm = MDM()
     ontology = mdm.ontology
@@ -56,9 +82,7 @@ def build_service():
     ontology.globals.add_feature(concept, B["reading/id"], is_id=True)
     for name in FIELDS:
         ontology.globals.add_feature(concept, B[f"reading/{name}"])
-    rows = [{"id": i,
-             **{name: f"{name}-{i:05d}-{'x' * 24}" for name in FIELDS}}
-            for i in range(ROWS)]
+    rows = unique_rows() if rows is None else rows
     wrapper = StaticWrapper("readings_v1", "readings",
                             id_attributes=["id"],
                             non_id_attributes=FIELDS, rows=rows)
@@ -94,13 +118,39 @@ def _best_of(fn, repeat: int) -> float:
 
 
 def _encode_reply(response, relation: Relation) -> bytes:
-    """The body the gateway sends for a full answer (see
-    ``_GatewayRoutes._serve_query``)."""
-    envelope = response.to_dict()
-    encoded = relation.rows_json()
-    if encoded is not None:
-        envelope["rows"] = EncodedJSON(encoded)
-    return HttpResponse.json(200, envelope).body
+    """The body the gateway sends for *response* with *relation* as its
+    full answer."""
+    return query_reply(replace(response, rows=None,
+                               relation=relation)).body
+
+
+def measure_fresh_answer_encode(repeat: int) -> dict[str, float]:
+    """Reply encode of a fresh plan answer vs. its dict-backed twin."""
+    mdm, query = build_service(coded_rows())
+    service = mdm.serving()
+    try:
+        response = service.endpoint.handle_query(
+            QueryRequest(query=query), materialize=False)
+        batch = response.relation.columnar()
+        assert len(batch) == ROWS
+        assert all(batch.known_encoding(i) is not None
+                   for i in range(len(batch.columns)))
+        schema = response.relation.schema
+
+        def from_columns() -> bytes:
+            return _encode_reply(response, Relation.from_batch(batch))
+
+        def from_rows() -> bytes:
+            return _encode_reply(response, Relation.from_trusted(
+                schema, batch.to_rows()))
+
+        assert from_columns() == from_rows()
+        columns_s = _best_of(from_columns, repeat)
+        rows_s = _best_of(from_rows, repeat)
+    finally:
+        service.close()
+    return {"columns_s": columns_s, "rows_s": rows_s,
+            "speedup": rows_s / columns_s}
 
 
 def test_protocol_overhead_and_first_page_latency(write_result,
@@ -153,6 +203,7 @@ def test_protocol_overhead_and_first_page_latency(write_result,
     reused_s = _best_of(lambda: _encode_reply(response, reused), repeat)
     fresh_s = _best_of(lambda: _encode_reply(response, fresh), repeat)
     reused_speedup = fresh_s / reused_s
+    fresh_answer = measure_fresh_answer_encode(repeat)
 
     report = "\n".join([
         "protocol overhead + gateway first-page latency "
@@ -173,6 +224,13 @@ def test_protocol_overhead_and_first_page_latency(write_result,
         f"  encode reused answer         {reused_s * 1e3:9.3f} ms"
         f"   speedup: {reused_speedup:.2f}x"
         f"  (floor {REUSED_ANSWER_SPEEDUP_FLOOR:.1f}x)",
+        "",
+        f"  encode plan answer as rows   "
+        f"{fresh_answer['rows_s'] * 1e3:9.3f} ms",
+        f"  encode plan answer columns   "
+        f"{fresh_answer['columns_s'] * 1e3:9.3f} ms"
+        f"   speedup: {fresh_answer['speedup']:.2f}x"
+        f"  (floor {FRESH_ANSWER_ENCODE_SPEEDUP_FLOOR:.1f}x)",
     ])
     write_result("gateway_protocol.txt", report)
     write_json("gateway", {
@@ -188,6 +246,11 @@ def test_protocol_overhead_and_first_page_latency(write_result,
         "encode_fresh_ms": round(fresh_s * 1e3, 3),
         "encode_reused_ms": round(reused_s * 1e3, 3),
         "reused_answer_speedup": round(reused_speedup, 2),
+        "encode_plan_answer_rows_ms": round(
+            fresh_answer["rows_s"] * 1e3, 3),
+        "encode_plan_answer_columns_ms": round(
+            fresh_answer["columns_s"] * 1e3, 3),
+        "fresh_answer_encode_speedup": round(fresh_answer["speedup"], 2),
     })
 
     assert overhead < OVERHEAD_LIMIT, (
@@ -199,3 +262,7 @@ def test_protocol_overhead_and_first_page_latency(write_result,
     assert reused_speedup >= REUSED_ANSWER_SPEEDUP_FLOOR, (
         f"a reused answer encodes only {reused_speedup:.2f}x faster than "
         f"a fresh one (floor {REUSED_ANSWER_SPEEDUP_FLOOR}x)")
+    assert fresh_answer["speedup"] >= FRESH_ANSWER_ENCODE_SPEEDUP_FLOOR, (
+        f"a fresh plan answer encodes only {fresh_answer['speedup']:.2f}x "
+        f"faster from its columns than as row dicts (floor "
+        f"{FRESH_ANSWER_ENCODE_SPEEDUP_FLOOR}x)")

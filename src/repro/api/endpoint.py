@@ -140,8 +140,16 @@ class ProtocolEndpoint:
 
     # -- queries -------------------------------------------------------------
 
-    def handle_query(self, request: QueryRequest) -> QueryResponse:
-        """Answer one :class:`QueryRequest` (fresh or continuation)."""
+    def handle_query(self, request: QueryRequest, *,
+                     materialize: bool = True) -> QueryResponse:
+        """Answer one :class:`QueryRequest` (fresh or continuation).
+
+        ``materialize=False`` is for a caller that encodes the answer
+        itself (the HTTP gateway): a full answer (no cursor) then comes
+        back with ``rows=None`` and its rows only on :attr:`relation
+        <repro.api.protocol.QueryResponse.relation>`, so no row dict is
+        built for it. Pages and errors are unaffected.
+        """
         started = time.perf_counter()
         try:
             check_api_version(request.api_version)
@@ -162,7 +170,8 @@ class ProtocolEndpoint:
                 # registration, so no cursor can dodge the
                 # supersede-on-evolution sweep.
                 return self._first_page(request, relation, epoch,
-                                        _fp(fingerprint), started)
+                                        _fp(fingerprint), started,
+                                        materialize)
         except Exception as exc:
             return self._query_error(request, exc, started)
 
@@ -259,12 +268,14 @@ class ProtocolEndpoint:
 
     def _first_page(self, request: QueryRequest, relation: "Relation",
                     epoch: int, fingerprint: tuple[int, int],
-                    started: float) -> QueryResponse:
+                    started: float,
+                    materialize: bool = True) -> QueryResponse:
         columns = list(relation.schema.attribute_names)
         total = len(relation)
         size = request.page_size
+        rows: list[dict[str, Any]] | None
         if size is None or total <= size:
-            rows = relation.rows
+            rows = relation.rows if materialize else None
             cursor = None
             has_more = False
         else:

@@ -44,7 +44,8 @@ from repro.api.httpd import (
     error_payload,
 )
 from repro.api.protocol import (
-    ErrorInfo, QueryRequest, ReleaseRequest, http_status_of,
+    ErrorInfo, QueryRequest, QueryResponse, ReleaseRequest,
+    http_status_of,
 )
 
 __all__ = ["HttpGateway"]
@@ -52,6 +53,30 @@ __all__ = ["HttpGateway"]
 #: request bodies above this are rejected (a malformed-client guard,
 #: not a security boundary — the gateway is an internal service door)
 MAX_BODY_BYTES = 8 * 1024 * 1024
+
+
+def _status_of(response: Any) -> int:
+    if response.error is None:
+        return 200
+    return http_status_of(response.error.code)
+
+
+def query_reply(response: QueryResponse) -> HttpResponse:
+    """The HTTP reply of one query response.
+
+    A full answer left on its relation (``handle_query(...,
+    materialize=False)``) takes its ``rows`` from
+    :meth:`Relation.rows_json <repro.relational.rows.Relation.rows_json>`,
+    which encodes a plan answer from its columns and a reused answer's
+    stored bytes as they are. The encoding runs inside
+    :meth:`HttpResponse.json`, and the body is the same bytes as
+    encoding ``to_dict()`` with the relation's rows in place.
+    """
+    envelope = response.to_dict()
+    relation = response.relation
+    if response.rows is None and relation is not None:
+        envelope["rows"] = EncodedJSON(relation.rows_json)
+    return HttpResponse.json(_status_of(response), envelope)
 
 
 class _GatewayRoutes:
@@ -87,8 +112,7 @@ class _GatewayRoutes:
             except MalformedRequestError as exc:
                 return self._error(400, "malformed_request", str(exc))
             response = endpoint.handle_describe(timeout)
-            return self._reply(self._status_of(response),
-                               response.to_dict())
+            return self._reply(_status_of(response), response.to_dict())
         if request.path == "/v1/journal":
             return self._serve_journal(request.query)
         if request.path == "/v1/query":
@@ -127,20 +151,12 @@ class _GatewayRoutes:
     def _serve_query(self, payload: Any) -> HttpResponse:
         """One query envelope, from a POST body or GET parameters.
 
-        A full answer (no cursor) that the answer cache serves again
-        takes its ``rows`` from :meth:`Relation.rows_json
-        <repro.relational.rows.Relation.rows_json>`, encoded once; the
-        body is the same bytes as encoding ``to_dict()``.
+        A full answer (no cursor) is never turned into row dicts: see
+        :func:`query_reply`.
         """
         try:
-            response = self.endpoint.handle_query(
-                QueryRequest.from_dict(payload))
-            envelope = response.to_dict()
-            if response.relation is not None and response.cursor is None:
-                encoded = response.relation.rows_json()
-                if encoded is not None:
-                    envelope["rows"] = EncodedJSON(encoded)
-            return self._reply(self._status_of(response), envelope)
+            return query_reply(self.endpoint.handle_query(
+                QueryRequest.from_dict(payload), materialize=False))
         except Exception as exc:
             info = ErrorInfo.of(exc)
             return self._error(http_status_of(info.code), info.code,
@@ -168,7 +184,7 @@ class _GatewayRoutes:
             if request.path == "/v1/releases":
                 response = endpoint.handle_release(
                     ReleaseRequest.from_dict(payload))
-                return self._reply(self._status_of(response),
+                return self._reply(_status_of(response),
                                    response.to_dict())
             return self._error(404, "not_found",
                                f"no route for {request.path}")
@@ -223,12 +239,6 @@ class _GatewayRoutes:
         except ValueError:
             raise MalformedRequestError(
                 "timeout must be a number of seconds") from None
-
-    @staticmethod
-    def _status_of(response: Any) -> int:
-        if response.error is None:
-            return 200
-        return http_status_of(response.error.code)
 
     @staticmethod
     def _read_json(request: HttpRequest) -> Any:

@@ -69,18 +69,25 @@ def error_payload(code: str, message: str,
 
 
 class EncodedJSON:
-    """A JSON value encoded ahead of time.
+    """A JSON value encoded ahead of time, or on demand.
 
     :meth:`HttpResponse.json` splices it verbatim where it sits as a
-    top-level payload value. *text* must equal
+    top-level payload value. *text* is the bytes, or a zero-argument
+    callable that returns them when the body is built, so the encoding
+    runs inside :meth:`HttpResponse.json`. The bytes must equal
     ``json.dumps(value, sort_keys=True).encode("utf-8")``, so the body
     is byte-identical to encoding the value in place.
     """
 
-    __slots__ = ("text",)
+    __slots__ = ("_text",)
 
-    def __init__(self, text: bytes) -> None:
-        self.text = text
+    def __init__(self, text: "bytes | Callable[[], bytes]") -> None:
+        self._text = text
+
+    @property
+    def text(self) -> bytes:
+        text = self._text
+        return text if isinstance(text, bytes) else text()
 
 
 def _encode_json(payload: Any) -> bytes:

@@ -175,7 +175,9 @@ def describe_service(service: "GovernedService") -> str:
         f"hit rate = {scan_stats.hit_rate:.1%}, "
         f"invalidations = {scan_stats.invalidations}, "
         f"evictions: data version = {scan_stats.version_evictions}, "
-        f"rebind = {scan_stats.rebind_evictions}")
+        f"rebind = {scan_stats.rebind_evictions}, "
+        f"failed probes: version = {sum(scan_stats.unversioned.values())}"
+        f", estimate = {sum(scan_stats.unestimated.values())}")
     answer_stats = service.answer_cache.stats
     lines.append(
         f"  answer cache: {len(service.answer_cache)} cached "

@@ -15,7 +15,11 @@ release-awareness:
   mutation of ``T``) keys the entry out;
 * the **data_version** of every wrapper the plan scanned must be
   unchanged — an in-place data write (a document-store upsert, a REST
-  source refresh) invalidates exactly the answers that read it.
+  source refresh) invalidates exactly the answers that read it;
+* the **bound objects** the plan scanned must be the same objects,
+  compared by identity — a bare rebind of a wrapper name moves neither
+  the fingerprint nor (necessarily) the data version, and it evicts
+  the entry without a patch.
 
 Both checks happen per lookup, so the cache is correct even without
 cooperation; the governed serving layer additionally clears it from its
@@ -118,11 +122,21 @@ class CachedAnswer:
     fingerprint: "OntologyFingerprint"
     data_versions: "tuple[tuple[str, object], ...]"
     relation: Relation
+    #: the objects the answer read, aligned with ``data_versions`` and
+    #: compared by identity (see :func:`same_objects`)
+    bound: tuple[object, ...] = ()
     hit_count: int = 0
     standing: "StandingQuery | None" = field(
         default=None, repr=False, compare=False)
     lock: threading.RLock = field(
         default_factory=threading.RLock, repr=False, compare=False)
+
+
+def same_objects(left: tuple[object, ...],
+                 right: tuple[object, ...]) -> bool:
+    """True when both tuples hold the very same objects, in order."""
+    return len(left) == len(right) and all(
+        a is b for a, b in zip(left, right))
 
 
 class AnswerCache:
@@ -154,7 +168,8 @@ class AnswerCache:
     def lookup(self, key: str, distinct: bool,
                fingerprint: "OntologyFingerprint",
                data_versions: "tuple[tuple[str, object], ...]",
-               patchable: bool = False) -> Relation | None:
+               patchable: bool = False,
+               bound: tuple[object, ...] = ()) -> Relation | None:
         """The cached answer, or ``None`` when absent/stale.
 
         A present entry whose evidence mismatches is evicted (it can
@@ -164,8 +179,9 @@ class AnswerCache:
         miss: only the wrappers' data moved, so the incremental patch
         path (:meth:`patchable_entry` → :meth:`install_patch`) can
         bring it current for O(Δ) instead of a recompute. An epoch
-        change (fingerprint mismatch) still evicts — the rewriting
-        itself may no longer be valid.
+        change (fingerprint mismatch) or a rebind (*bound* holds
+        another object) still evicts — the rewriting or the source
+        itself may no longer be the one the entry read.
         """
         slot = (key, distinct)
         with self._lock:
@@ -173,7 +189,8 @@ class AnswerCache:
             if entry is None:
                 self.stats.misses += 1
                 return None
-            if entry.fingerprint != fingerprint:
+            if entry.fingerprint != fingerprint or not same_objects(
+                    entry.bound, bound):
                 del self._entries[slot]
                 self.stats.evictions += 1
                 self.stats.misses += 1
@@ -243,12 +260,13 @@ class AnswerCache:
     def store(self, key: str, distinct: bool,
               fingerprint: "OntologyFingerprint",
               data_versions: "tuple[tuple[str, object], ...]",
-              relation: Relation) -> CachedAnswer:
+              relation: Relation,
+              bound: tuple[object, ...] = ()) -> CachedAnswer:
         """Install an answer (last-writer-wins; LRU-evicts past cap)."""
         entry = CachedAnswer(key=key, distinct=distinct,
                              fingerprint=fingerprint,
                              data_versions=data_versions,
-                             relation=relation)
+                             relation=relation, bound=bound)
         with self._lock:
             self._entries[(key, distinct)] = entry
             self._entries.move_to_end((key, distinct))

@@ -242,15 +242,17 @@ class QueryEngine:
         if cache is None:
             return lambda: self._execute(key, plan, scans)
         fingerprint = self.ontology.fingerprint()
-        versions = tuple(sorted(
-            (name, scans.data_version(name)) for name in plan.wrappers()))
+        names = sorted(plan.wrappers())
+        versions = tuple((name, scans.data_version(name))
+                         for name in names)
+        bound = tuple(scans.bound(name) for name in names)
         if any(isinstance(version, Unversioned) for _, version in versions):
             # Fail closed: an answer read while a wrapper's version probe
             # is broken is neither served from the cache nor stored in
             # it, so it is never patched either.
             return lambda: self._execute(key, plan, scans)
         cached = cache.lookup(key, distinct, fingerprint, versions,
-                              patchable=self.incremental)
+                              patchable=self.incremental, bound=bound)
         if cached is not None:
             return cached
 
@@ -262,7 +264,8 @@ class QueryEngine:
                 if patched is not None:
                     return patched
             relation = self._execute(key, plan, scans)
-            cache.store(key, distinct, fingerprint, versions, relation)
+            cache.store(key, distinct, fingerprint, versions, relation,
+                        bound)
             return relation
 
         return compute
@@ -333,8 +336,10 @@ class QueryEngine:
                 "no covering and minimal walk answers the query; "
                 "concepts involved: "
                 f"{[c.local_name for c in result.concepts]}")
-        return self._plan_cached(result, distinct,
-                                 self._scan_provider(provider, None))
+        # A throwaway scan cache counts estimate failures (plan time
+        # only; nothing is scanned here).
+        return self._plan_cached(
+            result, distinct, self._scan_provider(provider, ScanCache()))
 
     def answer(self, query: OMQ | str,
                provider: DataProvider | None = None,

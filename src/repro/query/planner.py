@@ -91,8 +91,10 @@ class PhysicalPlan:
 
         The operator tree exchanges :class:`~repro.relational.columnar.
         ColumnBatch` objects, runs joins on dictionary codes and fuses
-        pipeline segments into single gather passes; rows are
-        materialized exactly once, here at the plan boundary.
+        pipeline segments into single gather passes. The answer is
+        backed by the output batch (:meth:`Relation.from_batch
+        <repro.relational.rows.Relation.from_batch>`): row dicts are
+        built only if a caller reads rows.
 
         The run records a per-operator
         :class:`~repro.relational.metrics.PlanMetrics` tree onto
@@ -106,10 +108,8 @@ class PhysicalPlan:
                 # Present the output under a friendly relation name
                 # instead of the internal plan-derived one (mirrors
                 # UCQ.execute).
-                batch = self.root.execute_encoded(provider)
-                schema = RelationSchema("result",
-                                        batch.schema.attributes)
-                return Relation.from_trusted(schema, batch.to_rows())
+                return Relation.from_batch(
+                    self.root.execute_encoded(provider), "result")
         finally:
             if collector.root is not None:
                 self.last_metrics = collector.root
@@ -291,15 +291,23 @@ def plan_ucq(ontology: BDIOntology, ucq: "UCQ",
             "no covering and minimal walk answers the query")
 
     if provider is not None:
-        estimate: Estimator = provider.estimate
+        probe: Estimator = provider.estimate
     else:
-        def estimate(name: str) -> "int | None":
+        def probe(name: str) -> "int | None":
             if not ontology.has_physical_wrapper(name):
                 return None
             try:
                 return ontology.physical_wrapper(name).estimate_rows()
             except Exception:
                 return None
+
+    # One estimate per wrapper per plan, however many walks read it.
+    estimates: dict[str, "int | None"] = {}
+
+    def estimate(name: str) -> "int | None":
+        if name not in estimates:
+            estimates[name] = probe(name)
+        return estimates[name]
 
     # Under set semantics a walk equivalent to an earlier one adds no
     # row: plan the first walk of each class, in UCQ order. Bag

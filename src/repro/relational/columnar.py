@@ -14,8 +14,10 @@ of live row indices, so operators work on whole columns at a time:
 * dedup zips the value columns into tuples and keeps first occurrences
   with one set — no per-row itemgetter calls.
 
-Batches cross back into row land exactly once, at the plan boundary
-(:meth:`to_relation`), so :class:`~repro.relational.rows.Relation`,
+A plan's output batch becomes a batch-backed
+:class:`~repro.relational.rows.Relation`
+(:meth:`Relation.from_batch <repro.relational.rows.Relation.from_batch>`),
+which crosses back into row land only when its rows are first read, so
 the wrappers and the protocol envelopes are untouched on the outside.
 
 Batches are **immutable by convention**: columns may be shared between
@@ -342,6 +344,11 @@ class ColumnBatch:
         memo[key] = encoded
         return encoded
 
+    def known_encoding(self, index: int) -> EncodedColumn | None:
+        """The encoding of column *index* if one is already memoized
+        (``None`` otherwise); never builds one."""
+        return self._encodings.get(id(self.columns[index]))  # repro-lint: disable=replay-determinism -- process-local memo key, never serialized
+
     def install_encoding(self, index: int,
                          encoded: EncodedColumn | None) -> None:
         """Pre-seed the encoding memo for column *index*.
@@ -479,9 +486,8 @@ class ColumnBatch:
             # Zero-column batches deduplicate to at most one row.
             return ColumnBatch(self.schema, (),
                                _length=min(len(self), 1))
-        memo = self._encodings
-        encodings = [memo.get(id(column))  # repro-lint: disable=replay-determinism -- process-local memo key, never serialized
-                     for column in self.columns]
+        encodings = [self.known_encoding(i)
+                     for i in range(len(self.columns))]
         if accel.available() and all(
                 enc is not None for enc in encodings):
             # Fully encoded batch: dedup on int64 code vectors before
@@ -525,12 +531,11 @@ class ColumnBatch:
                 for values in zip(*self.dense_columns())]
 
     def to_relation(self, name: str | None = None) -> "Relation":
+        """This batch as a batch-backed relation (see
+        :meth:`Relation.from_batch
+        <repro.relational.rows.Relation.from_batch>`)."""
         from repro.relational.rows import Relation
-        schema = self.schema
-        if name is not None and name != schema.name:
-            schema = RelationSchema(name, schema.attributes,
-                                    schema.source)
-        return Relation.from_trusted(schema, self.to_rows())
+        return Relation.from_batch(self, name)
 
 
 def concat_batches(schema: RelationSchema,

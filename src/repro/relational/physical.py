@@ -138,6 +138,9 @@ class ScanStats:
     rebind_evictions: int = 0
     #: version probes that raised, by reason (see :class:`Unversioned`)
     unversioned: dict[str, int] = field(default_factory=dict)
+    #: cardinality estimates that raised, by reason (the planner then
+    #: orders that wrapper as unknown)
+    unestimated: dict[str, int] = field(default_factory=dict)
 
     @property
     def hit_rate(self) -> float:
@@ -150,6 +153,7 @@ class ScanStats:
                 "version_evictions": self.version_evictions,
                 "rebind_evictions": self.rebind_evictions,
                 "unversioned": dict(self.unversioned),
+                "unestimated": dict(self.unestimated),
                 "hit_rate": round(self.hit_rate, 4)}
 
 
@@ -211,6 +215,12 @@ class ScanCache:
             unversioned[token.reason] = \
                 unversioned.get(token.reason, 0) + 1
 
+    def note_unestimated(self, reason: str) -> None:
+        """Count one cardinality estimate that raised."""
+        with self._lock:
+            unestimated = self.stats.unestimated
+            unestimated[reason] = unestimated.get(reason, 0) + 1
+
     def get_or_fetch(self, key: ScanKey,
                      fetch: Callable[[], Relation]) -> Relation:
         with self._lock:
@@ -271,7 +281,9 @@ class ScanProvider:
         raise NotImplementedError
 
     def estimate(self, name: str) -> int | None:
-        """Estimated cardinality of the wrapper (None = unknown)."""
+        """Estimated cardinality of the wrapper (None = unknown). May
+        raise when the probe fails; :class:`CachingScanProvider` counts
+        that and answers None."""
         return None
 
     def data_version(self, name: str) -> "int | Unversioned":
@@ -323,10 +335,7 @@ class WrapperScanProvider(ScanProvider):
                                 id_filter=local_filter)
 
     def estimate(self, name: str) -> int | None:
-        try:
-            return self._resolve(name).estimate_rows()
-        except Exception:
-            return None
+        return self._resolve(name).estimate_rows()
 
     def data_version(self, name: str) -> "int | Unversioned":
         try:
@@ -420,7 +429,13 @@ class CachingScanProvider(ScanProvider):
             key, lambda: self.inner.scan(name, columns, id_filter))
 
     def estimate(self, name: str) -> int | None:
-        return self.inner.estimate(name)
+        try:
+            return self.inner.estimate(name)
+        except Exception as exc:
+            # Estimates only steer join order, so an unknown one is
+            # safe; the failure is counted, not hidden.
+            self.cache.note_unestimated(f"{name}: {type(exc).__name__}")
+            return None
 
     def data_version(self, name: str) -> "int | Unversioned":
         token = self.inner.data_version(name)
@@ -454,6 +469,13 @@ def as_scan_provider(provider: "DataProvider | ScanProvider | None",
 # ---------------------------------------------------------------------------
 # Fused pipelines
 # ---------------------------------------------------------------------------
+
+
+def _pick(lane: Any, picks: Any) -> Any:
+    """*lane* gathered at *picks* (an int64 vector stays a vector)."""
+    if accel.is_array(lane):
+        return accel.take(lane, picks)
+    return list(map(lane.__getitem__, picks))
 
 
 class FusedBatch:
@@ -587,13 +609,17 @@ class FusedBatch:
         """Materialize exactly the *mapping*'s columns under *schema*.
 
         This is where a fused segment's values finally move. Encoded
-        leaf columns are gathered as int codes and decoded afterwards;
-        the gathered codes are installed on the output batch so a
-        downstream DISTINCT (or a union's global dedup over a single
-        branch) reuses them. With ``distinct`` the first-occurrence
-        keep list is computed *on the code lanes first* — packed into
-        single ints when every output column is encoded — and only
-        surviving rows are decoded.
+        leaf columns are gathered as int codes; the gathered codes are
+        installed on the output batch so a downstream DISTINCT (or a
+        union's global dedup over a single branch) reuses them. With
+        ``distinct`` the first-occurrence keep list is computed *on the
+        code lanes first* — packed into single ints when every output
+        column is encoded — and only surviving rows gather values.
+
+        Values are gathered from the leaf rows themselves, never decoded
+        through the dictionary: a code stands for a class of ``==``-equal
+        values (``1``, ``1.0`` and ``True`` share one), and each row
+        keeps its own.
         """
         located = [self.locate(src) for src in mapping.values()]
         if not located:
@@ -611,22 +637,29 @@ class FusedBatch:
             else:
                 encodings.append(None)
                 lanes.append(self.value_lane(leaf_pos, column))
-        if distinct:
-            keep = first_occurrences(lanes)
-            if keep is not None:
-                lanes = [accel.take(lane, keep)
-                         if accel.is_array(lane)
-                         else list(map(lane.__getitem__, keep))
-                         for lane in lanes]
+        keep = first_occurrences(lanes) if distinct else None
+        if keep is not None:
+            lanes = [_pick(lane, keep) for lane in lanes]
         length = len(lanes[0])
+        # Stored rows of each leaf behind the output rows (None = every
+        # stored row, in order), composed with the keep list.
+        rows_of: dict[int, Any] = {}
         columns: list[list[object]] = []
-        for lane, encoded in zip(lanes, encodings):
+        for (leaf_pos, column), lane, encoded in zip(located, lanes,
+                                                     encodings):
             if encoded is None:
-                columns.append(lane)
-            else:
-                picks = lane.tolist() if accel.is_array(lane) else lane
-                columns.append(
-                    list(map(encoded.values.__getitem__, picks)))
+                columns.append(lane)  # already the live raw values
+                continue
+            if leaf_pos not in rows_of:
+                index = self.indices[leaf_pos]
+                if keep is not None:
+                    index = keep if index is None else _pick(index, keep)
+                rows_of[leaf_pos] = (index.tolist()
+                                     if accel.is_array(index) else index)
+            data = self.leaves[leaf_pos].columns[column]
+            rows = rows_of[leaf_pos]
+            columns.append(data if rows is None
+                           else list(map(data.__getitem__, rows)))
         batch = ColumnBatch(schema, columns, _length=length)
         for position, (lane, encoded) in enumerate(
                 zip(lanes, encodings)):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import urllib.error
 import urllib.request
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -239,8 +240,9 @@ def _request(query: str, request_id: str):
 
 class TestEncodedBodies:
     """Every ``/v1/query`` body is byte-identical to encoding the
-    response's ``to_dict()``, whether its rows were encoded fresh,
-    taken from a reused answer's stored bytes, or paged."""
+    in-process response's ``to_dict()``, whether its rows were encoded
+    from a fresh answer's columns, taken from a reused answer's stored
+    bytes, or paged."""
 
     @pytest.fixture()
     def served(self):
@@ -256,8 +258,8 @@ class TestEncodedBodies:
         seen = []
         handle_query = endpoint.handle_query
 
-        def capture(request):
-            seen.append(handle_query(request))
+        def capture(request, **options):
+            seen.append(handle_query(request, **options))
             return seen[-1]
 
         endpoint.handle_query = capture
@@ -271,6 +273,10 @@ class TestEncodedBodies:
         def call(method, query="", payload=None):
             reply = send(method, query, payload)
             response = seen[-1]
+            if response.rows is None:
+                # A full answer the gateway encoded from its relation;
+                # the in-process transport carries the same rows.
+                response = replace(response, rows=response.relation.rows)
             assert reply.body == json.dumps(
                 response.to_dict(), sort_keys=True).encode("utf-8")
             assert response.ok
@@ -288,6 +294,7 @@ class TestEncodedBodies:
         post = served.post
         fresh = post(request_id="r1")
         relation = fresh.relation
+        assert relation._columnar is not None  # a plan answer's batch
         assert relation._rows_json is None  # fresh answers keep no bytes
         hit = post(request_id="r2")
         assert hit.relation is relation
@@ -359,3 +366,43 @@ class TestEncodedBodies:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert bad == []
+
+
+class TestFreshAnswerOverHttp:
+    """A fresh full answer crosses the gateway straight from its
+    columns; the in-process transport still gets its row dicts."""
+
+    #: the evolved exemplary query's rows, in the order the row-based
+    #: plan boundary produced them
+    ROWS = [{"applicationId": 1, "lagRatio": 0.75},
+            {"applicationId": 1, "lagRatio": 0.9},
+            {"applicationId": 2, "lagRatio": 0.1},
+            {"applicationId": 1, "lagRatio": 0.25},
+            {"applicationId": 2, "lagRatio": 0.25}]
+
+    def test_no_row_dicts_over_http(self, monkeypatch):
+        from repro.datasets import EXEMPLARY_QUERY, build_supersede
+        from repro.mdm.system import MDM
+        from repro.relational.columnar import ColumnBatch
+
+        service = MDM(build_supersede(with_evolution=True).ontology
+                      ).serving()
+        pivots = []
+        to_rows = ColumnBatch.to_rows
+
+        def counting_to_rows(batch):
+            pivots.append(len(batch))
+            return to_rows(batch)
+
+        monkeypatch.setattr(ColumnBatch, "to_rows", counting_to_rows)
+        try:
+            with HttpGateway(service) as gw:
+                remote = GovernedClient(gw.url).query(EXEMPLARY_QUERY)
+            assert pivots == []
+            assert service.answer_cache.stats.hits == 0
+            assert remote.rows == self.ROWS
+            local = GovernedClient(service).query(EXEMPLARY_QUERY)
+            assert local.rows == self.ROWS
+            assert pivots == [len(self.ROWS)]
+        finally:
+            service.close()

@@ -90,3 +90,71 @@ class TestDistinct:
     def test_distinct_idempotent(self, ls):
         rel = Relation(LEFT, ls)
         assert rel.distinct() == rel.distinct().distinct()
+
+
+# ---------------------------------------------------------------------------
+# Column-wise JSON encoding of a batch-backed relation
+# ---------------------------------------------------------------------------
+
+_text = st.text(alphabet=st.characters(codec="utf-8"), max_size=6) | \
+    st.sampled_from(['"', "\\", "\x00\x1f", "é", "雪", "%s", "😀"])
+_scalar = (_text | st.integers(min_value=-3, max_value=3)
+           | st.integers() | st.booleans() | st.none()
+           | st.sampled_from([0.0, -0.0, 1.0, 1.5, float("nan"),
+                              float("inf"), float("-inf")])
+           | st.floats(allow_nan=True, allow_infinity=True))
+_cell = _scalar | st.lists(_scalar, max_size=2) | \
+    st.dictionaries(_text, _scalar, max_size=2)
+#: one column's cells: a single lane type, or any mix
+_column_kind = st.sampled_from(["str", "int", "float", "mixed", "any"])
+_KIND_CELLS = {"str": _text, "int": st.integers(), "float": st.floats(),
+               "mixed": st.sampled_from([1, 1.0, True, 0, -0.0, False,
+                                         None, "1"]),
+               "any": _cell}
+
+
+@st.composite
+def _batches(draw):
+    from repro.relational.columnar import ColumnBatch, EncodedColumn, \
+        encode_values
+    from repro.relational.schema import Attribute
+
+    names = draw(st.lists(_text.filter(bool), max_size=4, unique=True))
+    stored = draw(st.integers(min_value=0, max_value=12))
+    columns = [draw(st.lists(_KIND_CELLS[draw(_column_kind)],
+                             min_size=stored, max_size=stored))
+               for _ in names]
+    selection = None
+    if stored and draw(st.booleans()):
+        selection = draw(st.lists(st.integers(0, stored - 1),
+                                  max_size=stored))
+    schema = RelationSchema(
+        "b", tuple(Attribute(name, False) for name in names), None)
+    batch = ColumnBatch(schema, columns, selection,
+                        _length=stored if not names else None)
+    for position, column in enumerate(columns):
+        how = draw(st.sampled_from(["none", "own", "last"]))
+        if how == "own":
+            batch.encoded_at(position)
+        elif how == "last":
+            # Representatives a column does not hold (the last member of
+            # each ==-class), as a fused projection installs them.
+            backwards = encode_values(list(reversed(column)))
+            if backwards is not None:
+                codes = [backwards.index[value] for value in column]
+                batch.install_encoding(position, EncodedColumn(
+                    codes, backwards.values, backwards.index))
+    return batch
+
+
+class TestColumnarJson:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_batches())
+    def test_rows_json_equals_dumps_of_rows(self, batch):
+        import json
+
+        expected = json.dumps(batch.to_rows(), sort_keys=True)
+        relation = Relation.from_batch(batch)
+        assert relation.rows_json() == expected.encode("utf-8")
+        assert relation._rows is None  # no row dict was built
+        assert relation.rows == batch.to_rows()

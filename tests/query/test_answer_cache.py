@@ -1,6 +1,8 @@
 """Full answer cache: unit semantics, engine integration, evidence-based
 invalidation (ontology fingerprint + wrapper data_versions)."""
 
+import json
+
 import pytest
 
 from repro.datasets import EXEMPLARY_QUERY, build_supersede
@@ -51,6 +53,25 @@ class TestAnswerCacheUnit:
         moved = (("w1", 0), ("w3", 3))
         assert cache.lookup("q", True, "fp", moved) is None
         assert cache.stats.evictions == 1
+
+    def test_rebind_evicts_even_when_patchable(self):
+        class Bound:
+            """Two objects that compare equal but are not the same."""
+
+            def __eq__(self, other):
+                return isinstance(other, Bound)
+
+            __hash__ = None
+
+        cache = AnswerCache()
+        old, new = Bound(), Bound()
+        cache.store("q", True, "fp", VERSIONS, relation_of(1),
+                    bound=(old,))
+        assert cache.lookup("q", True, "fp", VERSIONS, bound=(old,))
+        assert cache.lookup("q", True, "fp", VERSIONS, patchable=True,
+                            bound=(new,)) is None
+        assert cache.stats.evictions == 1
+        assert cache.patchable_entry("q", True, "fp") is None
 
     def test_lru_eviction_past_cap(self):
         cache = AnswerCache(max_entries=2)
@@ -241,7 +262,9 @@ class TestReusedAnswerEncoding:
             self, scenario):
         engine = QueryEngine(scenario.ontology)
         fresh = engine.answer(EXEMPLARY_QUERY)
-        assert fresh.rows_json() is None
+        assert fresh.rows_json() == json.dumps(
+            fresh.rows, sort_keys=True).encode("utf-8")
+        assert fresh._rows_json is None
         hit = engine.answer(EXEMPLARY_QUERY)
         assert hit is fresh
         assert hit.rows_json() is hit.rows_json()

@@ -452,3 +452,101 @@ class TestScanCacheIntegration:
         wrapper.replace_rows([{"id": 9, "a": 1}])
         assert scans.scan("w1", columns=["D1/id"]).rows == [{"D1/id": 9}]
         assert len(calls) == 2
+
+
+def _single_wrapper_ontology(rows, estimate_fails=False):
+    """One concept ``Item`` with features ``id`` and ``v`` over one
+    static wrapper holding *rows*."""
+    from repro.core.release import new_release
+    from repro.evolution.release_builder import build_release
+    from repro.mdm.system import MDM
+    from repro.rdf.namespace import Namespace
+
+    ns = Namespace("urn:mixed:")
+    ontology = MDM().ontology
+    item = ontology.globals.add_concept(ns.Item)
+    ontology.globals.add_feature(item, ns["item/id"], is_id=True)
+    ontology.globals.add_feature(item, ns["item/v"])
+
+    class Items(StaticWrapper):
+        def estimate_rows(self):
+            if estimate_fails:
+                raise RuntimeError("estimate probe is down")
+            return super().estimate_rows()
+
+    wrapper = Items("items_v1", "items", id_attributes=["id"],
+                    non_id_attributes=["v"], rows=rows)
+    release = build_release(ontology, "items", wrapper.name,
+                            id_attributes=["id"], non_id_attributes=["v"],
+                            feature_hints={"id": ns["item/id"],
+                                           "v": ns["item/v"]})
+    release.wrapper = wrapper
+    new_release(ontology, release)
+    query = f"""SELECT ?a ?b WHERE {{
+        VALUES (?a ?b) {{ (<{ns['item/id']}> <{ns['item/v']}>) }}
+        <{ns.Item}> G:hasFeature <{ns['item/id']}> .
+        <{ns.Item}> G:hasFeature <{ns['item/v']}>
+    }}"""
+    return ontology, query
+
+
+def _oracle(ontology, query, distinct=True):
+    return QueryEngine(ontology, use_planner=False, use_cache=False,
+                       use_answer_cache=False).answer(query,
+                                                      distinct=distinct)
+
+
+class TestEqualValuesOfOtherTypes:
+    """``1``, ``1.0`` and ``True`` are ``==``-equal and share one
+    dictionary code; the projection must still return each row's own
+    value, and the gateway's JSON must encode it."""
+
+    @pytest.mark.parametrize("use_accel", [True, False])
+    @pytest.mark.parametrize("distinct", [False, True])
+    def test_mixed_column_equals_the_oracle(self, use_accel, distinct,
+                                            monkeypatch):
+        import json
+
+        from repro.relational import accel
+        if not use_accel:
+            monkeypatch.setattr(accel, "numpy", None)
+        elif not accel.available():  # pragma: no cover - numpy-less env
+            pytest.skip("numpy not installed")
+        rows = [{"id": i, "v": (1, 1.0, True)[i % 3]} for i in range(100)]
+        ontology, query = _single_wrapper_ontology(rows)
+        answer = QueryEngine(ontology).answer(query, distinct=distinct)
+        assert answer == _oracle(ontology, query, distinct)
+        assert answer.rows_json() == json.dumps(
+            answer.rows, sort_keys=True).encode("utf-8")
+
+
+class TestFailingEstimate:
+    def test_counted_once_per_plan_and_answer_unchanged(self):
+        rows = [{"id": i, "v": i % 4} for i in range(20)]
+        ontology, query = _single_wrapper_ontology(rows,
+                                                   estimate_fails=True)
+        engine = QueryEngine(ontology, use_answer_cache=False)
+        scans = ScanCache()
+        assert engine.answer(query, scan_cache=scans) == \
+            _oracle(ontology, query)
+        reasons = {"items_v1: RuntimeError": 1}
+        assert scans.stats.unestimated == reasons
+        assert scans.stats.snapshot()["unestimated"] == reasons
+        engine.answer(query, scan_cache=scans)  # the plan is memoized
+        assert scans.stats.unestimated == reasons
+        # A bare plan (explain) does not fail on the probe either.
+        assert "items_v1" in QueryEngine(ontology).plan(query).explain()
+
+    def test_one_count_per_plan_across_walks(self, evolved_scenario):
+        ontology = evolved_scenario.ontology
+
+        def estimate_rows():
+            raise RuntimeError("estimate probe is down")
+
+        evolved_scenario.wrappers["w3"].estimate_rows = estimate_rows
+        engine = QueryEngine(ontology, use_answer_cache=False)
+        scans = ScanCache()
+        answer = engine.answer(EXEMPLARY_QUERY, scan_cache=scans)
+        assert len(engine.rewrite(EXEMPLARY_QUERY).ucq.walks) == 2
+        assert answer == _oracle(ontology, EXEMPLARY_QUERY)
+        assert scans.stats.unestimated == {"w3: RuntimeError": 1}

@@ -79,7 +79,8 @@ class TestRowsJson:
 
     def test_fresh_relation_keeps_no_bytes(self):
         rel = Relation(SCHEMA, self.ROWS)
-        assert rel.rows_json() is None
+        assert rel.rows_json() == json.dumps(
+            self.ROWS, sort_keys=True).encode("utf-8")
         assert rel._rows_json is None
 
     def test_reused_relation_encodes_once(self):
@@ -100,6 +101,75 @@ class TestRowsJson:
         assert json.loads(after)[-1] == {"id": 3, "v": "c"}
         rel.extend([{"id": 4, "v": "d"}])
         assert json.loads(rel.rows_json())[-1] == {"id": 4, "v": "d"}
+
+
+class TestBatchBacked:
+    """A relation backed by a batch builds row dicts only on first
+    row access; length, columns, pages and JSON read the batch."""
+
+    ROWS = [{"id": 1, "v": "a"}, {"id": 2, "v": "b"}, {"id": 3, "v": "a"}]
+
+    def relation(self, selection=None):
+        from repro.relational.columnar import ColumnBatch
+        batch = ColumnBatch.from_rows(SCHEMA, self.ROWS)
+        if selection is not None:
+            batch = batch.select(selection)
+        return Relation.from_batch(batch), batch
+
+    def test_no_rows_until_read(self):
+        rel, batch = self.relation()
+        assert len(rel) == 3
+        assert rel.columnar() is batch
+        assert rel.page(1, 5) == self.ROWS[1:]
+        assert rel.rows_json() == json.dumps(
+            self.ROWS, sort_keys=True).encode("utf-8")
+        assert rel._rows is None
+        assert rel.rows == self.ROWS
+        assert rel._rows is not None
+
+    def test_selection_and_rename(self):
+        from repro.relational.columnar import ColumnBatch
+        rel, _ = self.relation(selection=[2, 0])
+        assert len(rel) == 2
+        assert rel.page(1, 1) == [self.ROWS[0]]
+        assert rel.rows == [self.ROWS[2], self.ROWS[0]]
+        named = Relation.from_batch(
+            ColumnBatch.from_rows(SCHEMA, self.ROWS), name="out")
+        assert named.schema.name == "out"
+        assert named.columnar().schema.attribute_names == ("id", "v")
+        assert named == Relation(SCHEMA, self.ROWS)
+
+    def test_append_leaves_the_batch(self):
+        rel, _ = self.relation()
+        rel.mark_reused()
+        rel.rows_json()
+        rel.append({"id": 4, "v": "c"})
+        assert rel._columnar is None and rel._rows_json is None
+        assert len(rel) == 4
+        assert json.loads(rel.rows_json())[-1] == {"id": 4, "v": "c"}
+        assert len(rel.columnar()) == 4
+
+    def test_reused_batch_relation_keeps_its_bytes(self):
+        rel, _ = self.relation()
+        fresh = rel.rows_json()
+        assert rel._rows_json is None
+        rel.mark_reused()
+        kept = rel.rows_json()
+        assert kept == fresh and rel.rows_json() is kept
+
+    def test_code_representative_is_not_the_row_value(self):
+        """A code stands for ``1``, ``1.0`` and ``True`` at once: each
+        row must still be encoded as its own value."""
+        from repro.relational.columnar import ColumnBatch, EncodedColumn
+        schema = RelationSchema.of("m", ids=["id"], non_ids=["v"])
+        values = [True, 1, 1.0, 0, -0.0, "x"]
+        batch = ColumnBatch.from_rows(
+            schema, [{"id": i, "v": v} for i, v in enumerate(values)])
+        batch.install_encoding(1, EncodedColumn(
+            [0, 0, 0, 1, 1, 2], [1.0, False, "x"],
+            {1.0: 0, False: 1, "x": 2}))
+        assert Relation.from_batch(batch).rows_json() == json.dumps(
+            batch.to_rows(), sort_keys=True).encode("utf-8")
 
 
 class TestRenderTable:

@@ -99,7 +99,6 @@ class TestServingScanCache:
                                  rows=rows)
         assert rebound.data_version() == old.data_version()
         scenario.ontology.bind_wrapper(rebound)
-        service.answer_cache.clear()  # a bare bind is no epoch
         answer = service.answer(query)
         assert {r["id"] for r in answer} == {100, 101, 102, 103}
         assert answer == oracle(scenario.ontology, query)
