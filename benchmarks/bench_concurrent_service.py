@@ -24,6 +24,7 @@ from __future__ import annotations
 import threading
 import time
 
+from repro.api.protocol import QueryRequest, ReleaseRequest
 from repro.query.engine import QueryEngine
 from repro.service import (
     GovernedService, analyst_panel, build_industrial_service,
@@ -64,10 +65,10 @@ def test_batch_throughput_scaling(write_result, write_json):
     batch_times: dict[int, float] = {}
     for workers in (1, 4, 16):
         batch_times[workers] = _best_of(
-            lambda w=workers: mdm.answer_many(panel, workers=w))
+            lambda w=workers: mdm.engine.answer_many(panel, workers=w))
 
     # Identical answers regardless of the execution strategy.
-    batch_answers = mdm.answer_many(panel, workers=4)
+    batch_answers = mdm.engine.answer_many(panel, workers=4)
     for seq_rel, batch_rel in zip(sequential_answers, batch_answers):
         assert _canon(seq_rel) == _canon(batch_rel)
 
@@ -127,7 +128,8 @@ def test_release_under_load(write_result, write_json):
         post_seen = 0
         for _ in range(200):
             try:
-                served = service.serve(query)
+                served = service.endpoint.handle_query(
+                    QueryRequest(query=query)).raise_for_error()
             except Exception as exc:  # noqa: BLE001 - recorded, asserted
                 torn_or_failed.append(repr(exc))
                 return
@@ -143,7 +145,8 @@ def test_release_under_load(write_result, write_json):
     for thread in threads:
         thread.start()
     time.sleep(0.02)  # let readers reach steady state
-    service.apply_release(release)
+    service.endpoint.handle_release(
+        ReleaseRequest(release=release)).raise_for_error()
     released.set()
     for thread in threads:
         thread.join(timeout=30)
@@ -167,7 +170,8 @@ def test_release_under_load(write_result, write_json):
 
     # Post-release answers served through the warm cache match a fresh
     # engine over the evolved ontology (the CI smoke staleness check).
-    assert _canon(service.answer(query)) == post_reference
+    assert _canon(service.endpoint.handle_query(QueryRequest(
+        query=query)).raise_for_error().relation) == post_reference
     assert service.lock.stats.writes == 1
 
     # Cache counters stayed consistent under the concurrent hammering.

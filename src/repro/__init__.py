@@ -49,7 +49,7 @@ from repro.query import (
     OMQ, AnswerCache, QueryEngine, RewriteCache, parse_omq, rewrite,
 )
 from repro.relational import ColumnBatch
-from repro.service import EpochLock, GovernedService, ServedAnswer
+from repro.service import EpochLock, GovernedService
 from repro.storage import ChangeRecord, Journal, Replica, Snapshot
 
 __version__ = "1.10.0"
@@ -59,7 +59,7 @@ __all__ = [
     "MDM",
     "OMQ", "AnswerCache", "ColumnBatch", "QueryEngine",
     "RewriteCache", "parse_omq", "rewrite",
-    "EpochLock", "GovernedService", "ServedAnswer",
+    "EpochLock", "GovernedService",
     "QueryRequest", "QueryResponse",
     "ReleaseRequest", "ReleaseResponse",
     "DescribeResponse", "ErrorInfo",

@@ -10,14 +10,16 @@ ignores the ``columns`` argument silently produces wrong (or
 un-pruned) scans, and one that claims deltas without ``fetch_deltas``
 fails deep inside a refresh cycle instead of at review time.
 
-The contract enforced here is deliberately local: a class that
-advertises a capability **in its own body** must implement the
-matching surface in its own body —
+The contract enforced here is deliberately local:
 
-* ``capabilities()`` returning ``WrapperCapabilities(projection=True)``
-  ⇒ the class defines ``fetch_rows`` with a ``columns`` parameter;
-* ``... id_filter=True`` ⇒ ``fetch_rows`` has an ``id_filter``
-  parameter;
+* every ``fetch_rows`` definition takes ``columns`` and ``id_filter``
+  parameters (or ``**kwargs``): :meth:`Wrapper.fetch
+  <repro.wrappers.base.Wrapper.fetch>` passes both keywords to every
+  wrapper, whether or not it advertises projection or id-filter
+  pushdown;
+* a class that advertises ``WrapperCapabilities(projection=True)`` or
+  ``... id_filter=True`` **in its own body** defines ``fetch_rows`` in
+  its own body;
 * ``supports_deltas()`` containing ``return True`` ⇒ the class defines
   ``fetch_deltas`` with a ``since`` parameter **and** a
   ``delta_cursor`` method.
@@ -39,12 +41,11 @@ __all__ = ["WrapperCapabilitiesChecker"]
 
 CAPS_CLASS = "WrapperCapabilities"
 
-#: capability keyword -> (method it promises, parameter that method
-#: must accept)
-_FEATURE_SURFACE: dict[str, tuple[str, str]] = {
-    "projection": ("fetch_rows", "columns"),
-    "id_filter": ("fetch_rows", "id_filter"),
-}
+#: pushdown capabilities ``fetch_rows`` implements
+_FEATURES = ("projection", "id_filter")
+
+#: the keywords :meth:`Wrapper.fetch` passes to every ``fetch_rows``
+_FETCH_KEYWORDS = ("columns", "id_filter")
 
 
 def _method(cls: ast.ClassDef, name: str) -> ast.FunctionDef | None:
@@ -80,7 +81,7 @@ def _advertised_features(method: ast.FunctionDef) -> dict[str, int]:
         if name != CAPS_CLASS:
             continue
         for keyword in node.keywords:
-            if keyword.arg in _FEATURE_SURFACE and \
+            if keyword.arg in _FEATURES and \
                     isinstance(keyword.value, ast.Constant) and \
                     keyword.value.value is True:
                 features.setdefault(keyword.arg, node.lineno)
@@ -100,9 +101,9 @@ def _returns_true(method: ast.FunctionDef) -> int | None:
 @register
 class WrapperCapabilitiesChecker(Checker):
     name = "wrapper-capabilities"
-    description = ("wrappers advertising capabilities()/supports_deltas() "
-                   "features implement the matching methods and "
-                   "signatures locally")
+    description = ("every fetch_rows takes columns and id_filter; "
+                   "wrappers advertising capabilities()/supports_deltas() "
+                   "features implement the matching methods locally")
 
     def check(self, project: Project) -> Iterator[Finding]:
         for source in project.files:
@@ -111,26 +112,27 @@ class WrapperCapabilitiesChecker(Checker):
 
     def _check_class(self, source: SourceFile,
                      cls: ast.ClassDef) -> Iterator[Finding]:
+        fetch_rows = _method(cls, "fetch_rows")
+        if fetch_rows is not None and fetch_rows.args.kwarg is None:
+            params = _param_names(fetch_rows)
+            for param in _FETCH_KEYWORDS:
+                if param not in params:
+                    yield source.finding(
+                        fetch_rows.lineno, self.name,
+                        f"{cls.name}.fetch_rows lacks a `{param}` "
+                        "parameter; Wrapper.fetch passes columns= and "
+                        "id_filter= to every fetch_rows, whether or not "
+                        "projection or id-filter pushdown is advertised")
         caps = _method(cls, "capabilities")
-        if caps is not None:
+        if caps is not None and fetch_rows is None:
             for feature, line in sorted(
                     _advertised_features(caps).items()):
-                method_name, param = _FEATURE_SURFACE[feature]
-                method = _method(cls, method_name)
-                if method is None:
-                    yield source.finding(
-                        line, self.name,
-                        f"{cls.name}.capabilities advertises "
-                        f"{feature}=True but the class defines no "
-                        f"`{method_name}`; the planner will push down "
-                        "work nothing implements")
-                elif param not in _param_names(method):
-                    yield source.finding(
-                        method.lineno, self.name,
-                        f"{cls.name}.{method_name} lacks a `{param}` "
-                        f"parameter although capabilities() advertises "
-                        f"{feature}=True; the pushdown argument would "
-                        "be silently dropped")
+                yield source.finding(
+                    line, self.name,
+                    f"{cls.name}.capabilities advertises "
+                    f"{feature}=True but the class defines no "
+                    "`fetch_rows`; the planner will push down work "
+                    "nothing implements")
 
         supports = _method(cls, "supports_deltas")
         if supports is not None:

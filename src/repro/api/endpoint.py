@@ -4,10 +4,9 @@
 over one :class:`~repro.service.serving.GovernedService`. It is the
 *only* place requests are interpreted — the in-process transport calls
 its ``handle_*`` methods directly, the HTTP gateway calls the same
-methods after JSON decoding, and the legacy facades
-(:meth:`GovernedService.serve <repro.service.serving.GovernedService.
-serve>`, :meth:`MDM.client <repro.mdm.system.MDM.client>`) are shims
-over it — so in-process and wire behavior cannot diverge.
+methods after JSON decoding, and :meth:`MDM.client
+<repro.mdm.system.MDM.client>` opens a session over it — so in-process
+and wire behavior cannot diverge.
 
 What the endpoint adds on top of the serving layer:
 

@@ -374,7 +374,7 @@ class QueryResponse:
     elapsed_ms: float | None = None
     api_version: str = PROTOCOL_VERSION
     #: the full relation object — in-process transports only, never
-    #: serialized; lets legacy shims keep returning Relations for free
+    #: serialized; in-process callers read the answer without a copy
     relation: "Relation | None" = field(
         default=None, compare=False, repr=False)
     #: the original exception object — in-process transports only, so

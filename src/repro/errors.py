@@ -232,11 +232,11 @@ class EpochDrainTimeout(ServiceError):
 
 
 class AnswerFailed(ServiceError):
-    """A :class:`~repro.service.serving.ServedAnswer` holds no relation.
+    """An answer slot failed without a recorded error.
 
-    Raised when rows are requested from an answer slot that failed
-    without a recorded error (the recorded error itself is re-raised
-    when present).
+    Nothing in this package raises it any more; it stays because the
+    frozen v1 error taxonomy maps it to a stable wire code
+    (``answer_failed``).
     """
 
 

@@ -190,12 +190,6 @@ def describe_service(service: "GovernedService") -> str:
         f"  incremental maintenance: patches = {answer_stats.patches}, "
         f"seeds = {answer_stats.seeds}, "
         f"fallbacks = {answer_stats.fallbacks}")
-    panels = getattr(service, "panels", None)
-    if panels:
-        lines.append(
-            f"  standing panels: {len(panels)} "
-            f"({sum(len(qs) for qs in panels.values())} quer"
-            f"{'y' if sum(len(qs) for qs in panels.values()) == 1 else 'ies'})")
     journal = service.journal_info() \
         if hasattr(service, "journal_info") else None
     if journal is None:

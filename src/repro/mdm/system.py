@@ -51,11 +51,9 @@ class MDM:
     """One-stop facade over ontology, rewriting and execution."""
 
     def __init__(self, ontology: BDIOntology | None = None,
-                 cache: RewriteCache | None = None,
                  use_cache: bool = True) -> None:
         self.ontology = ontology or BDIOntology()
-        self.engine = QueryEngine(self.ontology, cache=cache,
-                                  use_cache=use_cache)
+        self.engine = QueryEngine(self.ontology, use_cache=use_cache)
         self.release_log: list[Release] = []
         self._serving = None
         #: the durable command journal (attached by :meth:`open`);
@@ -72,7 +70,6 @@ class MDM:
 
     @classmethod
     def open(cls, state_dir: str | Path, *,
-             cache: RewriteCache | None = None,
              use_cache: bool = True, fsync: bool = True) -> "MDM":
         """Open (or create) a durable MDM rooted at *state_dir*.
 
@@ -93,12 +90,12 @@ class MDM:
         if snapshot_path.exists():
             snapshot = Snapshot.read(snapshot_path)
             ontology, release_log = restore_state(snapshot)
-            mdm = cls(ontology, cache=cache, use_cache=use_cache)
+            mdm = cls(ontology, use_cache=use_cache)
             mdm.release_log = release_log
             snapshot_seq = snapshot.seq
             recovered.update(snapshot.idempotency)
         else:
-            mdm = cls(cache=cache, use_cache=use_cache)
+            mdm = cls(use_cache=use_cache)
         journal = Journal.open(state / JOURNAL_FILE, fsync=fsync)
         # Journal-suffix outcomes override snapshotted ones (same key,
         # later release wins — replay recomputes the exact epochs).
@@ -382,28 +379,12 @@ class MDM:
     def query(self, omq: str | OMQ, distinct: bool = True) -> Relation:
         """Pose an OMQ; returns the result relation (Figure 9 pipeline).
 
-        Legacy single-caller shape: it talks straight to the engine,
-        with no epoch evidence and no serialization against releases.
-        Anything concurrent or remote should use :meth:`client`.
+        The single-caller facade: it runs the engine path the protocol
+        endpoint runs, but carries no epoch evidence and is not
+        serialized against releases. Anything concurrent or remote
+        should use :meth:`client`.
         """
         return self.engine.answer(omq, distinct=distinct)
-
-    def answer_many(self, omqs, distinct: bool = True,
-                    workers: int | None = None,
-                    return_exceptions: bool = False,
-                    ) -> list[Relation | Exception]:
-        """Answer a batch of OMQs (deduplicated by canonical key).
-
-        Delegates to :meth:`QueryEngine.answer_many
-        <repro.query.engine.QueryEngine.answer_many>`: each unique OMQ
-        is rewritten and evaluated once, duplicates share the result,
-        and ``workers > 1`` fans wrapper evaluation out across threads.
-        For batches racing releases, front the MDM with
-        :meth:`serving` so answers stay release-consistent.
-        """
-        return self.engine.answer_many(
-            omqs, distinct=distinct, workers=workers,
-            return_exceptions=return_exceptions)
 
     def serving(self, max_workers: int = 4,
                 drain_timeout: float | None = None):

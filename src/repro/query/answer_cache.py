@@ -15,7 +15,8 @@ release-awareness:
   mutation of ``T``) keys the entry out;
 * the **data_version** of every wrapper the plan scanned must be
   unchanged — an in-place data write (a document-store upsert, a REST
-  source refresh) invalidates exactly the answers that read it;
+  source refresh) makes exactly the answers that read it miss, and the
+  engine patches them from the sources' change streams;
 * the **bound objects** the plan scanned must be the same objects,
   compared by identity — a bare rebind of a wrapper name moves neither
   the fingerprint nor (necessarily) the data version, and it evicts
@@ -57,8 +58,8 @@ def answer_cache_env_enabled() -> bool:
 
     The deployment-level kill switch for default answer caching:
     memory-constrained replicas and benchmarks that must stress
-    execution set it; an *explicitly* passed cache always wins over the
-    environment.
+    execution set it. It reaches processes no constructor call does,
+    such as the replicas a fleet supervisor spawns.
     """
     return os.environ.get("REPRO_ANSWER_CACHE", "1") != "0"
 
@@ -74,8 +75,8 @@ class AnswerCacheStats:
     hits: int = 0
     misses: int = 0
     stores: int = 0
-    #: entries dropped because their evidence (fingerprint or a
-    #: wrapper's data_version) no longer matched at lookup time
+    #: entries dropped because their fingerprint or bound objects no
+    #: longer matched at lookup time, or because a patch attempt failed
     evictions: int = 0
     #: whole-cache clears (evolution events, administrative resets)
     invalidations: int = 0
@@ -168,20 +169,17 @@ class AnswerCache:
     def lookup(self, key: str, distinct: bool,
                fingerprint: "OntologyFingerprint",
                data_versions: "tuple[tuple[str, object], ...]",
-               patchable: bool = False,
                bound: tuple[object, ...] = ()) -> Relation | None:
         """The cached answer, or ``None`` when absent/stale.
 
-        A present entry whose evidence mismatches is evicted (it can
-        never become valid again — fingerprints and data_versions only
-        move forward) and counts as a miss. With ``patchable=True`` a
-        *data-stale* entry under an unchanged fingerprint survives the
-        miss: only the wrappers' data moved, so the incremental patch
-        path (:meth:`patchable_entry` → :meth:`install_patch`) can
-        bring it current for O(Δ) instead of a recompute. An epoch
-        change (fingerprint mismatch) or a rebind (*bound* holds
-        another object) still evicts — the rewriting or the source
-        itself may no longer be the one the entry read.
+        Every stale entry counts as a miss. A *data-stale* entry under
+        an unchanged fingerprint survives it: only the wrappers' data
+        moved, so the incremental patch path (:meth:`patchable_entry`
+        → :meth:`install_patch`) can bring it current for O(Δ) instead
+        of a recompute. An epoch change (fingerprint mismatch) or a
+        rebind (*bound* holds another object) evicts — the rewriting or
+        the source itself may no longer be the one the entry read, and
+        fingerprints only move forward.
         """
         slot = (key, distinct)
         with self._lock:
@@ -196,9 +194,6 @@ class AnswerCache:
                 self.stats.misses += 1
                 return None
             if entry.data_versions != data_versions:
-                if not patchable:
-                    del self._entries[slot]
-                    self.stats.evictions += 1
                 self.stats.misses += 1
                 return None
             entry.hit_count += 1

@@ -62,20 +62,9 @@ class QueryEngine:
 
     def __init__(self, ontology: BDIOntology,
                  prefixes: dict[str, str] | None = None,
-                 cache: RewriteCache | None = None,
                  use_cache: bool = True,
                  use_planner: bool = True,
-                 answer_cache: AnswerCache | None = None,
-                 use_answer_cache: bool = True,
-                 incremental: bool = True) -> None:
-        if cache is not None and not use_cache:
-            raise ValueError(
-                "an explicit cache contradicts use_cache=False; pass "
-                "one or the other")
-        if answer_cache is not None and not use_answer_cache:
-            raise ValueError(
-                "an explicit answer_cache contradicts "
-                "use_answer_cache=False; pass one or the other")
+                 use_answer_cache: bool = True) -> None:
         self.ontology = ontology
         self.prefixes = dict(prefixes or {})
         #: route evaluation through the physical planner (projection and
@@ -88,29 +77,23 @@ class QueryEngine:
         self._metrics_log: "OrderedDict[str, PlanMetrics]" = \
             OrderedDict()  # guarded-by: _metrics_lock
         self._metrics_lock = threading.Lock()
-        #: release-aware rewriting cache (None when use_cache is False);
-        #: pass a shared instance to pool engines over one ontology.
-        self.cache: RewriteCache | None = (
-            cache if cache is not None
-            else RewriteCache() if use_cache else None)
+        #: release-aware rewriting cache (None when use_cache is False)
+        self.cache: RewriteCache | None = \
+            RewriteCache() if use_cache else None
         #: full answer cache (canonical OMQ key + fingerprint + scanned
         #: data_versions → materialized relation); only consulted on
         #: the production path (no explicit provider), validity
-        #: evidence re-checked per lookup. None when disabled — via
+        #: evidence re-checked per lookup. A cached answer whose only
+        #: staleness is advanced wrapper data_versions is *patched*
+        #: through a standing query fed by CDC deltas — O(Δ) per
+        #: refresh — instead of re-executed. None when disabled — via
         #: ``use_answer_cache=False`` or the ``REPRO_ANSWER_CACHE=0``
-        #: environment kill switch (an explicit cache beats both).
+        #: environment switch, which reaches processes no constructor
+        #: call does (a fleet's replicas).
         self.answer_cache: AnswerCache | None = (
-            answer_cache if answer_cache is not None
-            else AnswerCache()
+            AnswerCache()
             if use_answer_cache and answer_cache_env_enabled()
             else None)
-        #: incremental answer maintenance: when a cached answer's only
-        #: staleness is advanced wrapper data_versions (same ontology
-        #: fingerprint), *patch* it through a standing query fed by CDC
-        #: deltas — O(Δ) per refresh — instead of evicting and
-        #: re-executing. Only meaningful while the answer cache and
-        #: planner are active.
-        self.incremental = incremental
         #: SPARQL text → (parsed OMQ, canonical key) memo, LRU-bounded,
         #: valid for the prefix bindings it was built under. Guarded by
         #: _parse_lock:
@@ -252,17 +235,16 @@ class QueryEngine:
             # it, so it is never patched either.
             return lambda: self._execute(key, plan, scans)
         cached = cache.lookup(key, distinct, fingerprint, versions,
-                              patchable=self.incremental, bound=bound)
+                              bound=bound)
         if cached is not None:
             return cached
 
         def compute() -> Relation:
-            if self.incremental:
-                patched = self._patch_answer(cache, key, distinct,
-                                             fingerprint, versions, plan,
-                                             scans)
-                if patched is not None:
-                    return patched
+            patched = self._patch_answer(cache, key, distinct,
+                                         fingerprint, versions, plan,
+                                         scans)
+            if patched is not None:
+                return patched
             relation = self._execute(key, plan, scans)
             cache.store(key, distinct, fingerprint, versions, relation,
                         bound)
@@ -465,8 +447,9 @@ class QueryEngine:
             expression = result.ucq.to_expression(self.ontology)
             lines.append(f"  {expression.notation()}")
             return "\n".join(lines)
+        # A throwaway scan cache counts estimate failures, as in plan().
         plan = self._plan_cached(result, True,
-                                 self._scan_provider(None, None))
+                                 self._scan_provider(None, ScanCache()))
         expression = result.ucq.to_expression(self.ontology)
         lines.append(f"  {expression.notation()}")
         lines.append("")

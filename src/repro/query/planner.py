@@ -278,35 +278,26 @@ def plan_walk(walk: Walk, mapping: dict[str, str],
 
 
 def plan_ucq(ontology: BDIOntology, ucq: "UCQ",
-             provider: ScanProvider | None = None,
+             provider: ScanProvider,
              distinct: bool = True) -> PhysicalPlan:
     """Plan the full union: one physical branch per walk — per class
     of equivalent walks when *distinct*.
 
-    *provider* supplies cardinality estimates (plan-time only); when
-    omitted, bound physical wrappers are consulted directly.
+    *provider* supplies cardinality estimates (plan-time only). The
+    engine passes a :class:`~repro.relational.physical.
+    CachingScanProvider`, which counts a failing estimate and reads it
+    as unknown.
     """
     if not ucq.walks:
         raise UnanswerableQueryError(
             "no covering and minimal walk answers the query")
-
-    if provider is not None:
-        probe: Estimator = provider.estimate
-    else:
-        def probe(name: str) -> "int | None":
-            if not ontology.has_physical_wrapper(name):
-                return None
-            try:
-                return ontology.physical_wrapper(name).estimate_rows()
-            except Exception:
-                return None
 
     # One estimate per wrapper per plan, however many walks read it.
     estimates: dict[str, "int | None"] = {}
 
     def estimate(name: str) -> "int | None":
         if name not in estimates:
-            estimates[name] = probe(name)
+            estimates[name] = provider.estimate(name)
         return estimates[name]
 
     # Under set semantics a walk equivalent to an earlier one adds no

@@ -7,8 +7,7 @@ guarantees every answer is consistent with exactly one release. See
 """
 
 from repro.service.epoch_lock import EpochLock, EpochLockStats
-from repro.service.serving import GovernedService, ServedAnswer, \
-    ServiceStats
+from repro.service.serving import GovernedService, ServiceStats
 from repro.service.workload import (
     IndustrialServingScenario, LatencyWrapper, analyst_panel,
     build_industrial_service, next_version_release,
@@ -16,7 +15,7 @@ from repro.service.workload import (
 
 __all__ = [
     "EpochLock", "EpochLockStats",
-    "GovernedService", "ServedAnswer", "ServiceStats",
+    "GovernedService", "ServiceStats",
     "IndustrialServingScenario", "LatencyWrapper", "analyst_panel",
     "build_industrial_service", "next_version_release",
 ]

@@ -21,80 +21,30 @@ Algorithm 1 behind the service's back) is counted as a bypassed write —
 the cache still protects correctness via fingerprints, but the operator
 can see that the single-writer discipline was violated.
 
-Since the protocol redesign, the service's request handling lives in
-its :class:`~repro.api.endpoint.ProtocolEndpoint` (one implementation
-for in-process calls and the HTTP gateway); :meth:`GovernedService.
-serve`, :meth:`serve_many` and :meth:`apply_release` remain as thin
-shims over protocol envelopes so existing call sites keep working.
-New code should talk to :class:`~repro.api.client.GovernedClient`.
+The service's request handling lives in its :class:`~repro.api.
+endpoint.ProtocolEndpoint`, the one way in for queries and releases
+(in-process calls and the HTTP gateway alike); callers talk to it
+through :class:`~repro.api.client.GovernedClient`.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Any, TYPE_CHECKING, Iterable
+from typing import Any, TYPE_CHECKING
 
-from repro.core.ontology import EvolutionEvent, OntologyFingerprint
-from repro.core.release import Release
-from repro.errors import AnswerFailed
+from repro.core.ontology import EvolutionEvent
 from repro.mdm.system import MDM
-from repro.query.omq import OMQ
+from repro.query.answer_cache import AnswerCache
 from repro.relational.physical import ScanCache
-from repro.relational.rows import Relation
 from repro.service.epoch_lock import EpochLock
-from repro.rdf.term import IRI
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.client import GovernedClient
     from repro.api.endpoint import ProtocolEndpoint
     from repro.wrappers.base import Wrapper
 
-__all__ = ["GovernedService", "ServedAnswer", "ServiceStats"]
-
-
-@dataclass(frozen=True)
-class ServedAnswer:
-    """One answered query plus the consistency evidence it was served
-    under: the serving epoch (completed releases observed) and the
-    ontology fingerprint snapshotted inside the read section.
-
-    A failed query in a ``return_exceptions=True`` batch yields a slot
-    with :attr:`relation` ``None`` and the exception in :attr:`error`.
-    """
-
-    relation: Relation | None
-    #: serving epoch (EpochLock write count) the answer observed
-    epoch: int
-    #: ontology fingerprint at answering time
-    fingerprint: OntologyFingerprint
-    #: the query's failure, when the batch was asked not to raise
-    error: Exception | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.error is None and self.relation is not None
-
-    def require(self) -> Relation:
-        """The relation, or the typed failure of this slot.
-
-        Re-raises the stored :attr:`error`; a slot that somehow carries
-        neither relation nor error raises
-        :class:`~repro.errors.AnswerFailed` instead of a bare
-        ``AttributeError`` downstream.
-        """
-        if self.error is not None:
-            raise self.error
-        if self.relation is None:
-            raise AnswerFailed(
-                "answer slot holds no relation and recorded no error "
-                f"(epoch {self.epoch})")
-        return self.relation
-
-    @property
-    def rows(self) -> list[dict[str, object]]:
-        """The answer rows; raises the slot's typed failure instead."""
-        return self.require().rows
+__all__ = ["GovernedService", "ServiceStats"]
 
 
 @dataclass
@@ -134,7 +84,7 @@ class ServiceStats:
 class GovernedService:
     """Thread-safe query serving over one MDM.
 
-    *max_workers* bounds the thread pool :meth:`serve_many` fans wrapper
+    *max_workers* bounds the thread pool a query batch fans wrapper
     evaluation out on; ``drain_timeout`` (seconds, ``None`` = wait
     forever) bounds how long a release may wait for in-flight queries.
     """
@@ -174,28 +124,14 @@ class GovernedService:
         self.scan_cache = ScanCache()
         #: the engine's full answer cache (repeated analyst panels skip
         #: execution entirely); cleared at every epoch boundary through
-        #: the evolution listener, because answers do change. If the
-        #: engine was built with ``use_answer_cache=False`` the service
-        #: installs its own so governed serving always has one.
-        #: ``REPRO_ANSWER_CACHE=0`` in the environment opts a deployment
-        #: out (memory-constrained replicas, benchmarks that must stress
-        #: execution); the service then keeps a detached, always-empty
-        #: cache so its observability surfaces stay valid.
-        from repro.query.answer_cache import (
-            AnswerCache, answer_cache_env_enabled,
-        )
-        if self.mdm.engine.answer_cache is None and \
-                answer_cache_env_enabled():
-            self.mdm.engine.answer_cache = AnswerCache()
+        #: the evolution listener, because answers do change.
+        #: ``REPRO_ANSWER_CACHE=0`` in the environment builds engines
+        #: without one (memory-constrained replicas, benchmarks that
+        #: must stress execution); the service then keeps a detached,
+        #: always-empty cache so its observability surfaces stay valid.
         self.answer_cache = (self.mdm.engine.answer_cache
                              if self.mdm.engine.answer_cache is not None
                              else AnswerCache())
-        #: registered standing panels: name → the OMQs the panel
-        #: serves. Panel answers are maintained incrementally (when the
-        #: engine's patch path is on) — a :meth:`refresh_panels` tick,
-        #: or any ordinary read of the same query, brings them current
-        #: for O(Δ) against the CDC change streams.
-        self.panels: dict[str, tuple[OMQ | str, ...]] = {}
         #: attached change-stream drift monitors (see
         #: :meth:`attach_drift_monitor`) and the drafts they produced
         #: awaiting steward review
@@ -209,9 +145,8 @@ class GovernedService:
     def endpoint(self) -> "ProtocolEndpoint":
         """The v1 protocol handler over this service (memoized).
 
-        One endpoint per service: the in-process transport, the HTTP
-        gateway and the legacy ``serve*`` shims all share its cursor
-        store and idempotency log, so a cursor opened in-process can be
+        One endpoint per service: the in-process transport and the HTTP
+        gateway share its cursor store and idempotency log, so a cursor opened in-process can be
         continued over the wire and vice versa.
         """
         if self._endpoint is None:
@@ -253,129 +188,7 @@ class GovernedService:
         if not self.lock.held_for_write():
             self.stats.bump(bypassed_writes=1)
 
-    # -- analyst side (readers) ----------------------------------------------
-
-    def serve(self, query: OMQ | str, distinct: bool = True,
-              timeout: float | None = None) -> ServedAnswer:
-        """Answer one OMQ under the read lock, with epoch evidence.
-
-        Legacy shim: builds a :class:`~repro.api.protocol.QueryRequest`
-        and routes through :attr:`endpoint`, re-raising failures as
-        their original exceptions. Prefer :meth:`client`.
-        """
-        from repro.api.protocol import QueryRequest
-        response = self.endpoint.handle_query(QueryRequest(
-            query=query, distinct=distinct,
-            timeout=timeout)).raise_for_error()
-        return ServedAnswer(
-            relation=response.relation, epoch=response.epoch,
-            fingerprint=OntologyFingerprint(*response.fingerprint))
-
-    def answer(self, query: OMQ | str, distinct: bool = True,
-               timeout: float | None = None) -> Relation:
-        """Answer one OMQ; the epoch-less convenience form of
-        :meth:`serve`."""
-        return self.serve(query, distinct=distinct,
-                          timeout=timeout).relation
-
-    def serve_many(self, queries: Iterable[OMQ | str],
-                   distinct: bool = True,
-                   workers: int | None = None,
-                   return_exceptions: bool = False,
-                   timeout: float | None = None) -> list[ServedAnswer]:
-        """Answer a batch under *one* read section.
-
-        The whole batch observes a single serving epoch — a release
-        either precedes every answer in the batch or follows all of
-        them. Legacy shim over :meth:`ProtocolEndpoint.
-        handle_query_batch <repro.api.endpoint.ProtocolEndpoint.
-        handle_query_batch>`; deduplication and the evaluation fan-out
-        are :meth:`QueryEngine.answer_many
-        <repro.query.engine.QueryEngine.answer_many>`'s, duplicates in
-        the batch share one relation object. With
-        ``return_exceptions=True`` a failed query yields a
-        :class:`ServedAnswer`-shaped slot holding the exception in
-        ``relation``'s place.
-        """
-        from repro.api.protocol import QueryRequest
-        responses = self.endpoint.handle_query_batch(
-            [QueryRequest(query=query, distinct=distinct,
-                          timeout=timeout) for query in queries],
-            workers=workers)
-        answers: list[ServedAnswer] = []
-        for response in responses:
-            if response.error is not None and not return_exceptions:
-                response.raise_for_error()
-            fingerprint = (
-                OntologyFingerprint(*response.fingerprint)
-                if response.fingerprint is not None
-                else self.mdm.ontology.fingerprint())
-            answers.append(ServedAnswer(
-                relation=response.relation,
-                epoch=response.epoch if response.epoch is not None
-                else self.lock.epoch,
-                fingerprint=fingerprint, error=response.exception))
-        return answers
-
-    def answer_many(self, queries: Iterable[OMQ | str],
-                    distinct: bool = True,
-                    workers: int | None = None,
-                    return_exceptions: bool = False,
-                    timeout: float | None = None,
-                    ) -> list[Relation | Exception]:
-        """Batch answering without the epoch evidence."""
-        return [served.relation if served.ok else served.error
-                for served in self.serve_many(
-                    queries, distinct=distinct, workers=workers,
-                    return_exceptions=return_exceptions,
-                    timeout=timeout)]
-
-    # -- standing panels (incremental maintenance) ---------------------------
-
-    def register_panel(self, name: str,
-                       queries: Iterable[OMQ | str],
-                       distinct: bool = True,
-                       warm: bool = True) -> None:
-        """Declare a served panel: a named set of OMQs kept warm.
-
-        ``warm=True`` answers the panel immediately, so its entries
-        (and, once the sources churn, their standing queries) live in
-        the answer cache from the start. Re-registering a name replaces
-        its query set.
-        """
-        self.panels[name] = tuple(queries)
-        if warm:
-            self.serve_many(self.panels[name], distinct=distinct,
-                            return_exceptions=True)
-
-    def refresh_panels(self, workers: int | None = None,
-                       distinct: bool = True) -> dict[str, dict]:
-        """One maintenance tick: re-answer every registered panel.
-
-        Each panel batch runs under one read section; stale cached
-        answers are *patched* through their standing queries (O(Δ)
-        against the sources' change logs) rather than recomputed, and
-        the per-panel report says which it was: ``{queries, failures,
-        patches, seeds, fallbacks, hits}`` — the deltas of the answer
-        cache's counters across the tick.
-        """
-        report: dict[str, dict] = {}
-        for name, queries in self.panels.items():
-            stats = self.answer_cache.stats
-            before = (stats.patches, stats.seeds, stats.fallbacks,
-                      stats.hits)
-            served = self.serve_many(queries, distinct=distinct,
-                                     workers=workers,
-                                     return_exceptions=True)
-            report[name] = {
-                "queries": len(served),
-                "failures": sum(1 for s in served if not s.ok),
-                "patches": stats.patches - before[0],
-                "seeds": stats.seeds - before[1],
-                "fallbacks": stats.fallbacks - before[2],
-                "hits": stats.hits - before[3],
-            }
-        return report
+    # -- drift monitoring ----------------------------------------------------
 
     def attach_drift_monitor(self, monitor: Any) -> None:
         """Attach a change-stream drift monitor (e.g. a
@@ -391,7 +204,8 @@ class GovernedService:
         accumulated on :attr:`drift_drafts` for the steward — this
         deliberately never applies a release by itself: adaptation
         stays semi-automatic, the steward lands drafts through
-        :meth:`apply_release`.
+        :meth:`ProtocolEndpoint.handle_release
+        <repro.api.endpoint.ProtocolEndpoint.handle_release>`.
         """
         drafts = []
         for monitor in self.drift_monitors:
@@ -402,25 +216,6 @@ class GovernedService:
         return drafts
 
     # -- steward side (writers) ----------------------------------------------
-
-    def apply_release(self, release: Release,
-                      absorbed_concepts: "frozenset[IRI] | set[IRI] | "
-                      "None" = None) -> dict[str, int]:
-        """Land a release: drain readers, run Algorithm 1, readmit.
-
-        Legacy shim over :meth:`ProtocolEndpoint.handle_release
-        <repro.api.endpoint.ProtocolEndpoint.handle_release>` (a typed
-        :class:`~repro.api.protocol.ReleaseRequest`). Returns Algorithm
-        1's triples-added delta. Queries issued after this returns
-        observe a strictly larger serving epoch.
-        """
-        from repro.api.protocol import ReleaseRequest
-        response = self.endpoint.handle_release(ReleaseRequest(
-            release=release,
-            absorbed_concepts=tuple(
-                str(c) for c in (absorbed_concepts or ())),
-            timeout=self.drain_timeout)).raise_for_error()
-        return response.triples_added
 
     def register_wrapper(self, wrapper: "Wrapper", **kwargs: Any,
                          ) -> dict[str, int]:

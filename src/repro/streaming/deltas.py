@@ -8,8 +8,8 @@ changes the multiplicity of that row by ``ops[i]`` (positive = insert,
 negative = retract; an update travels as a retraction/assertion pair).
 Standing-query operators (:mod:`repro.streaming.operators`) consume and
 produce these batches, so O(Δ) refresh rides the same columnar layout
-as the execution engine. ``QueryEngine(incremental=False)`` skips the
-patch path entirely and falls back to evict-and-recompute.
+as the execution engine. ``QueryEngine(use_answer_cache=False)``
+keeps no answers, so it never patches one: every query recomputes.
 """
 
 from __future__ import annotations

@@ -24,14 +24,13 @@ A wrapper *declares* what it honors via :meth:`Wrapper.capabilities`;
 only the pushdowns the wrapper declared, validates what came back, and
 applies the residue (column trim, ID filter) itself — so a wrapper that
 declines (or mis-implements) a pushdown still yields exactly the
-requested relation. Legacy subclasses overriding the old zero-argument
-``fetch_rows()`` keep working: the base detects the signature and routes
-everything through the fallback.
+requested relation. Every ``fetch_rows`` takes both keywords (the
+``wrapper-capabilities`` lint rule checks it), even when it honors
+neither.
 """
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -208,26 +207,11 @@ class Wrapper:
                    id_filter: IdFilter | None = None) -> list[dict]:
         """Produce raw rows keyed by local attribute names (override).
 
-        *columns*/*id_filter* are only passed when the wrapper declares
-        the matching capability; implementations without any capability
-        may ignore both parameters (or keep the legacy zero-argument
-        signature).
+        :meth:`fetch` always passes both keywords, but each is ``None``
+        unless the wrapper declares the matching capability;
+        implementations without any capability may ignore both.
         """
         raise NotImplementedError
-
-    def _accepts_pushdown_kwargs(self) -> bool:
-        """True when the ``fetch_rows`` override takes the new kwargs."""
-        cached = getattr(self, "_fetch_rows_takes_kwargs", None)
-        if cached is None:
-            try:
-                params = inspect.signature(self.fetch_rows).parameters
-            except (TypeError, ValueError):  # pragma: no cover - C impls
-                params = {}
-            cached = ("columns" in params and "id_filter" in params) or any(
-                p.kind is inspect.Parameter.VAR_KEYWORD
-                for p in params.values())
-            self._fetch_rows_takes_kwargs = cached
-        return cached
 
     def fetch(self, columns: Sequence[str] | None = None,
               id_filter: IdFilter | None = None) -> list[dict]:
@@ -266,12 +250,9 @@ class Wrapper:
                 # residual pass needs it when the wrapper declined; it
                 # is trimmed again below.
                 push_columns.append(id_filter.attribute)
-        if self._accepts_pushdown_kwargs():
-            rows = self.fetch_rows(
-                columns=push_columns,
-                id_filter=id_filter if caps.id_filter else None)
-        else:
-            rows = self.fetch_rows()
+        rows = self.fetch_rows(
+            columns=push_columns,
+            id_filter=id_filter if caps.id_filter else None)
 
         # Validated fallback: apply the ID filter residually *before*
         # trimming (a no-op membership pass when the wrapper already

@@ -24,3 +24,10 @@ class HonestWrapper:
 
     def fetch_deltas(self, since: int) -> list:
         return []
+
+
+class PassThroughWrapper:
+    """Takes the pushdown keywords through **kwargs and honors none."""
+
+    def fetch_rows(self, **kwargs) -> list:
+        return []

@@ -24,5 +24,13 @@ class BrokenWrapper:
     # violations: no fetch_deltas, no delta_cursor
 
 
+class ZeroArgumentWrapper:
+    """Advertises nothing, yet Wrapper.fetch passes both keywords."""
+
+    def fetch_rows(self) -> list:
+        # violations: no `columns`, no `id_filter` parameter
+        return []
+
+
 class StrayError(ValueError):
     """Violation: exception class defined outside repro.errors."""

@@ -125,6 +125,12 @@ class TestFlaggedTree:
         assert any("columns" in m and "projection" in m
                    for m in messages(flagged, "wrapper-capabilities"))
 
+    def test_zero_argument_fetch_rows_flagged(self, flagged):
+        caps = messages(flagged, "wrapper-capabilities")
+        for param in ("columns", "id_filter"):
+            assert any(m.startswith("ZeroArgumentWrapper.fetch_rows")
+                       and f"`{param}`" in m for m in caps)
+
     def test_missing_delta_surface_flagged(self, flagged):
         caps = messages(flagged, "wrapper-capabilities")
         assert any("fetch_deltas" in m for m in caps)

@@ -282,31 +282,3 @@ class TestBatchEndpoint:
         assert responses[0].ok
         assert responses[1].error.code == "epoch_superseded"
         assert responses[1].epoch == 0  # the epoch the batch observed
-
-
-class TestServedAnswerContract:
-    """Satellite: failed answers raise their stored, typed error."""
-
-    def test_rows_reraises_stored_error(self, serving_scenario,
-                                        service):
-        good = serving_scenario.queries["twitter_api"]
-        served = service.serve_many([good, BAD_QUERY],
-                                    return_exceptions=True)
-        assert served[0].ok
-        assert not served[1].ok
-        with pytest.raises(UnanswerableQueryError):
-            served[1].rows
-        with pytest.raises(UnanswerableQueryError):
-            served[1].require()
-
-    def test_rows_without_relation_raises_answer_failed(self):
-        from repro.core.ontology import OntologyFingerprint
-        from repro.errors import AnswerFailed
-        from repro.service import ServedAnswer
-
-        hollow = ServedAnswer(relation=None, epoch=3,
-                              fingerprint=OntologyFingerprint(3, 1))
-        assert not hollow.ok
-        with pytest.raises(AnswerFailed) as excinfo:
-            hollow.rows
-        assert "epoch 3" in str(excinfo.value)

@@ -47,12 +47,16 @@ class TestAnswerCacheUnit:
         assert cache.stats.misses == 1
         assert len(cache) == 0  # gone, not retried
 
-    def test_data_version_mismatch_evicts(self):
+    def test_data_version_mismatch_keeps_entry(self):
         cache = AnswerCache()
         cache.store("q", True, "fp", VERSIONS, relation_of(1))
         moved = (("w1", 0), ("w3", 3))
         assert cache.lookup("q", True, "fp", moved) is None
-        assert cache.stats.evictions == 1
+        assert cache.stats.misses == 1
+        assert cache.stats.evictions == 0
+        # only the data moved: the entry waits for the patch path
+        entry = cache.patchable_entry("q", True, "fp")
+        assert entry is not None and entry.data_versions == VERSIONS
 
     def test_rebind_evicts_even_when_patchable(self):
         class Bound:
@@ -68,7 +72,7 @@ class TestAnswerCacheUnit:
         cache.store("q", True, "fp", VERSIONS, relation_of(1),
                     bound=(old,))
         assert cache.lookup("q", True, "fp", VERSIONS, bound=(old,))
-        assert cache.lookup("q", True, "fp", VERSIONS, patchable=True,
+        assert cache.lookup("q", True, "fp", VERSIONS,
                             bound=(new,)) is None
         assert cache.stats.evictions == 1
         assert cache.patchable_entry("q", True, "fp") is None
@@ -130,20 +134,20 @@ class TestEngineIntegration:
         assert engine.answer_cache_stats.hits == 1
 
     def test_data_version_bump_invalidates(self, scenario):
-        # incremental=False restores the original evict-and-recompute
-        # contract (the patch path is covered in tests/streaming/)
-        engine = QueryEngine(scenario.ontology, incremental=False)
+        # the stale answer is never served as a hit; it is brought
+        # current (the patch path is covered in tests/streaming/)
+        engine = QueryEngine(scenario.ontology)
         before = engine.answer(EXEMPLARY_QUERY)
         w3 = scenario.wrappers["w3"]
         w3.replace_rows(w3._rows)  # same data, new data_version
         after = engine.answer(EXEMPLARY_QUERY)
         assert after is not before
-        assert after == before  # recomputed, same content
-        assert engine.answer_cache.stats.evictions == 1
+        assert after == before  # maintained, same content
+        stats = engine.answer_cache.stats
+        assert (stats.hits, stats.misses) == (0, 2)
 
     def test_data_version_bump_patches_incrementally(self, scenario):
         engine = QueryEngine(scenario.ontology)
-        assert engine.incremental  # the default
         before = engine.answer(EXEMPLARY_QUERY)
         w3 = scenario.wrappers["w3"]
         w3.replace_rows(w3._rows)  # same data, new data_version
@@ -192,31 +196,24 @@ class TestEngineIntegration:
         assert engine.answer_cache_stats is None
         assert engine.clear_answer_cache() == 0
 
-    def test_explicit_cache_contradiction_raises(self, scenario):
-        with pytest.raises(ValueError, match="contradicts"):
-            QueryEngine(scenario.ontology, answer_cache=AnswerCache(),
-                        use_answer_cache=False)
-
     def test_env_kill_switch(self, scenario, monkeypatch):
         monkeypatch.setenv("REPRO_ANSWER_CACHE", "0")
         assert QueryEngine(scenario.ontology).answer_cache is None
-        # an explicit cache beats the environment
-        explicit = AnswerCache()
-        engine = QueryEngine(scenario.ontology, answer_cache=explicit)
-        assert engine.answer_cache is explicit
         # the serving layer keeps a detached (empty) cache for its
         # observability surfaces but the engine never populates it
         from repro.mdm import MDM
         service = MDM(scenario.ontology).serving()
-        service.answer(EXEMPLARY_QUERY)
-        service.answer(EXEMPLARY_QUERY)
+        client = service.client()
+        client.query(EXEMPLARY_QUERY)
+        client.query(EXEMPLARY_QUERY)
         assert service.answer_cache.stats.lookups == 0
         assert len(service.answer_cache) == 0
 
     def test_shared_cache_across_engines(self, scenario):
         shared = AnswerCache()
-        one = QueryEngine(scenario.ontology, answer_cache=shared)
-        two = QueryEngine(scenario.ontology, answer_cache=shared)
+        one = QueryEngine(scenario.ontology)
+        two = QueryEngine(scenario.ontology)
+        one.answer_cache = two.answer_cache = shared
         one.answer(EXEMPLARY_QUERY)
         two.answer(EXEMPLARY_QUERY)
         assert shared.stats.hits == 1
@@ -234,7 +231,7 @@ class TestServiceIntegration:
         scenario = build_supersede()  # pre-evolution
         mdm = MDM(scenario.ontology)
         service = mdm.serving()
-        service.answer(EXEMPLARY_QUERY)
+        service.client().query(EXEMPLARY_QUERY)
         assert len(service.answer_cache) == 1
         register_w4(scenario)
         assert len(service.answer_cache) == 0  # listener cleared it
@@ -243,8 +240,9 @@ class TestServiceIntegration:
     def test_describe_reports_answer_cache(self, scenario):
         from repro.mdm import MDM
         service = MDM(scenario.ontology).serving()
-        service.answer(EXEMPLARY_QUERY)
-        service.answer(EXEMPLARY_QUERY)
+        client = service.client()
+        client.query(EXEMPLARY_QUERY)
+        client.query(EXEMPLARY_QUERY)
         assert "answer cache" in service.describe()
 
     def test_mdm_statistics_expose_answer_cache(self, scenario):

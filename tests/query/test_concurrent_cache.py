@@ -33,7 +33,8 @@ class TestThreadedCacheConsistency:
         barrier = threading.Barrier(THREADS)
 
         def hammer(seed: int) -> None:
-            engine = QueryEngine(scenario.ontology, cache=cache)
+            engine = QueryEngine(scenario.ontology)
+            engine.cache = cache
             barrier.wait()
             for i in range(ROUNDS):
                 engine.rewrite(queries[(seed + i) % len(queries)])

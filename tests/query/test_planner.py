@@ -20,6 +20,14 @@ from repro.relational.walk import JoinCondition, Walk
 from repro.wrappers.base import StaticWrapper
 
 
+def caching_scans(ontology, scans=None):
+    """The scan provider the engine plans against: the bound wrappers
+    behind a scan cache, which counts failing estimates."""
+    return CachingScanProvider(
+        WrapperScanProvider(ontology.physical_wrapper),
+        ScanCache() if scans is None else scans)
+
+
 # ---------------------------------------------------------------------------
 # Randomized equivalence: physical plan vs. naive logical evaluation
 # ---------------------------------------------------------------------------
@@ -316,7 +324,8 @@ class TestEngineIntegration:
     def test_plan_ucq_empty_walks_raises(self, evolved):
         from repro.query.ucq import UCQ
         with pytest.raises(UnanswerableQueryError):
-            plan_ucq(evolved.ontology, UCQ(features=[], walks=[]))
+            plan_ucq(evolved.ontology, UCQ(features=[], walks=[]),
+                     caching_scans(evolved.ontology))
 
 
 class TestRuntimeMetrics:
@@ -379,7 +388,7 @@ class TestSetSemantics:
         engine = QueryEngine(ontology)
         ucq = engine.rewrite(query).ucq
         assert len(ucq.walks) == walks  # the paper's count stands
-        plan = plan_ucq(ontology, ucq)
+        plan = plan_ucq(ontology, ucq, caching_scans(ontology))
         assert isinstance(plan.root, PhysicalUnion)
         assert len(plan.root.branches) == 1
         assert plan.root.walks == (walks,)
@@ -393,7 +402,8 @@ class TestSetSemantics:
     def test_bag_plan_keeps_every_walk(self, star):
         ontology, query, _ = star(3)
         ucq = QueryEngine(ontology).rewrite(query).ucq
-        plan = plan_ucq(ontology, ucq, distinct=False)
+        plan = plan_ucq(ontology, ucq, caching_scans(ontology),
+                        distinct=False)
         assert len(plan.root.branches) == len(ucq.walks) == 6
         assert not any(scan.dedup for scan in plan.scans())
         bag = plan.execute(WrapperScanProvider(ontology.physical_wrapper))
@@ -536,6 +546,7 @@ class TestFailingEstimate:
         assert scans.stats.unestimated == reasons
         # A bare plan (explain) does not fail on the probe either.
         assert "items_v1" in QueryEngine(ontology).plan(query).explain()
+        assert "items_v1" in QueryEngine(ontology).explain(query)
 
     def test_one_count_per_plan_across_walks(self, evolved_scenario):
         ontology = evolved_scenario.ontology
@@ -550,3 +561,13 @@ class TestFailingEstimate:
         assert len(engine.rewrite(EXEMPLARY_QUERY).ucq.walks) == 2
         assert answer == _oracle(ontology, EXEMPLARY_QUERY)
         assert scans.stats.unestimated == {"w3: RuntimeError": 1}
+
+    def test_plan_ucq_counts_a_raising_estimate(self):
+        ontology, query = _single_wrapper_ontology(
+            [{"id": i, "v": i} for i in range(5)], estimate_fails=True)
+        ucq = QueryEngine(ontology).rewrite(query).ucq
+        scans = ScanCache()
+        plan = plan_ucq(ontology, ucq, caching_scans(ontology, scans))
+        assert scans.stats.unestimated == {"items_v1: RuntimeError": 1}
+        assert plan.execute(WrapperScanProvider(
+            ontology.physical_wrapper)) == _oracle(ontology, query)

@@ -420,7 +420,8 @@ class TestStructureGuardAcrossReleases:
 class TestCacheMechanics:
     def test_lru_eviction(self, scenario):
         cache = RewriteCache(max_entries=1)
-        engine = QueryEngine(scenario.ontology, cache=cache)
+        engine = QueryEngine(scenario.ontology)
+        engine.cache = cache
         engine.rewrite(EXEMPLARY_QUERY)
         engine.rewrite(FEEDBACK_QUERY)
         assert len(cache) == 1
@@ -432,22 +433,15 @@ class TestCacheMechanics:
         with pytest.raises(ValueError):
             RewriteCache(max_entries=0)
 
-    def test_contradictory_cache_arguments_rejected(self, scenario):
-        with pytest.raises(ValueError):
-            QueryEngine(scenario.ontology, cache=RewriteCache(),
-                        use_cache=False)
-        with pytest.raises(ValueError):
-            MDM(scenario.ontology, cache=RewriteCache(),
-                use_cache=False)
-
     def test_shared_cache_never_cross_serves_ontologies(self):
         """Two structurally identical ontologies sharing one cache must
         not serve each other's rewritings."""
         cache = RewriteCache()
         a = build_supersede()
         b = build_supersede()
-        engine_a = QueryEngine(a.ontology, cache=cache)
-        engine_b = QueryEngine(b.ontology, cache=cache)
+        engine_a = QueryEngine(a.ontology)
+        engine_b = QueryEngine(b.ontology)
+        engine_a.cache = engine_b.cache = cache
         result_a = engine_a.rewrite(EXEMPLARY_QUERY)
         result_b = engine_b.rewrite(EXEMPLARY_QUERY)
         assert result_b is not result_a

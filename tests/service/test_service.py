@@ -6,6 +6,7 @@ import threading
 
 import pytest
 
+from repro.api.protocol import QueryRequest, ReleaseRequest
 from repro.errors import UnanswerableQueryError
 from repro.query.engine import QueryEngine
 from repro.rdf.term import IRI
@@ -17,6 +18,19 @@ from repro.service import (
 
 def _canon(relation) -> list[tuple]:
     return sorted(tuple(sorted(row.items())) for row in relation.rows)
+
+
+def _query(service, query):
+    """One governed read through the endpoint; raises typed failures."""
+    return service.endpoint.handle_query(
+        QueryRequest(query=query)).raise_for_error()
+
+
+def _release(service, release):
+    """Land *release* through the endpoint; returns Algorithm 1's
+    triples-added delta."""
+    return service.endpoint.handle_release(
+        ReleaseRequest(release=release)).raise_for_error().triples_added
 
 
 @pytest.fixture()
@@ -35,18 +49,21 @@ class TestServe:
     def test_serve_tags_answers_with_epoch_and_fingerprint(
             self, serving_scenario, service):
         query = serving_scenario.queries["twitter_api"]
-        served = service.serve(query)
+        served = _query(service, query)
         assert served.epoch == 0
-        assert served.fingerprint == \
-            serving_scenario.ontology.fingerprint()
+        fingerprint = serving_scenario.ontology.fingerprint()
+        assert served.fingerprint == (fingerprint.epoch,
+                                      fingerprint.structure)
         assert len(served.rows) == 24
         assert service.stats.queries == 1
 
     def test_serve_many_shares_one_epoch_and_dedupes(
             self, serving_scenario, service):
         panel = analyst_panel(serving_scenario, analysts=6)
-        answers = service.serve_many(panel)
+        answers = service.endpoint.handle_query_batch(
+            [QueryRequest(query=query) for query in panel])
         assert len(answers) == len(panel)
+        assert all(answer.ok for answer in answers)
         assert {a.epoch for a in answers} == {0}
         # 5 unique OMQs → 5 rewrites, duplicates share the relation.
         assert serving_scenario.mdm.cache.stats.misses == 5
@@ -59,7 +76,7 @@ class TestServe:
                                          service):
         query = serving_scenario.queries["amazon_mws"]
         fresh = QueryEngine(serving_scenario.ontology, use_cache=False)
-        assert _canon(service.answer(query)) == _canon(
+        assert _canon(_query(service, query).relation) == _canon(
             fresh.answer(query))
 
     def test_batch_failure_modes(self, serving_scenario, service):
@@ -73,18 +90,15 @@ class TestServe:
                 <urn:industrial:orphan/id>
         }"""
         good = serving_scenario.queries["sina_weibo"]
-        with pytest.raises(UnanswerableQueryError):
-            service.answer_many([good, bad])
-        mixed = service.answer_many([good, bad],
-                                    return_exceptions=True)
-        assert len(mixed[0].rows) == 24
-        assert isinstance(mixed[1], UnanswerableQueryError)
-        served = service.serve_many([good, bad],
-                                    return_exceptions=True)
+        served = service.endpoint.handle_query_batch(
+            [QueryRequest(query=good), QueryRequest(query=bad)])
         assert served[0].ok and len(served[0].rows) == 24
         assert not served[1].ok and served[1].relation is None
+        assert served[1].error.code == "unanswerable_query"
+        # the failed slot observed the same epoch as its sibling
+        assert served[1].epoch == served[0].epoch == 0
         with pytest.raises(UnanswerableQueryError):
-            served[1].rows
+            served[1].raise_for_error()
 
     def test_serving_accessor_is_memoized(self, serving_scenario):
         mdm = serving_scenario.mdm
@@ -106,11 +120,11 @@ class TestReleases:
     def test_apply_release_advances_epoch_and_answers(
             self, serving_scenario, service):
         query = serving_scenario.queries["twitter_api"]
-        before = service.serve(query)
+        before = _query(service, query)
         release = next_version_release(serving_scenario, "twitter_api")
-        delta = service.apply_release(release)
+        delta = _release(service, release)
         assert delta["lav_graphs"] > 0
-        after = service.serve(query)
+        after = _query(service, query)
         assert (before.epoch, after.epoch) == (0, 1)
         assert service.epoch == 1
         # Post-release answers match a fresh engine (never stale).
@@ -134,13 +148,13 @@ class TestReleases:
 
         def reader():
             in_batch.set()
-            answers.append(service.serve(query))
+            answers.append(_query(service, query))
 
         t = threading.Thread(target=reader)
         t.start()
         assert in_batch.wait(timeout=10)
         release = next_version_release(serving_scenario, "google_gadgets")
-        service.apply_release(release)
+        _release(service, release)
         t.join(timeout=10)
         # The reader either fully preceded the release (epoch 0) or
         # fully followed it (epoch 1) — never a torn observation.
@@ -158,7 +172,7 @@ class TestReleases:
         # concept, exactly as in the single-threaded deployment.
         query = serving_scenario.queries["sina_weibo"]
         fresh = QueryEngine(serving_scenario.ontology, use_cache=False)
-        assert _canon(service.answer(query)) == _canon(
+        assert _canon(_query(service, query).relation) == _canon(
             fresh.answer(query))
 
     def test_close_detaches_listener(self, serving_scenario):
@@ -172,9 +186,11 @@ class TestReleases:
 class TestIntrospection:
     def test_describe_reports_the_contract(self, serving_scenario,
                                            service):
-        service.serve_many(analyst_panel(serving_scenario, analysts=2))
-        service.apply_release(
-            next_version_release(serving_scenario, "twitter_api"))
+        service.endpoint.handle_query_batch(
+            [QueryRequest(query=query)
+             for query in analyst_panel(serving_scenario, analysts=2)])
+        _release(service,
+                 next_version_release(serving_scenario, "twitter_api"))
         text = service.describe()
         assert "governed service: epoch 1" in text
         assert "1 release(s) served" in text

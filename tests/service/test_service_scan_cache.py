@@ -1,6 +1,7 @@
 """Serving-layer scan-cache tests: cross-query sharing, scans that
 outlive releases, rebinds, observability."""
 
+from repro.api.protocol import QueryRequest, ReleaseRequest
 from repro.query import QueryEngine
 from repro.service.workload import (
     LatencyWrapper, analyst_panel, build_industrial_service,
@@ -26,6 +27,11 @@ def count_fetches(scenario, counts=None, wrappers=None):
     return counts
 
 
+def governed_answer(service, query):
+    """One governed read through the service's client session."""
+    return service.client().query(query).relation
+
+
 def oracle(ontology, query):
     """The naive reference answer at the current T."""
     return QueryEngine(ontology, use_planner=False, use_cache=False,
@@ -39,7 +45,7 @@ class TestServingScanCache:
         service = scenario.mdm.serving()
         query = scenario.query_texts()[0]
         for _ in range(5):
-            assert len(service.answer(query)) == 8
+            assert len(governed_answer(service, query)) == 8
         assert sum(counts.values()) == 1  # one wrapper, one fetch
         # warm repeats are served above the scan cache entirely
         assert service.answer_cache.stats.hits >= 4
@@ -51,7 +57,7 @@ class TestServingScanCache:
         query = scenario.query_texts()[0]
         for _ in range(5):
             service.answer_cache.clear()  # force re-execution
-            assert len(service.answer(query)) == 8
+            assert len(governed_answer(service, query)) == 8
         assert sum(counts.values()) == 1  # scans still shared
         assert service.scan_cache.stats.hits >= 4
 
@@ -60,7 +66,8 @@ class TestServingScanCache:
         counts = count_fetches(scenario)
         service = scenario.mdm.serving()
         panel = analyst_panel(scenario, analysts=6)  # 30 queries, 5 keys
-        answers = service.serve_many(panel)
+        answers = service.endpoint.handle_query_batch(
+            [QueryRequest(query=query) for query in panel])
         assert len(answers) == len(panel)
         assert all(a.ok for a in answers)
         # five unique queries over five wrappers: exactly one fetch each
@@ -70,15 +77,16 @@ class TestServingScanCache:
         scenario = build_industrial_service(rows_per_wrapper=4)
         service = scenario.mdm.serving()
         query = scenario.queries["twitter_api"]
-        before = {r["id"] for r in service.answer(query)}
+        before = {r["id"] for r in governed_answer(service, query)}
         cached = len(service.scan_cache)
         assert cached > 0
         release = next_version_release(scenario, rows_per_wrapper=4)
         counts = count_fetches(scenario)
         count_fetches(scenario, counts, [release.wrapper])
-        service.apply_release(release)
+        service.endpoint.handle_release(
+            ReleaseRequest(release=release)).raise_for_error()
         assert len(service.scan_cache) == cached  # scans outlive it
-        answer = service.answer(query)
+        answer = governed_answer(service, query)
         after = {r["id"] for r in answer}
         assert after != before  # the new wrapper's rows are in
         assert counts == {release.wrapper.name: 1}
@@ -89,7 +97,7 @@ class TestServingScanCache:
         scenario = build_industrial_service(rows_per_wrapper=4)
         service = scenario.mdm.serving()
         query = scenario.queries["twitter_api"]
-        service.answer(query)
+        governed_answer(service, query)
         old = scenario.ontology.physical_wrapper("twitter_api_v1")
         rows = [{**row, "id": row["id"] + 100} for row in old._rows]
         rebound = LatencyWrapper(old.name, old.source_name,
@@ -99,7 +107,7 @@ class TestServingScanCache:
                                  rows=rows)
         assert rebound.data_version() == old.data_version()
         scenario.ontology.bind_wrapper(rebound)
-        answer = service.answer(query)
+        answer = governed_answer(service, query)
         assert {r["id"] for r in answer} == {100, 101, 102, 103}
         assert answer == oracle(scenario.ontology, query)
         stats = service.scan_cache.stats
@@ -109,7 +117,7 @@ class TestServingScanCache:
     def test_describe_reports_scan_cache(self):
         scenario = build_industrial_service(rows_per_wrapper=2)
         service = scenario.mdm.serving()
-        service.answer(scenario.query_texts()[0])
+        governed_answer(service, scenario.query_texts()[0])
         text = service.describe()
         assert "scan cache" in text
         assert "misses = 1" in text

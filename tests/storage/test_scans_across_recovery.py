@@ -34,7 +34,9 @@ def count_fetches(ontology, counts):
 def served_then_oracle(service, counts):
     """Pose both queries through *service*, then check them against the
     naive oracle; returns the fetch counts of the served pass alone."""
-    served = [service.answer(query) for query in (APP_QUERY, MONITOR_QUERY)]
+    client = service.client()
+    served = [client.query(query).relation
+              for query in (APP_QUERY, MONITOR_QUERY)]
     fetched = dict(counts)
     naive = QueryEngine(service.mdm.ontology, use_planner=False,
                         use_cache=False, use_answer_cache=False)

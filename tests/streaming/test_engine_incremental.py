@@ -1,5 +1,6 @@
 """QueryEngine + answer cache on the incremental path: the patch
-lifecycle, the kill switch, and the recompute fallback valve."""
+lifecycle, incremental maintenance by default, and the recompute
+fallback valve."""
 
 import pytest
 
@@ -19,22 +20,20 @@ def churn(scenario, n=1):
                         "watchTime": 4.0})
 
 
+def oracle_answer(scenario):
+    return QueryEngine(scenario.ontology, use_planner=False,
+                       use_cache=False, use_answer_cache=False
+                       ).answer(EXEMPLARY_QUERY)
+
+
 class TestKillSwitch:
-    def test_incremental_off_evicts(self, scenario):
-        engine = QueryEngine(scenario.ontology, incremental=False)
-        assert not engine.incremental
+    def test_incremental_on_by_default(self, scenario):
+        engine = QueryEngine(scenario.ontology)
         engine.answer(EXEMPLARY_QUERY)
         churn(scenario)
-        answer = engine.answer(EXEMPLARY_QUERY)
+        assert engine.answer(EXEMPLARY_QUERY) == oracle_answer(scenario)
         stats = engine.answer_cache.stats
-        assert stats.evictions == 1  # the old contract: evict + rerun
-        assert stats.seeds == 0 and stats.patches == 0
-        oracle = QueryEngine(scenario.ontology, use_planner=False,
-                             use_cache=False, use_answer_cache=False)
-        assert answer == oracle.answer(EXEMPLARY_QUERY)
-
-    def test_incremental_on_by_default(self, scenario):
-        assert QueryEngine(scenario.ontology).incremental
+        assert stats.seeds == 1 and stats.evictions == 0
 
 
 class TestPatchLifecycle:
@@ -158,31 +157,19 @@ class TestSetSemanticsPatches:
 
 
 class TestServingPanels:
-    def test_register_panel_warms_and_refreshes(self, scenario):
+    def test_read_after_churn_is_patched(self, scenario):
         from repro.mdm import MDM
         service = MDM(scenario.ontology).serving()
-        service.register_panel("vod-quality", [EXEMPLARY_QUERY])
-        assert "vod-quality" in service.panels
-        churn(scenario)
-        report = service.refresh_panels()
-        panel = report["vod-quality"]
-        assert panel["queries"] == 1
-        assert panel["failures"] == 0
-        assert panel["seeds"] + panel["patches"] >= 1
-
-    def test_refresh_without_churn_is_cheap(self, scenario):
-        from repro.mdm import MDM
-        service = MDM(scenario.ontology).serving()
-        service.register_panel("vod-quality", [EXEMPLARY_QUERY])
-        report = service.refresh_panels()
-        panel = report["vod-quality"]
-        assert panel["hits"] == 1  # straight cache hit, no maintenance
-        assert panel["patches"] == 0
-
-    def test_describe_mentions_panels_and_maintenance(self, scenario):
-        from repro.mdm import MDM
-        service = MDM(scenario.ontology).serving()
-        service.register_panel("vod-quality", [EXEMPLARY_QUERY])
-        text = service.describe()
-        assert "standing panels: 1" in text
-        assert "incremental maintenance" in text
+        client = service.client()
+        client.query(EXEMPLARY_QUERY)
+        stats = service.answer_cache.stats
+        for tick in range(2):
+            churn(scenario)
+            served = client.query(EXEMPLARY_QUERY).relation
+            assert served == oracle_answer(scenario), f"tick {tick}"
+        # the first stale read seeds the standing query, the next one
+        # patches it; neither recomputes
+        assert (stats.seeds, stats.patches, stats.fallbacks) == (1, 1, 0)
+        assert stats.stores == 1
+        assert "incremental maintenance: patches = 1" in \
+            service.describe()

