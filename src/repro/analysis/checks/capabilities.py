@@ -2,12 +2,12 @@
 
 PR 3's physical layer plans pushdown against what a wrapper *says* it
 can do — ``capabilities()`` advertises projection / id-filter pushdown
-and ``supports_deltas()`` advertises CDC — and PR 8's incremental
-maintenance trusts those advertisements to pick delta feeds. The
-planner never re-verifies: a wrapper that returns
+and a ``fetch_deltas`` override serves CDC — and PR 8's incremental
+maintenance resumes delta feeds from ``delta_cursor()``. The planner
+never re-verifies: a wrapper that returns
 ``WrapperCapabilities(projection=True)`` but whose ``fetch_rows``
 ignores the ``columns`` argument silently produces wrong (or
-un-pruned) scans, and one that claims deltas without ``fetch_deltas``
+un-pruned) scans, and one that serves deltas without its own cursor
 fails deep inside a refresh cycle instead of at review time.
 
 The contract enforced here is deliberately local:
@@ -20,9 +20,8 @@ The contract enforced here is deliberately local:
 * a class that advertises ``WrapperCapabilities(projection=True)`` or
   ``... id_filter=True`` **in its own body** defines ``fetch_rows`` in
   its own body;
-* ``supports_deltas()`` containing ``return True`` ⇒ the class defines
-  ``fetch_deltas`` with a ``since`` parameter **and** a
-  ``delta_cursor`` method.
+* a class that defines ``fetch_deltas`` gives it a ``since`` parameter
+  **and** defines a ``delta_cursor`` method in its own body.
 
 An inherited generic implementation cannot honor a capability its base
 never advertised, so "the base class has it" is not an excuse — if a
@@ -88,22 +87,13 @@ def _advertised_features(method: ast.FunctionDef) -> dict[str, int]:
     return features
 
 
-def _returns_true(method: ast.FunctionDef) -> int | None:
-    """Line of a ``return True`` constant in *method*, if any."""
-    for node in ast.walk(method):
-        if isinstance(node, ast.Return) and \
-                isinstance(node.value, ast.Constant) and \
-                node.value.value is True:
-            return node.lineno
-    return None
-
-
 @register
 class WrapperCapabilitiesChecker(Checker):
     name = "wrapper-capabilities"
     description = ("every fetch_rows takes columns and id_filter; "
-                   "wrappers advertising capabilities()/supports_deltas() "
-                   "features implement the matching methods locally")
+                   "wrappers advertising capabilities() features or "
+                   "serving fetch_deltas implement the matching methods "
+                   "locally")
 
     def check(self, project: Project) -> Iterator[Finding]:
         for source in project.files:
@@ -134,27 +124,18 @@ class WrapperCapabilitiesChecker(Checker):
                     "`fetch_rows`; the planner will push down work "
                     "nothing implements")
 
-        supports = _method(cls, "supports_deltas")
-        if supports is not None:
-            line = _returns_true(supports)
-            if line is None:
-                return
-            fetch = _method(cls, "fetch_deltas")
-            if fetch is None:
-                yield source.finding(
-                    line, self.name,
-                    f"{cls.name}.supports_deltas returns True but the "
-                    "class defines no `fetch_deltas`; incremental "
-                    "refresh would fail mid-cycle")
-            elif "since" not in _param_names(fetch):
-                yield source.finding(
-                    fetch.lineno, self.name,
-                    f"{cls.name}.fetch_deltas lacks a `since` "
-                    "parameter; delta feeds resume from a cursor and "
-                    "must accept one")
-            if _method(cls, "delta_cursor") is None:
-                yield source.finding(
-                    line, self.name,
-                    f"{cls.name}.supports_deltas returns True but the "
-                    "class defines no `delta_cursor`; feeds cannot "
-                    "snapshot a resume point")
+        fetch = _method(cls, "fetch_deltas")
+        if fetch is None:
+            return
+        if "since" not in _param_names(fetch):
+            yield source.finding(
+                fetch.lineno, self.name,
+                f"{cls.name}.fetch_deltas lacks a `since` "
+                "parameter; delta feeds resume from a cursor and "
+                "must accept one")
+        if _method(cls, "delta_cursor") is None:
+            yield source.finding(
+                fetch.lineno, self.name,
+                f"{cls.name}.fetch_deltas is defined but the class "
+                "defines no `delta_cursor`; feeds cannot snapshot a "
+                "resume point")

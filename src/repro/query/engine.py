@@ -39,11 +39,10 @@ from repro.query.cache import CacheStats, RewriteCache, \
 from repro.query.omq import OMQ, parse_omq
 from repro.query.planner import PhysicalPlan, plan_ucq
 from repro.query.rewriter import RewritingResult, rewrite
-from repro.relational.algebra import DataProvider
 from repro.relational.metrics import PlanMetrics, scan_timings
 from repro.relational.physical import (
     CachingScanProvider, ScanCache, ScanProvider, Unversioned,
-    as_scan_provider,
+    WrapperScanProvider,
 )
 from repro.relational.rows import Relation
 from repro.streaming.standing import StandingQuery
@@ -81,9 +80,8 @@ class QueryEngine:
         self.cache: RewriteCache | None = \
             RewriteCache() if use_cache else None
         #: full answer cache (canonical OMQ key + fingerprint + scanned
-        #: data_versions → materialized relation); only consulted on
-        #: the production path (no explicit provider), validity
-        #: evidence re-checked per lookup. A cached answer whose only
+        #: data_versions → materialized relation); validity evidence
+        #: re-checked per lookup. A cached answer whose only
         #: staleness is advanced wrapper data_versions is *patched*
         #: through a standing query fed by CDC deltas — O(Δ) per
         #: refresh — instead of re-executed. None when disabled — via
@@ -154,10 +152,11 @@ class QueryEngine:
         """
         return self._rewrite_parsed(*self._parse(query))
 
-    def _scan_provider(self, provider: DataProvider | None,
+    def _scan_provider(self,
                        scan_cache: ScanCache | None) -> ScanProvider:
         """The physical scan provider one evaluation runs against."""
-        scans = as_scan_provider(provider, self.ontology.physical_wrapper)
+        scans: ScanProvider = WrapperScanProvider(
+            self.ontology.physical_wrapper)
         if scan_cache is not None:
             scans = CachingScanProvider(scans, scan_cache)
         return scans
@@ -194,9 +193,7 @@ class QueryEngine:
             while len(self._metrics_log) > METRICS_LOG_MAX:
                 self._metrics_log.popitem(last=False)
 
-    def _cached_or_pending(self, omq: OMQ, key: str,
-                           provider: DataProvider | None,
-                           distinct: bool,
+    def _cached_or_pending(self, omq: OMQ, key: str, distinct: bool,
                            scan_cache: ScanCache | None,
                            ) -> "Relation | Callable[[], Relation]":
         """The cached answer of *omq*, or the call that computes it.
@@ -213,15 +210,12 @@ class QueryEngine:
                 "concepts involved: "
                 f"{[c.local_name for c in result.concepts]}")
         if not self.use_planner:
-            return lambda: result.ucq.execute(self.ontology, provider,
-                                              distinct)
-        scans = self._scan_provider(provider, scan_cache)
+            return lambda: result.ucq.execute(self.ontology,
+                                              distinct=distinct)
+        scans = self._scan_provider(scan_cache)
         plan = self._plan_cached(result, distinct, scans)
 
-        # Full answer cache: only on the production path (bound
-        # wrappers) — explicit providers have no data_version evidence,
-        # so answers computed against them are never cached.
-        cache = self.answer_cache if provider is None else None
+        cache = self.answer_cache
         if cache is None:
             return lambda: self._execute(key, plan, scans)
         fingerprint = self.ontology.fingerprint()
@@ -270,11 +264,11 @@ class QueryEngine:
         query pulls CDC deltas from the wrappers and patches the
         maintained result; the first stale miss seeds the standing
         state from full scans (through the shared scan cache) so the
-        cold path stays byte-identical. Any failure — a wrapper that
-        cannot serve exact deltas *and* whose rescan raises, an
-        unmaintainable operator, corrupted state — discards the entry
-        and returns None, handing control back to the ordinary
-        recompute-and-store path.
+        cold path stays byte-identical. Any failure — a seed whose
+        wrapper never held still, a failing rescan, an unmaintainable
+        operator, corrupted state — discards the entry and returns
+        None, handing control back to the ordinary recompute-and-store
+        path.
         """
         entry = cache.patchable_entry(key, distinct, fingerprint)
         if entry is None:
@@ -302,7 +296,6 @@ class QueryEngine:
             return None
 
     def plan(self, query: OMQ | str,
-             provider: DataProvider | None = None,
              distinct: bool = True) -> PhysicalPlan:
         """The physical plan :meth:`answer` would execute for *query*.
 
@@ -321,10 +314,9 @@ class QueryEngine:
         # A throwaway scan cache counts estimate failures (plan time
         # only; nothing is scanned here).
         return self._plan_cached(
-            result, distinct, self._scan_provider(provider, ScanCache()))
+            result, distinct, self._scan_provider(ScanCache()))
 
     def answer(self, query: OMQ | str,
-               provider: DataProvider | None = None,
                distinct: bool = True,
                scan_cache: ScanCache | None = None) -> Relation:
         """OMQ → result relation with feature-named columns.
@@ -340,12 +332,10 @@ class QueryEngine:
         if scan_cache is None and self.use_planner:
             scan_cache = ScanCache()
         omq, key = self._parse(query)
-        step = self._cached_or_pending(omq, key, provider, distinct,
-                                       scan_cache)
+        step = self._cached_or_pending(omq, key, distinct, scan_cache)
         return step if isinstance(step, Relation) else step()
 
     def answer_many(self, queries: Sequence[OMQ | str] | Iterable[OMQ | str],
-                    provider: DataProvider | None = None,
                     distinct: bool = True,
                     workers: int | None = None,
                     return_exceptions: bool = False,
@@ -391,8 +381,8 @@ class QueryEngine:
         pending: dict[str, Callable[[], Relation]] = {}
         for key, omq in unique.items():
             try:
-                step = self._cached_or_pending(omq, key, provider,
-                                               distinct, scan_cache)
+                step = self._cached_or_pending(omq, key, distinct,
+                                               scan_cache)
             except Exception as exc:  # propagated post-settle
                 outcomes[key] = exc
                 continue
@@ -449,7 +439,7 @@ class QueryEngine:
             return "\n".join(lines)
         # A throwaway scan cache counts estimate failures, as in plan().
         plan = self._plan_cached(result, True,
-                                 self._scan_provider(None, ScanCache()))
+                                 self._scan_provider(ScanCache()))
         expression = result.ucq.to_expression(self.ontology)
         lines.append(f"  {expression.notation()}")
         lines.append("")

@@ -4,19 +4,18 @@ Sources emit per-row change logs (:mod:`repro.sources`), wrappers
 expose them as signed relational deltas
 (:meth:`~repro.wrappers.base.Wrapper.fetch_deltas`), and this package
 turns those deltas into O(Δ) refresh of materialized answers:
-:class:`~repro.streaming.deltas.DeltaBatch` is the exchange format,
 :mod:`~repro.streaming.operators` maintains each physical operator
-incrementally, :class:`~repro.streaming.standing.StandingQuery` owns
-one maintained result, and
-:class:`~repro.streaming.drift_feed.CollectionDriftMonitor` feeds the
-same change streams into drift detection so in-flight schema drift
+incrementally, exchanging signed ``Counter`` bags of row tuples,
+:class:`~repro.streaming.standing.StandingQuery` owns one maintained
+result and reseeds it from full scans when a wrapper serves no deltas,
+and :class:`~repro.streaming.drift_feed.CollectionDriftMonitor` feeds
+the same change streams into drift detection so in-flight schema drift
 auto-drafts releases for the steward.
 """
 
-from repro.streaming.deltas import DeltaBatch, RowTuple
 from repro.streaming.drift_feed import CollectionDriftMonitor, DriftDraft
 from repro.streaming.operators import (
-    DeltaNode, JoinState, ProjectState, ScanState, UnionState,
+    DeltaNode, JoinState, ProjectState, RowTuple, ScanState, UnionState,
     build_states,
 )
 from repro.streaming.standing import (
@@ -25,7 +24,7 @@ from repro.streaming.standing import (
 )
 
 __all__ = [
-    "DeltaBatch", "RowTuple",
+    "RowTuple",
     "CollectionDriftMonitor", "DriftDraft",
     "DeltaNode", "JoinState", "ProjectState", "ScanState", "UnionState",
     "build_states",

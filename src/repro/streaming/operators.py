@@ -5,10 +5,9 @@ For every physical operator the planner emits
 :class:`~repro.relational.physical.PhysicalHashJoin` /
 :class:`~repro.relational.physical.PhysicalProject` /
 :class:`~repro.relational.physical.PhysicalUnion`) there is a *state*
-node here that answers the incremental question: given a
-:class:`~repro.streaming.deltas.DeltaBatch` of changes at the leaves,
-what is the delta of this operator's output? The classic bilinear join
-rule does the heavy lifting::
+node here that answers the incremental question: given a signed bag of
+changes at the leaves, what is the delta of this operator's output?
+The classic bilinear join rule does the heavy lifting::
 
     Δ(B ⋈ P) = ΔB ⋈ P_old  ∪  B_new ⋈ ΔP
 
@@ -19,7 +18,11 @@ per execution — are *kept alive* across refreshes, which is
 precisely what makes a refresh O(Δ) instead of O(data).
 
 All state lives in row-tuple space aligned with each node's plan
-schema; multiplicities are :class:`collections.Counter` bags, so the
+schema, and so do the deltas: a delta is a :class:`collections.Counter`
+mapping a row tuple to the signed change of its multiplicity (positive
+= insert, negative = retract; an update travels as a retraction and an
+assertion). Every node returns its delta with the entries that
+cancelled out dropped, so an empty ``Counter`` means "no change". The
 maintained result is bag-equal to a cold recompute by construction
 (distinct is support counting: a row enters the output when its
 support rises from 0 and leaves when it falls back to 0).
@@ -44,16 +47,26 @@ from repro.relational.physical import (
     PhysicalUnion,
 )
 from repro.relational.schema import RelationSchema
-from repro.streaming.deltas import DeltaBatch, RowTuple
 
 __all__ = [
-    "DeltaNode", "ScanState", "JoinState", "ProjectState", "UnionState",
-    "build_states",
+    "RowTuple", "DeltaNode", "ScanState", "JoinState", "ProjectState",
+    "UnionState", "build_states",
 ]
+
+#: One row as a value tuple aligned with a schema's attribute order —
+#: the hashable currency of multiplicity counters and join indexes.
+RowTuple = tuple[object, ...]
 
 #: Per-refresh leaf input: scan state → the delta of its wrapper bag.
 #: Keyed by state identity (each plan leaf owns exactly one state).
-ScanDeltas = Mapping["ScanState", DeltaBatch]
+ScanDeltas = Mapping["ScanState", Counter[RowTuple]]
+
+
+def _drop_zeros(counts: Counter[RowTuple]) -> Counter[RowTuple]:
+    """*counts* without the changes that cancelled out (in place)."""
+    for row in [row for row, count in counts.items() if not count]:
+        del counts[row]
+    return counts
 
 
 class DeltaNode:
@@ -61,7 +74,7 @@ class DeltaNode:
 
     schema: RelationSchema
 
-    def apply(self, scan_deltas: ScanDeltas) -> DeltaBatch:
+    def apply(self, scan_deltas: ScanDeltas) -> Counter[RowTuple]:
         """Pull child deltas, fold them into this node's state, and
         return the delta of this node's output."""
         raise NotImplementedError
@@ -87,11 +100,12 @@ class ScanState(DeltaNode):
         self.rows: Counter[RowTuple] = Counter()
         self._size = 0  # running Σ|count|: the valve reads it per tick
 
-    def apply(self, scan_deltas: ScanDeltas) -> DeltaBatch:
+    def apply(self, scan_deltas: ScanDeltas) -> Counter[RowTuple]:
         delta = scan_deltas.get(self)
-        if delta is None or not len(delta):
-            return DeltaBatch.empty(self.schema)
-        for row, count in delta.tuples():
+        if not delta:
+            return Counter()
+        _drop_zeros(delta)
+        for row, count in delta.items():
             old = self.rows[row]
             updated = old + count
             self._size += abs(updated) - abs(old)
@@ -150,31 +164,31 @@ class JoinState(DeltaNode):
             if not bucket:
                 del index[key]
 
-    def apply(self, scan_deltas: ScanDeltas) -> DeltaBatch:
+    def apply(self, scan_deltas: ScanDeltas) -> Counter[RowTuple]:
         d_build = self.build.apply(scan_deltas)
         d_probe = self.probe.apply(scan_deltas)
-        if not len(d_build) and not len(d_probe):
-            return DeltaBatch.empty(self.schema)
         out: Counter[RowTuple] = Counter()
+        if not d_build and not d_probe:
+            return out
         # ΔB ⋈ P_old, then fold ΔB into the build index...
-        for row, count in d_build.tuples():
+        for row, count in d_build.items():
             bucket = self.probe_index.get(self._key(row, self._build_key))
             if bucket:
                 for other, multiplicity in bucket.items():
                     out[row + other] += count * multiplicity
-        for row, count in d_build.tuples():
+        for row, count in d_build.items():
             self._fold(self.build_index,
                        self._key(row, self._build_key), row, count)
         # ...so B_new ⋈ ΔP picks up the ΔB⋈ΔP cross term exactly once.
-        for row, count in d_probe.tuples():
+        for row, count in d_probe.items():
             bucket = self.build_index.get(self._key(row, self._probe_key))
             if bucket:
                 for other, multiplicity in bucket.items():
                     out[other + row] += count * multiplicity
-        for row, count in d_probe.tuples():
+        for row, count in d_probe.items():
             self._fold(self.probe_index,
                        self._key(row, self._probe_key), row, count)
-        return DeltaBatch.from_counts(self.schema, out)
+        return _drop_zeros(out)
 
     def state_rows(self) -> int:
         return self.build.state_rows() + self.probe.state_rows()
@@ -191,14 +205,11 @@ class ProjectState(DeltaNode):
         self._positions = tuple(child_names.index(src)
                                 for src in op.mapping.values())
 
-    def apply(self, scan_deltas: ScanDeltas) -> DeltaBatch:
-        delta = self.child.apply(scan_deltas)
-        if not len(delta):
-            return DeltaBatch.empty(self.schema)
+    def apply(self, scan_deltas: ScanDeltas) -> Counter[RowTuple]:
         counts: Counter[RowTuple] = Counter()
-        for row, count in delta.tuples():
+        for row, count in self.child.apply(scan_deltas).items():
             counts[tuple(row[i] for i in self._positions)] += count
-        return DeltaBatch.from_counts(self.schema, counts)
+        return _drop_zeros(counts)
 
     def state_rows(self) -> int:
         return self.child.state_rows()
@@ -224,20 +235,17 @@ class UnionState(DeltaNode):
                 else tuple(branch_names.index(n) for n in names))
         self.support: Counter[RowTuple] = Counter()
 
-    def apply(self, scan_deltas: ScanDeltas) -> DeltaBatch:
+    def apply(self, scan_deltas: ScanDeltas) -> Counter[RowTuple]:
         merged: Counter[RowTuple] = Counter()
         for branch, align in zip(self.branches, self._aligns):
-            delta = branch.apply(scan_deltas)
-            for row, count in delta.tuples():
+            for row, count in branch.apply(scan_deltas).items():
                 if align is not None:
                     row = tuple(row[i] for i in align)
                 merged[row] += count
         if not self.distinct:
-            return DeltaBatch.from_counts(self.schema, merged)
+            return _drop_zeros(merged)
         out: Counter[RowTuple] = Counter()
         for row, count in merged.items():
-            if not count:
-                continue
             old = self.support[row]
             new = old + count
             if new:
@@ -248,7 +256,7 @@ class UnionState(DeltaNode):
                 out[row] = 1
             elif new <= 0 and old > 0:
                 out[row] = -1
-        return DeltaBatch.from_counts(self.schema, out)
+        return out
 
     def state_rows(self) -> int:
         return sum(branch.state_rows() for branch in self.branches)

@@ -13,22 +13,20 @@ Refresh protocol, per wrapper feeding the plan:
    ticks touch few sources);
 2. otherwise ask for **exact deltas** since the stored cursor
    (:meth:`~repro.wrappers.base.Wrapper.fetch_deltas`);
-3. a ``None`` answer (capability missing, cursor truncated out of the
-   change log, payload regenerated wholesale) degrades to a
-   **snapshot diff**: rescan the projected wrapper bag through the
-   shared scan cache and bag-diff it against the leaf state — still a
-   correct delta, just O(relation) to compute;
-4. the **fallback valve**: when total delta volume exceeds
-   ``max(min_delta_rows, max_delta_fraction × leaf rows)`` the query
-   reseeds from scratch instead — at that churn rate propagating
+3. a ``None`` answer (no change log, cursor truncated out of it,
+   payload regenerated wholesale) **reseeds** the query from full
+   scans, with a reason that names the wrapper;
+4. the **fallback valve**: when the total delta volume exceeds
+   ``max(FALLBACK_MIN_DELTA_ROWS, FALLBACK_DELTA_FRACTION × leaf
+   rows)`` the query reseeds too — at that churn rate propagating
    deltas costs more than recomputing, and reseeding also self-heals
    any state drift.
 
-Version tokens are read *before* the data they describe (same
-read-then-use discipline as the answer cache's evidence): if a source
-mutates mid-read the state may be newer than its token, which only
-makes the next refresh re-diff against an identical snapshot — never
-serve stale rows.
+A seed reads each wrapper's cursor and version token *before* its rows
+and the token again after them. The state is installed only when the
+token held still across the scan; if it moved in each of
+:data:`SEED_ATTEMPTS` tries the seed raises, because rows newer than
+the cursor would be applied a second time by the next refresh.
 """
 
 from __future__ import annotations
@@ -38,12 +36,13 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
-from repro.errors import SchemaError
+from repro.errors import RelationalError, SchemaError, WrapperError
 from repro.relational.physical import ScanProvider
 from repro.relational.rows import Relation
 from repro.relational.schema import RelationSchema
-from repro.streaming.deltas import DeltaBatch, RowTuple
-from repro.streaming.operators import DeltaNode, ScanState, build_states
+from repro.streaming.operators import (
+    DeltaNode, RowTuple, ScanState, build_states,
+)
 from repro.wrappers.base import Wrapper
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -59,6 +58,9 @@ FALLBACK_MIN_DELTA_ROWS = 256
 #: Reseed when the delta volume exceeds this fraction of the leaf rows.
 FALLBACK_DELTA_FRACTION = 0.5
 
+#: Scans a seed tries per wrapper before giving up on a stable read.
+SEED_ATTEMPTS = 3
+
 #: How a standing query resolves wrapper names to live wrappers —
 #: usually ``ontology.physical_wrapper``.
 WrapperResolver = Callable[[str], Wrapper]
@@ -71,11 +73,9 @@ class RefreshOutcome:
     relation: Relation
     #: evidence in the answer cache's format: sorted (wrapper, token)
     data_versions: tuple[tuple[str, object], ...]
-    #: True when O(Δ) maintenance served this refresh (incl. no-ops)
-    patched: bool
-    #: True when the state was rebuilt from full scans
+    #: True when the state was rebuilt from full scans (otherwise O(Δ)
+    #: maintenance served this refresh, no-ops included)
     reseeded: bool
-    delta_rows: int
     reason: str
 
 
@@ -101,20 +101,12 @@ class StandingQuery:
     unaffected by later refreshes.
     """
 
-    def __init__(self, plan: "PhysicalPlan", resolve: WrapperResolver,
-                 *, min_delta_rows: int = FALLBACK_MIN_DELTA_ROWS,
-                 max_delta_fraction: float = FALLBACK_DELTA_FRACTION,
-                 ) -> None:
+    def __init__(self, plan: "PhysicalPlan",
+                 resolve: WrapperResolver) -> None:
         self.plan = plan
         self.resolve = resolve
-        self.min_delta_rows = min_delta_rows
-        self.max_delta_fraction = max_delta_fraction
         self.lock = threading.RLock()
-        self.refreshes = 0  # guarded-by: lock
-        self.patches = 0  # guarded-by: lock
-        self.reseeds = 0  # guarded-by: lock
         self.root: DeltaNode
-        self.scan_states: list[ScanState]
         self._feeds: dict[str, _ScanFeed]  # guarded-by: lock
         self.result: Counter[RowTuple]  # guarded-by: lock
         self.relation: Relation
@@ -128,9 +120,9 @@ class StandingQuery:
     def _build(self) -> None:
         """(Re)create the state tree empty; feeds group leaves by
         wrapper so each source's delta is fetched once per refresh."""
-        self.root, self.scan_states = build_states(self.plan.root)
+        self.root, scan_states = build_states(self.plan.root)
         feeds: dict[str, _ScanFeed] = {}
-        for state in self.scan_states:
+        for state in scan_states:
             feed = feeds.get(state.wrapper_name)
             if feed is None:
                 feed = _ScanFeed(state.wrapper_name)
@@ -149,36 +141,18 @@ class StandingQuery:
             return tuple(sorted((feed.name, feed.version)
                                 for feed in self._feeds.values()))
 
-    def state_rows(self) -> int:
-        return self.root.state_rows()
-
-    def snapshot(self) -> dict[str, int]:
-        """Maintenance counters (standing-query observability).
-
-        Takes the lock: a refresh bumps several counters and swaps the
-        relation as one logical step, and a monitor must never see a
-        half-applied mix (e.g. the new relation with the old counters).
-        """
-        with self.lock:
-            return {"refreshes": self.refreshes,
-                    "patches": self.patches,
-                    "reseeds": self.reseeds,
-                    "result_rows": len(self.relation),
-                    "state_rows": self.root.state_rows()}
-
     # -- maintenance ---------------------------------------------------------
 
     def seed(self, provider: ScanProvider) -> RefreshOutcome:
         """Full scans through the (shared) provider → initial state."""
         with self.lock:
-            self.refreshes += 1
             return self._reseed(provider, reason="initial seed")
 
     def refresh(self, provider: ScanProvider) -> RefreshOutcome:
         """Bring the maintained result up to date: O(Δ) when the
-        wrappers can serve deltas, valve-guarded otherwise."""
+        wrappers serve deltas, a reseed when one cannot or the valve
+        trips."""
         with self.lock:
-            self.refreshes += 1
             if not self.seeded:
                 return self._reseed(provider, reason="initial seed")
 
@@ -190,58 +164,43 @@ class StandingQuery:
                 if token == feed.version:
                     continue
                 wrapper = self.resolve(feed.name)
-                deltas = (wrapper.fetch_deltas(feed.cursor)
-                          if wrapper.supports_deltas() else None)
-                if deltas is not None:
-                    local_of = {f"{wrapper.source_name}/{a}": a
-                                for a in wrapper.attributes}
-                    for state in feed.states:
-                        gather = self._local_names(state, local_of)
-                        counts = pending.setdefault(state, Counter())
-                        for sign, row in deltas.changes:
-                            counts[tuple(row[name] for name in gather)
-                                   ] += sign
-                        delta_rows += len(deltas.changes)
-                    updates[feed.name] = (deltas.cursor,
-                                          deltas.data_version)
-                else:
-                    cursor, version, fresh = self._stable_rescan(
-                        provider, wrapper, feed)
-                    for state, new_rows in zip(feed.states, fresh):
-                        diff = self._bag_diff(state.rows, new_rows)
-                        delta_rows += sum(abs(c) for c in diff.values())
-                        pending.setdefault(state, Counter()).update(diff)
-                    updates[feed.name] = (cursor, version)
+                deltas = wrapper.fetch_deltas(feed.cursor)
+                if deltas is None:
+                    return self._reseed(
+                        provider,
+                        reason=f"wrapper {feed.name} served no deltas")
+                local_of = {f"{wrapper.source_name}/{a}": a
+                            for a in wrapper.attributes}
+                for state in feed.states:
+                    gather = self._local_names(state, local_of)
+                    counts = pending.setdefault(state, Counter())
+                    for sign, row in deltas.changes:
+                        counts[tuple(row[name] for name in gather)] += sign
+                    delta_rows += len(deltas.changes)
+                updates[feed.name] = (deltas.cursor, deltas.data_version)
 
             if not updates:
-                self.patches += 1
                 return RefreshOutcome(
-                    self.relation, self.data_versions(), patched=True,
-                    reseeded=False, delta_rows=0, reason="no changes")
+                    self.relation, self.data_versions(), reseeded=False,
+                    reason="no changes")
 
-            threshold = max(self.min_delta_rows, int(
-                self.max_delta_fraction * self.root.state_rows()))
+            threshold = max(FALLBACK_MIN_DELTA_ROWS, int(
+                FALLBACK_DELTA_FRACTION * self.root.state_rows()))
             if delta_rows > threshold:
                 return self._reseed(
                     provider,
                     reason=f"delta volume {delta_rows} exceeds "
                            f"threshold {threshold}")
 
-            scan_deltas = {
-                state: DeltaBatch.from_counts(state.schema, counts)
-                for state, counts in pending.items()}
-            out = self.root.apply(scan_deltas)
-            changed = self._fold_result(out)
+            changed = self._fold_result(self.root.apply(pending))
             for name, (cursor, version) in updates.items():
                 feed = self._feeds[name]
                 feed.cursor = cursor
                 feed.version = version
             if changed:
                 self.relation = self._materialize()
-            self.patches += 1
             return RefreshOutcome(
-                self.relation, self.data_versions(), patched=True,
-                reseeded=False, delta_rows=delta_rows,
+                self.relation, self.data_versions(), reseeded=False,
                 reason="patched" if changed else "no-op delta")
 
     # -- internals -----------------------------------------------------------
@@ -250,82 +209,43 @@ class StandingQuery:
     # which hold the lock for the whole maintenance step.
     def _reseed(self, provider: ScanProvider,
                 reason: str) -> RefreshOutcome:
+        self.seeded = False
         self._build()
-        scan_deltas: dict[ScanState, DeltaBatch] = {}
-        delta_rows = 0
+        scan_deltas: dict[ScanState, Counter[RowTuple]] = {}
         for feed in self._feeds.values():
             wrapper = self.resolve(feed.name)
-            batches: list[DeltaBatch] = []
-            # Stable-read loop: retry while the version token moves
-            # under the scan, so cursor/token and rows agree.
-            for _attempt in range(3):
+            # Stable read: the token must not move under the scan, or
+            # the rows hold changes the cursor does not account for.
+            for _attempt in range(SEED_ATTEMPTS):
                 feed.cursor = wrapper.delta_cursor()
                 feed.version = provider.data_version(feed.name)
-                batches = [self._full_scan(provider, state)
-                           for state in feed.states]
+                bags = [self._full_scan(provider, state)
+                        for state in feed.states]
                 if provider.data_version(feed.name) == feed.version:
                     break
-            for state, batch in zip(feed.states, batches):
-                scan_deltas[state] = batch
-                delta_rows += len(batch)
-        out = self.root.apply(scan_deltas)
-        self._fold_result(out)
+            else:
+                raise WrapperError(
+                    f"wrapper {feed.name} changed during each of "
+                    f"{SEED_ATTEMPTS} seed scans")
+            scan_deltas.update(zip(feed.states, bags))
+        self._fold_result(self.root.apply(scan_deltas))
         self.relation = self._materialize()
         self.seeded = True
-        self.reseeds += 1
         return RefreshOutcome(
-            self.relation, self.data_versions(), patched=False,
-            reseeded=True, delta_rows=delta_rows, reason=reason)
+            self.relation, self.data_versions(), reseeded=True,
+            reason=reason)
 
-    def _full_scan(self, provider: ScanProvider,
-                   state: ScanState) -> DeltaBatch:
+    @staticmethod
+    def _full_scan(provider: ScanProvider,
+                   state: ScanState) -> Counter[RowTuple]:
         """A leaf's whole bag as an all-inserts delta (shares the scan
         cache with cold executions of the same plan)."""
         relation = provider.scan(state.wrapper_name, state.columns, None)
         batch = relation.columnar().reorder(state.schema.attribute_names)
-        return DeltaBatch(batch, [1] * len(batch))
-
-    def _stable_rescan(self, provider: ScanProvider, wrapper: Wrapper,
-                       feed: _ScanFeed,
-                       ) -> tuple[object, object,
-                                  list[Counter[RowTuple]]]:
-        """Snapshot-diff fallback input: fresh bags for every leaf of
-        one wrapper, with cursor/token read under a stable-read loop."""
-        cursor: object = None
-        version: object = None
-        fresh: list[Counter[RowTuple]] = []
-        for _attempt in range(3):
-            cursor = wrapper.delta_cursor()
-            version = provider.data_version(feed.name)
-            fresh = []
-            for state in feed.states:
-                relation = provider.scan(feed.name, state.columns, None)
-                batch = relation.columnar().reorder(
-                    state.schema.attribute_names)
-                dense = batch.dense_columns()
-                bag: Counter[RowTuple] = Counter()
-                if dense:
-                    for row in zip(*dense):
-                        bag[row] += 1
-                else:
-                    bag[()] = len(batch)
-                fresh.append(bag)
-            if provider.data_version(feed.name) == version:
-                break
-        return cursor, version, fresh
-
-    @staticmethod
-    def _bag_diff(old: Counter[RowTuple],
-                  new: Counter[RowTuple]) -> Counter[RowTuple]:
-        diff: Counter[RowTuple] = Counter()
-        for row, count in new.items():
-            delta = count - old.get(row, 0)
-            if delta:
-                diff[row] = delta
-        for row, count in old.items():
-            if row not in new and count:
-                diff[row] = -count
-        return diff
+        dense = batch.dense_columns()
+        if not dense:  # zero-column schema: every row is ()
+            return Counter({(): len(batch)})
+        return Counter(zip(*dense))
 
     @staticmethod
     def _local_names(state: ScanState,
@@ -342,16 +262,14 @@ class StandingQuery:
 
     # repro-lint: disable=guarded-by -- callers (refresh/_reseed) hold
     # the lock around the fold and the relation swap.
-    def _fold_result(self, out: DeltaBatch) -> bool:
-        changed = False
-        for row, count in out.tuples():
-            changed = True
+    def _fold_result(self, out: Counter[RowTuple]) -> bool:
+        for row, count in out.items():
             updated = self.result[row] + count
             if updated:
                 self.result[row] = updated
             else:
                 del self.result[row]
-        return changed
+        return bool(out)
 
     # repro-lint: disable=guarded-by -- called from __init__ via _build
     # (sole reference) and from maintenance steps that hold the lock.
@@ -363,8 +281,10 @@ class StandingQuery:
         names = self.root.schema.attribute_names
         rows: list[dict[str, object]] = []
         for values, count in self.result.items():
-            if count <= 0:  # retraction overshoot: never emit phantoms
-                continue
+            if count < 0:
+                raise RelationalError(
+                    f"maintained result holds {values!r} {count} times; "
+                    "a retraction overshot its insert")
             row = dict(zip(names, values))
             if count == 1:
                 rows.append(row)

@@ -177,28 +177,22 @@ class Wrapper:
 
     # -- change-data-capture protocol ------------------------------------------
 
-    def supports_deltas(self) -> bool:
-        """Whether :meth:`fetch_deltas` can ever serve exact row-level
-        changes. ``False`` (the default) routes incremental consumers
-        to their snapshot-diff fallback; even a ``True`` wrapper may
-        return ``None`` from a particular ``fetch_deltas`` call (log
-        trimmed, payload base changed)."""
-        return False
-
     def delta_cursor(self) -> object:
         """Opaque position token for :meth:`fetch_deltas`.
 
         Distinct from :meth:`data_version` because version tokens need
         not be monotonic (REST wrappers hash theirs); the cursor is
-        whatever the wrapper's change log sequences by.
+        whatever the wrapper's change log sequences by. Read it before
+        the rows it positions: a consumer resumes from it.
         """
         return self.data_version()
 
     def fetch_deltas(self, since: object) -> WrapperDeltas | None:
         """Row changes between cursor *since* and now, or ``None`` when
-        the wrapper cannot reconstruct them exactly (no native support,
-        change log trimmed, cursor from another incarnation of the
-        source) — callers then diff full snapshots instead."""
+        the wrapper cannot reconstruct them exactly: no change log (the
+        default), change log trimmed, cursor from another incarnation
+        of the source. ``None`` is the one "no deltas" answer; a
+        standing query then reseeds from full scans."""
         return None
 
     # -- data ----------------------------------------------------------------------
@@ -323,7 +317,7 @@ class StaticWrapper(Wrapper):
     a full fetch.
     """
 
-    #: bound on the change log; older cursors fall back to a rescan
+    #: bound on the change log; older cursors get no deltas (None)
     CHANGE_LOG_LIMIT = 4096
 
     def __init__(self, name: str, source_name: str,
@@ -461,9 +455,6 @@ class StaticWrapper(Wrapper):
         for row in removed:
             self._record(-1, row)
         return len(removed)
-
-    def supports_deltas(self) -> bool:
-        return True
 
     def delta_cursor(self) -> int:
         return self._data_version

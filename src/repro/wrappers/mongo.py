@@ -91,7 +91,7 @@ class MongoWrapper(Wrapper):
 
     # -- change-data-capture --------------------------------------------------
 
-    def supports_deltas(self) -> bool:
+    def _per_document(self) -> bool:
         """Exact deltas need a per-document pipeline: each stage must
         map one input document to its own output rows independently."""
         return all(isinstance(stage, dict) and len(stage) == 1
@@ -102,7 +102,7 @@ class MongoWrapper(Wrapper):
         return self.data_version()
 
     def fetch_deltas(self, since: object) -> WrapperDeltas | None:
-        if not self.supports_deltas():
+        if not self._per_document():
             return None
         if not isinstance(since, int) or isinstance(since, bool):
             return None

@@ -171,9 +171,6 @@ class RestWrapper(Wrapper):
         return [{a: self._value_of(a, flat) for a in self.attributes}
                 for flat in flat_rows]
 
-    def supports_deltas(self) -> bool:
-        return True
-
     def delta_cursor(self) -> object:
         """(generated-payload token, live-overlay seq).
 

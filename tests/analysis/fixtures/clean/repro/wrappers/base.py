@@ -16,9 +16,6 @@ class HonestWrapper:
     def fetch_rows(self, columns=None, id_filter=None) -> list:
         return []
 
-    def supports_deltas(self) -> bool:
-        return True
-
     def delta_cursor(self) -> int:
         return 0
 

@@ -18,10 +18,9 @@ class BrokenWrapper:
         # violation: projection=True but no `columns` parameter
         return []
 
-    def supports_deltas(self) -> bool:
-        return True
-
-    # violations: no fetch_deltas, no delta_cursor
+    def fetch_deltas(self) -> list:
+        # violations: no `since` parameter, and no delta_cursor
+        return []
 
 
 class ZeroArgumentWrapper:

@@ -156,8 +156,11 @@ class TestEngineIntegration:
         stats = engine.answer_cache.stats
         assert stats.evictions == 0  # kept, not evicted
         assert stats.seeds == 1  # standing query attached lazily
-        # further churn rides the now-seeded standing query
-        w3.replace_rows(w3._rows)
+        # further churn rides the now-seeded standing query as exact
+        # deltas (replace_rows truncates the log, so it would reseed)
+        w3.append_rows([{"appId": "app-x", "monitorTool": 9999,
+                         "feedbackTool": 1}])
+        w3.remove_rows(lambda row: row["appId"] == "app-x")
         again = engine.answer(EXEMPLARY_QUERY)
         assert again == before
         assert engine.answer_cache.stats.patches >= 1
@@ -178,15 +181,6 @@ class TestEngineIntegration:
         engine.answer(EXEMPLARY_QUERY, distinct=False)
         assert len(engine.answer_cache) == 2
         assert engine.answer_cache.stats.hits == 0
-
-    def test_explicit_provider_bypasses_cache(self, scenario):
-        engine = QueryEngine(scenario.ontology)
-        provider = {
-            name: wrapper.relation(qualified=True)
-            for name, wrapper in scenario.wrappers.items()}
-        engine.answer(EXEMPLARY_QUERY, provider=provider)
-        assert len(engine.answer_cache) == 0
-        assert engine.answer_cache.stats.lookups == 0
 
     def test_disabled_cache(self, scenario):
         engine = QueryEngine(scenario.ontology, use_answer_cache=False)
@@ -332,7 +326,7 @@ class TestFailClosedFreshness:
     def test_patched_answer_is_not_served_stale(self, scenario):
         engine = QueryEngine(scenario.ontology)
         w3 = scenario.wrappers["w3"]
-        w3.supports_deltas = lambda: False  # patches rescan and diff
+        w3.fetch_deltas = lambda since: None  # patches reseed
         engine.answer(EXEMPLARY_QUERY)
         self.change(w3, 2, 3)
         assert engine.answer(EXEMPLARY_QUERY) == self.oracle(scenario)

@@ -87,28 +87,55 @@ class TestPatchLifecycle:
         assert stats.fallbacks == 1
         assert stats.evictions == 1  # the broken entry was discarded
 
-    def test_valve_reseed_counts_as_fallback(self, scenario):
+    def test_valve_reseed_counts_as_fallback(self, scenario,
+                                             monkeypatch):
+        import repro.streaming.standing as standing_mod
         engine = QueryEngine(scenario.ontology)
         engine.answer(EXEMPLARY_QUERY)
         churn(scenario)  # attach + seed the standing query
         engine.answer(EXEMPLARY_QUERY)
         # shrink the valve so the next delta trips it
-        entry = engine.answer_cache.patchable_entry(
-            *self._entry_key(engine, scenario))
-        entry.standing.min_delta_rows = 0
-        entry.standing.max_delta_fraction = 0.0
+        monkeypatch.setattr(standing_mod, "FALLBACK_MIN_DELTA_ROWS", 0)
+        monkeypatch.setattr(standing_mod, "FALLBACK_DELTA_FRACTION", 0.0)
         churn(scenario, n=3)
         cold = QueryEngine(scenario.ontology, use_answer_cache=False)
         assert engine.answer(EXEMPLARY_QUERY) == \
             cold.answer(EXEMPLARY_QUERY)
         assert engine.answer_cache.stats.fallbacks >= 1
 
-    @staticmethod
-    def _entry_key(engine, scenario):
-        from repro.query.cache import canonical_omq_key
-        from repro.query.omq import parse_omq
-        key = canonical_omq_key(parse_omq(EXEMPLARY_QUERY))
-        return key, True, scenario.ontology.fingerprint()
+
+class TestTornSeed:
+    def test_seed_over_a_moving_wrapper_is_never_installed(self, star):
+        """A writer appends to a satellite between the seed's cursor
+        read and each of its scans, so no seed attempt reads a stable
+        version. Installing such a seed would apply the appends a
+        second time on the next refresh; the seed fails instead, and
+        the answer is recomputed."""
+        ontology, query, wrappers = star(2)
+        engine = QueryEngine(ontology)
+        oracle = QueryEngine(ontology, use_planner=False,
+                             use_cache=False, use_answer_cache=False)
+        engine.answer(query, distinct=False)
+        satellite = wrappers["wSat0"]
+        fetch_rows = satellite.fetch_rows
+        racing = [True]
+        races: list[str] = []
+
+        def racing_fetch_rows(columns=None, id_filter=None):
+            if racing[0]:
+                races.append(f"race-{len(races)}")
+                satellite.append_rows([{"hid": "h0", "m": races[-1]}])
+            return fetch_rows(columns=columns, id_filter=id_filter)
+
+        satellite.fetch_rows = racing_fetch_rows
+        wrappers["wSat1"].append_rows([{"hid": "h1", "m": "fresh"}])
+        engine.answer(query, distinct=False)  # the seed races
+        racing[0] = False
+        assert len(races) >= 3
+        wrappers["wSat1"].append_rows([{"hid": "h2", "m": "later"}])
+        assert engine.answer(query, distinct=False) == \
+            oracle.answer(query, distinct=False)
+        assert engine.answer_cache.stats.fallbacks == 1
 
 
 class TestSetSemanticsPatches:

@@ -4,8 +4,8 @@ Seeded churn scripts drive inserts, updates and deletes across every
 source of the SUPERSEDE scenario; after each tick the incremental
 engine's answer must be bag-equal to a cold recompute. This is the
 property the whole streaming layer exists to preserve — run under many
-interleavings, including ones that trip the fallback valve and the
-snapshot-diff path.
+interleavings, including ones that trip the fallback valve and ones
+whose truncated change logs serve no deltas.
 """
 
 import random
@@ -84,7 +84,7 @@ def test_incremental_equals_recompute_under_random_churn(seed):
 
 
 @pytest.mark.parametrize("seed", [0, 1])
-def test_equivalence_with_tiny_valve(seed):
+def test_equivalence_with_tiny_valve(seed, monkeypatch):
     """Every tick trips the valve: reseeds must stay correct too."""
     import repro.streaming.standing as standing_mod
     scenario = build_supersede(with_evolution=True, event_count=20,
@@ -93,26 +93,20 @@ def test_equivalence_with_tiny_valve(seed):
     cold = QueryEngine(scenario.ontology, use_answer_cache=False)
     rng = random.Random(seed)
     incremental.answer(EXEMPLARY_QUERY)
-    original = (standing_mod.FALLBACK_MIN_DELTA_ROWS,)
+    monkeypatch.setattr(standing_mod, "FALLBACK_MIN_DELTA_ROWS", 0)
+    monkeypatch.setattr(standing_mod, "FALLBACK_DELTA_FRACTION", 0.0)
     for tick in range(4):
         random_tick(rng, scenario, serial=tick * 10)
         got = incremental.answer(EXEMPLARY_QUERY)
-        # shrink the valve on the live standing query after the first
-        # maintenance pass attached it
-        for entry in incremental.answer_cache._entries.values():
-            if entry.standing is not None:
-                entry.standing.min_delta_rows = 0
-                entry.standing.max_delta_fraction = 0.0
         want = cold.answer(EXEMPLARY_QUERY)
         assert bag(got) == bag(want), \
             f"seed {seed}: diverged at tick {tick}"
-    del original
 
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_equivalence_with_truncated_logs(seed):
-    """A one-record change log forces the snapshot-diff path on every
-    multi-mutation tick; answers must not notice."""
+    """A one-record change log serves no deltas on a multi-mutation
+    tick, so the standing query reseeds; answers must not notice."""
     scenario = build_supersede(with_evolution=True, event_count=20,
                                seed=seed)
     scenario.store.get_collection("vod")._change_log_limit = 1

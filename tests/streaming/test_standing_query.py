@@ -4,13 +4,16 @@ The invariant under test everywhere: after any churn + refresh, the
 standing relation is bag-equal to a cold execution of the same plan.
 """
 
+from collections import Counter
+
+import repro.streaming.standing as standing_mod
 from repro.datasets import EXEMPLARY_QUERY, build_supersede
 from repro.query.planner import plan_ucq
 from repro.query.rewriter import rewrite
 from repro.relational.physical import (
     CachingScanProvider, ScanCache, as_scan_provider,
 )
-from repro.streaming import DeltaBatch, StandingQuery, build_states
+from repro.streaming import StandingQuery, build_states
 
 
 def make_plan(scenario, distinct=True):
@@ -28,9 +31,8 @@ def cold_answer(scenario, plan):
     return plan.execute(provider_of(scenario))
 
 
-def standing(scenario, plan, **kwargs):
-    sq = StandingQuery(plan, scenario.ontology.physical_wrapper,
-                       **kwargs)
+def standing(scenario, plan):
+    sq = StandingQuery(plan, scenario.ontology.physical_wrapper)
     sq.seed(provider_of(scenario))
     return sq
 
@@ -52,7 +54,6 @@ class TestSeed:
         assert len(sq.relation) > 0
         assert bag(sq.relation) == bag(cold_answer(scenario, plan))
         assert sq.seeded
-        assert sq.reseeds == 1
 
     def test_data_versions_match_engine_evidence(self):
         scenario = build_supersede(with_evolution=True)
@@ -92,19 +93,17 @@ class TestRefresh:
         sq = standing(scenario, plan)
         self.churn(scenario)
         outcome = sq.refresh(provider_of(scenario))
-        assert outcome.patched and not outcome.reseeded
-        assert outcome.delta_rows > 0
+        assert not outcome.reseeded
+        assert outcome.reason == "patched"
         assert bag(outcome.relation) == \
             bag(cold_answer(scenario, plan))
-        assert sq.patches == 1
 
     def test_noop_refresh_short_circuits(self):
         scenario = build_supersede(with_evolution=True)
         sq = standing(scenario, make_plan(scenario))
         outcome = sq.refresh(provider_of(scenario))
-        assert outcome.patched and not outcome.reseeded
+        assert not outcome.reseeded
         assert outcome.reason == "no changes"
-        assert outcome.delta_rows == 0
 
     def test_deletions_retract_join_results(self):
         scenario = build_supersede(with_evolution=True)
@@ -116,7 +115,7 @@ class TestRefresh:
         victim = vod.find()[0]["monitorId"]
         vod.delete_many({"monitorId": victim})
         outcome = sq.refresh(provider_of(scenario))
-        assert outcome.patched
+        assert not outcome.reseeded
         assert len(outcome.relation) < before
         assert bag(outcome.relation) == \
             bag(cold_answer(scenario, plan))
@@ -144,41 +143,36 @@ class TestRefresh:
             assert bag(outcome.relation) == \
                 bag(cold_answer(scenario, plan)), f"diverged at {tick}"
 
-    def test_valve_reseeds_on_large_deltas(self):
-        scenario = build_supersede(with_evolution=True)
-        plan = make_plan(scenario)
-        sq = standing(scenario, plan, min_delta_rows=1,
-                      max_delta_fraction=0.0)
-        self.churn(scenario)
-        outcome = sq.refresh(provider_of(scenario))
-        assert outcome.reseeded and not outcome.patched
-        assert "exceeds threshold" in outcome.reason
-        assert bag(outcome.relation) == \
-            bag(cold_answer(scenario, plan))
-        assert sq.reseeds == 2  # seed + valve
-
-    def test_snapshot_diff_fallback_when_log_truncated(self):
+    def test_valve_reseeds_on_large_deltas(self, monkeypatch):
         scenario = build_supersede(with_evolution=True)
         plan = make_plan(scenario)
         sq = standing(scenario, plan)
-        vod = scenario.store.get_collection("vod")
-        vod._change_log_limit = 1  # every multi-record interval dies
-        vod.insert_one({"monitorId": 3001, "waitTime": 1.0,
-                        "watchTime": 4.0})
-        vod.insert_one({"monitorId": 3002, "waitTime": 2.0,
-                        "watchTime": 4.0})
+        monkeypatch.setattr(standing_mod, "FALLBACK_MIN_DELTA_ROWS", 1)
+        monkeypatch.setattr(standing_mod, "FALLBACK_DELTA_FRACTION", 0.0)
+        self.churn(scenario)
         outcome = sq.refresh(provider_of(scenario))
-        assert outcome.patched  # still a patch, via snapshot diff
+        assert outcome.reseeded
+        assert "exceeds threshold" in outcome.reason
         assert bag(outcome.relation) == \
             bag(cold_answer(scenario, plan))
 
-    def test_snapshot_reports_counters(self):
+    def test_truncated_log_reseeds_naming_the_wrapper(self):
         scenario = build_supersede(with_evolution=True)
-        sq = standing(scenario, make_plan(scenario))
-        snap = sq.snapshot()
-        assert snap["reseeds"] == 1 and snap["refreshes"] == 1
-        assert snap["state_rows"] > 0
-        assert snap["result_rows"] == len(sq.relation)
+        plan = make_plan(scenario)
+        sq = standing(scenario, plan)
+        w3 = scenario.wrappers["w3"]
+        w3.CHANGE_LOG_LIMIT = 1  # every multi-record interval dies
+        cursor = w3.delta_cursor()
+        w3.append_rows([{"appId": "app-3001", "monitorTool": 3001,
+                         "feedbackTool": 42}])
+        w3.append_rows([{"appId": "app-3002", "monitorTool": 3002,
+                         "feedbackTool": 43}])
+        assert w3.fetch_deltas(cursor) is None
+        outcome = sq.refresh(provider_of(scenario))
+        assert outcome.reseeded
+        assert "w3" in outcome.reason
+        assert bag(outcome.relation) == \
+            bag(cold_answer(scenario, plan))
 
 
 class TestStateFactory:
@@ -192,31 +186,7 @@ class TestStateFactory:
     def test_empty_delta_batch_is_a_noop(self):
         scenario = build_supersede(with_evolution=True)
         root, scans = build_states(make_plan(scenario).root)
-        empty = {s: DeltaBatch.empty(s.schema) for s in scans}
-        out = root.apply(empty)
-        assert len(out) == 0
+        out = root.apply({s: Counter() for s in scans})
+        assert out == Counter()
+        assert root.state_rows() == 0
 
-
-def test_snapshot_is_atomic_with_refresh(monkeypatch):
-    # Regression: snapshot() read the counters and the relation without
-    # the lock, so a monitor polling during a refresh could see the new
-    # relation paired with the old counters (or vice versa). Holding
-    # the query's RLock inside refresh() must not deadlock snapshot().
-    import threading
-
-    scenario = build_supersede(with_evolution=True)
-    sq = standing(scenario, make_plan(scenario))
-    seen: list[dict] = []
-
-    def monitor() -> None:
-        for _ in range(50):
-            seen.append(sq.snapshot())
-
-    with sq.lock:  # snapshot must block until maintenance releases
-        t = threading.Thread(target=monitor)
-        t.start()
-        sq.refreshes += 1
-        sq.refreshes -= 1
-    t.join(timeout=30)
-    assert not t.is_alive()
-    assert all(s["result_rows"] == len(sq.relation) for s in seen)

@@ -115,12 +115,13 @@ class TestMongoWrapperDeltas:
 
     def test_per_document_pipeline_supports_deltas(self):
         _, _, wrapper = self.make()
-        assert wrapper.supports_deltas()
+        deltas = wrapper.fetch_deltas(wrapper.delta_cursor())
+        assert deltas is not None and deltas.changes == ()
 
     def test_blocking_pipeline_refuses_deltas(self):
         _, _, wrapper = self.make(pipeline=[
             {"$group": {"_id": "$monitorId"}}])
-        assert not wrapper.supports_deltas()
+        assert wrapper.fetch_deltas(wrapper.delta_cursor()) is None
         assert wrapper.fetch_deltas(0) is None
 
     def test_changes_run_through_the_pipeline(self):
