@@ -194,9 +194,9 @@ def test_columnar_execution(write_result, write_json):
         wrapper = ontology.physical_wrapper(name)
         original = wrapper.fetch_rows
 
-        def counted(columns=None, id_filter=None, _o=original, _n=name):
+        def counted(columns=None, _o=original, _n=name):
             fetches.append(_n)
-            return _o(columns=columns, id_filter=id_filter)
+            return _o(columns=columns)
 
         wrapper.fetch_rows = counted
 

@@ -12,8 +12,8 @@ asserted workloads:
 * **shared-scan batch** — a panel of distinct queries that all join the
   same wide hub wrapper against a per-query satellite wrapper. Naive
   evaluation re-fetches the hub for every query; the planned batch
-  shares one narrow hub scan through the ``ScanCache`` and pushes the
-  hub's ID set into each satellite fetch. Must be **≥2×** faster.
+  shares one narrow hub scan through the ``ScanCache``. Must be
+  **≥2×** faster.
 
 Both workloads assert bag-equality of the naive and planned answers —
 the same guarantee the randomized equivalence suite
@@ -156,7 +156,7 @@ def test_pushdown_evaluation(write_result, write_json):
     # The executed plan advertises its pushdowns.
     explain = planned.explain(sat_queries[0])
     assert "physical plan" in explain
-    assert "pushed" in explain and "semi-join" in explain
+    assert "pushed" in explain
 
     content = "\n".join([
         "Physical execution layer — naive vs. planned evaluation",
@@ -173,8 +173,7 @@ def test_pushdown_evaluation(write_result, write_json):
         "queries):",
         f"  naive   {naive_batch_s * 1e3:8.2f} ms",
         f"  planned {planned_batch_s * 1e3:8.2f} ms   "
-        f"{batch_speedup:5.1f}× (hub fetched once, ID-filtered "
-        "satellites)",
+        f"{batch_speedup:5.1f}× (hub fetched once)",
         "",
         f"scan cache: {cache.stats.snapshot()}",
         "",

@@ -1,9 +1,9 @@
 """wrapper-capabilities: advertised wrapper features have real methods.
 
-PR 3's physical layer plans pushdown against what a wrapper *says* it
-can do — ``capabilities()`` advertises projection / id-filter pushdown
-and a ``fetch_deltas`` override serves CDC — and PR 8's incremental
-maintenance resumes delta feeds from ``delta_cursor()``. The planner
+The physical layer plans pushdown against what a wrapper *says* it can
+do — ``capabilities()`` advertises projection pushdown and a
+``fetch_deltas`` override serves CDC — and incremental maintenance
+resumes delta feeds from ``delta_cursor()``. The planner
 never re-verifies: a wrapper that returns
 ``WrapperCapabilities(projection=True)`` but whose ``fetch_rows``
 ignores the ``columns`` argument silently produces wrong (or
@@ -12,14 +12,12 @@ fails deep inside a refresh cycle instead of at review time.
 
 The contract enforced here is deliberately local:
 
-* every ``fetch_rows`` definition takes ``columns`` and ``id_filter``
-  parameters (or ``**kwargs``): :meth:`Wrapper.fetch
-  <repro.wrappers.base.Wrapper.fetch>` passes both keywords to every
-  wrapper, whether or not it advertises projection or id-filter
-  pushdown;
-* a class that advertises ``WrapperCapabilities(projection=True)`` or
-  ``... id_filter=True`` **in its own body** defines ``fetch_rows`` in
-  its own body;
+* every ``fetch_rows`` definition takes a ``columns`` parameter (or
+  ``**kwargs``): :meth:`Wrapper.fetch
+  <repro.wrappers.base.Wrapper.fetch>` passes it to every wrapper,
+  whether or not it advertises projection pushdown;
+* a class that advertises ``WrapperCapabilities(projection=True)``
+  **in its own body** defines ``fetch_rows`` in its own body;
 * a class that defines ``fetch_deltas`` gives it a ``since`` parameter
   **and** defines a ``delta_cursor`` method in its own body.
 
@@ -41,10 +39,7 @@ __all__ = ["WrapperCapabilitiesChecker"]
 CAPS_CLASS = "WrapperCapabilities"
 
 #: pushdown capabilities ``fetch_rows`` implements
-_FEATURES = ("projection", "id_filter")
-
-#: the keywords :meth:`Wrapper.fetch` passes to every ``fetch_rows``
-_FETCH_KEYWORDS = ("columns", "id_filter")
+_FEATURES = ("projection",)
 
 
 def _method(cls: ast.ClassDef, name: str) -> ast.FunctionDef | None:
@@ -90,7 +85,7 @@ def _advertised_features(method: ast.FunctionDef) -> dict[str, int]:
 @register
 class WrapperCapabilitiesChecker(Checker):
     name = "wrapper-capabilities"
-    description = ("every fetch_rows takes columns and id_filter; "
+    description = ("every fetch_rows takes columns; "
                    "wrappers advertising capabilities() features or "
                    "serving fetch_deltas implement the matching methods "
                    "locally")
@@ -103,16 +98,13 @@ class WrapperCapabilitiesChecker(Checker):
     def _check_class(self, source: SourceFile,
                      cls: ast.ClassDef) -> Iterator[Finding]:
         fetch_rows = _method(cls, "fetch_rows")
-        if fetch_rows is not None and fetch_rows.args.kwarg is None:
-            params = _param_names(fetch_rows)
-            for param in _FETCH_KEYWORDS:
-                if param not in params:
-                    yield source.finding(
-                        fetch_rows.lineno, self.name,
-                        f"{cls.name}.fetch_rows lacks a `{param}` "
-                        "parameter; Wrapper.fetch passes columns= and "
-                        "id_filter= to every fetch_rows, whether or not "
-                        "projection or id-filter pushdown is advertised")
+        if fetch_rows is not None and fetch_rows.args.kwarg is None \
+                and "columns" not in _param_names(fetch_rows):
+            yield source.finding(
+                fetch_rows.lineno, self.name,
+                f"{cls.name}.fetch_rows lacks a `columns` parameter; "
+                "Wrapper.fetch passes columns= to every fetch_rows, "
+                "whether or not projection pushdown is advertised")
         caps = _method(cls, "capabilities")
         if caps is not None and fetch_rows is None:
             for feature, line in sorted(

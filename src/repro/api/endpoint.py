@@ -103,12 +103,10 @@ class ProtocolEndpoint:
         # epochs recomputed during recovery replay — never the epochs a
         # previous boot recorded, which would be stale after a
         # snapshot-assisted restart.
-        info = service.journal_info() \
-            if hasattr(service, "journal_info") else None
+        info = service.journal_info()
         self.boot_id = ((info or {}).get("boot_id")
                         or secrets.token_hex(8))
-        recovered = getattr(service.mdm, "recovered_idempotency", None)
-        for key, outcome in (recovered or {}).items():
+        for key, outcome in service.mdm.recovered_idempotency.items():
             self._replays[key] = ReleaseResponse(
                 ok=True, epoch=outcome.get("epoch"),
                 triples_added=outcome.get("triples_added"),
@@ -467,8 +465,7 @@ class ProtocolEndpoint:
                         service.answer_cache.stats.snapshot(),
                     "open_cursors": self.open_cursors,
                     "max_workers": service.max_workers,
-                    "journal": service.journal_info()
-                    if hasattr(service, "journal_info") else None,
+                    "journal": service.journal_info(),
                     # Last-run operator timings: per-query PlanMetrics
                     # trees plus per-wrapper scan aggregates, so fleet
                     # operators can spot a slow wrapper from /describe

@@ -204,7 +204,7 @@ class _GatewayRoutes:
         Nodes without a journal (in-memory demos, replicas) answer 404.
         """
         endpoint = self.endpoint
-        journal = getattr(endpoint.service.mdm, "journal", None)
+        journal = endpoint.service.mdm.journal
         if journal is None:
             return self._error(
                 404, "not_found",

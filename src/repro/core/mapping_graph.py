@@ -59,10 +59,6 @@ class MappingGraph:
 
     # -- inspection ----------------------------------------------------------------
 
-    def wrapper_names_with_mappings(self) -> list[IRI]:
-        return sorted(s for s in self.graph.subjects(M.mapping, None)
-                      if isinstance(s, IRI))
-
     def mapping_graph_of(self, wrapper_name: str) -> Graph | None:
         graph_name = mapping_graph_uri(wrapper_name)
         if not self.dataset.has_graph(graph_name):
@@ -72,11 +68,6 @@ class MappingGraph:
     def feature_of_attribute(self, attribute: IRI | str) -> IRI | None:
         value = self.graph.value(IRI(str(attribute)), OWL.sameAs, None)
         return value if isinstance(value, IRI) else None
-
-    def attributes_of_feature(self, feature: IRI | str) -> list[IRI]:
-        return sorted(
-            s for s in self.graph.subjects(OWL.sameAs, IRI(str(feature)))
-            if isinstance(s, IRI))
 
     def same_as_pairs(self) -> list[tuple[IRI, IRI]]:
         return sorted(

@@ -57,10 +57,6 @@ class SupersedeScenario:
     registry: SourceRegistry
     wrappers: dict[str, Wrapper] = field(default_factory=dict)
 
-    @property
-    def exemplary_query(self) -> str:
-        return EXEMPLARY_QUERY
-
 
 def _build_global_graph(ontology: BDIOntology) -> None:
     """Instantiate G for the UML conceptual model of Figure 2."""

@@ -39,10 +39,6 @@ class GrowthRecord:
     new_attributes: int
     cumulative_s: int
 
-    @property
-    def added_total(self) -> int:
-        return self.added_s + self.added_m + self.added_lav + self.added_g
-
 
 def _prepare_global_graph(ontology: BDIOntology) -> None:
     """Model the Post concept with every feature ever served.

@@ -129,10 +129,6 @@ class Fleet:
             raise FleetError("the fleet has no leader process")
         return leader.url
 
-    def replica_keys(self) -> list[str]:
-        return sorted(p.key for p in self.supervisor.processes()
-                      if p.role == "replica")
-
     def client(self, **kwargs: Any) -> "GovernedClient":
         """A :class:`GovernedClient` session through the router."""
         from repro.api.client import GovernedClient

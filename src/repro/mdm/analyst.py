@@ -101,15 +101,6 @@ class OMQBuilder:
     def to_omq(self) -> OMQ:
         return parse_omq(self.to_sparql())
 
-    def cache_key(self) -> str:
-        """The canonical rewriting-cache key this query will hit.
-
-        Lets analysts confirm that two differently phrased queries are
-        the same cached unit of work.
-        """
-        from repro.query.cache import canonical_omq_key
-        return canonical_omq_key(self.to_omq())
-
 
 def describe_cache(cache: "RewriteCache | None") -> str:
     """Readable inventory of a rewriting cache: stats + per-entry state.
@@ -190,8 +181,7 @@ def describe_service(service: "GovernedService") -> str:
         f"  incremental maintenance: patches = {answer_stats.patches}, "
         f"seeds = {answer_stats.seeds}, "
         f"fallbacks = {answer_stats.fallbacks}")
-    journal = service.journal_info() \
-        if hasattr(service, "journal_info") else None
+    journal = service.journal_info()
     if journal is None:
         lines.append("  journal: none (in-memory state — a restart "
                      "loses the governed history)")
@@ -207,12 +197,10 @@ def describe_service(service: "GovernedService") -> str:
         lines.append("  observed scan timings (recent runs):")
         for wrapper in sorted(timings):
             entry = timings[wrapper]
-            filtered = (f", {entry['filtered']} semi-join filtered"
-                        if entry["filtered"] else "")
             lines.append(
                 f"    {wrapper}: {entry['scans']} scan(s), "
                 f"{entry['rows']} row(s), "
-                f"{float(entry['seconds']) * 1e3:.2f} ms{filtered}")
+                f"{float(entry['seconds']) * 1e3:.2f} ms")
     return "\n".join(lines) + "\n" + describe_cache(service.mdm.cache)
 
 

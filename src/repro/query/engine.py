@@ -322,7 +322,7 @@ class QueryEngine:
         """OMQ → result relation with feature-named columns.
 
         With the planner on (the default), union branches share one
-        scan per ``(wrapper, columns, filter)`` through *scan_cache* —
+        scan per ``(wrapper, columns)`` through *scan_cache* —
         a private per-call cache unless the caller passes a longer-lived
         one (the serving layer does; its scans outlive releases, keyed
         by the bound wrapper object and its data version). Raises
@@ -488,9 +488,8 @@ class QueryEngine:
         for _, metrics in self.plan_metrics_log():
             for wrapper, entry in scan_timings(metrics).items():
                 slot = merged.setdefault(wrapper, {
-                    "scans": 0, "rows": 0, "seconds": 0.0,
-                    "filtered": 0})
-                for counter in ("scans", "rows", "filtered"):
+                    "scans": 0, "rows": 0, "seconds": 0.0})
+                for counter in ("scans", "rows"):
                     slot[counter] = (int(slot[counter])
                                      + int(entry[counter]))
                 slot["seconds"] = round(

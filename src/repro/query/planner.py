@@ -8,9 +8,6 @@ walk the planner emits a tree of physical operators
 * **projection pushdown** — each scan requests only the qualified
   columns the branch actually outputs (final-projection sources plus
   join keys); everything else never leaves the source;
-* **ID-filter / semi-join pushdown** — hash joins materialize their
-  build side first and push its distinct key set into a probe-side
-  scan, so high-fanout wrappers fetch only joinable rows;
 * **cardinality-aware join ordering** — wrappers join smallest-first
   (by :meth:`~repro.wrappers.base.Wrapper.estimate_rows` estimates),
   replacing the logical lowering's alphabetical left-deep order; the
@@ -139,8 +136,7 @@ class PhysicalPlan:
         """The plan as an indented operator tree with pushdown and
         scan-sharing annotations; ``analyze=True`` appends the last
         run's observed per-operator rows and wall-time."""
-        lines = ["physical plan (projection pushdown, semi-join "
-                 "pushdown, shared scans):"]
+        lines = ["physical plan (projection pushdown, shared scans):"]
         lines.extend(self.root.explain_lines(1))
         if analyze:
             if self.last_metrics is None:
@@ -245,8 +241,7 @@ def plan_walk(walk: Walk, mapping: dict[str, str],
 
         new_estimate = estimates[newcomer]
         # Build on the smaller side. Ties and unknowns keep the tree as
-        # the build side, so the newcomer scan stays on the probe side
-        # where the semi-join filter can be pushed into its fetch.
+        # the build side, and the newcomer scan probes it.
         tree_builds = not (
             new_estimate is not None
             and (tree_estimate is None or new_estimate < tree_estimate))

@@ -51,10 +51,6 @@ class Triple(NamedTuple):
         """Build a triple coercing plain strings/natives into terms."""
         return cls(coerce_node(s), coerce_node(p), coerce_node(o))
 
-    def is_concrete(self) -> bool:
-        """True when no position holds a variable (assertable triple)."""
-        return not any(isinstance(t, Variable) for t in self)
-
     def variables(self) -> Iterator[Variable]:
         """Yield the variables appearing in this pattern, in s/p/o order."""
         for t in self:

@@ -12,7 +12,7 @@ from repro.relational.algebra import (
 )
 from repro.relational.columnar import ColumnBatch, concat_batches
 from repro.relational.physical import (
-    CachingScanProvider, IdFilter, PhysicalHashJoin, PhysicalOperator,
+    CachingScanProvider, PhysicalHashJoin, PhysicalOperator,
     PhysicalProject, PhysicalScan, PhysicalUnion, RelationScanProvider,
     ScanCache, ScanKey, ScanProvider, ScanStats, WrapperScanProvider,
     as_scan_provider,
@@ -27,7 +27,7 @@ __all__ = [
     "ColumnBatch", "concat_batches",
     "DataProvider", "Expression", "FinalProject", "Join", "Project",
     "Scan", "Union", "evaluate",
-    "CachingScanProvider", "IdFilter", "PhysicalHashJoin",
+    "CachingScanProvider", "PhysicalHashJoin",
     "PhysicalOperator", "PhysicalProject", "PhysicalScan",
     "PhysicalUnion", "RelationScanProvider", "ScanCache", "ScanKey",
     "ScanProvider", "ScanStats", "WrapperScanProvider",

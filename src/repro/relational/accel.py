@@ -29,7 +29,7 @@ from typing import Any, Sequence
 
 __all__ = ["available", "csr_probe", "first_occurrence_keep",
            "index_array", "is_array", "numpy", "take",
-           "translate_codes", "unique_codes"]
+           "translate_codes"]
 
 try:  # pragma: no cover - exercised implicitly by every accel test
     numpy: Any = importlib.import_module("numpy")
@@ -66,11 +66,6 @@ def translate_codes(table: Sequence[int], codes: Any) -> Any:
     """Map *codes* through a dense translation *table* (``-1`` rows
     pass through as ``-1`` misses)."""
     return index_array(table)[index_array(codes)]
-
-
-def unique_codes(codes: Any) -> list[int]:
-    """Sorted distinct codes of a lane, as Python ints."""
-    return numpy.unique(index_array(codes)).tolist()
 
 
 def csr_probe(build_codes: Any, probe_codes: Any,

@@ -169,8 +169,8 @@ def scan_timings(root: PlanMetrics | None
                  ) -> dict[str, dict[str, float]]:
     """Per-wrapper scan aggregates of one metrics tree.
 
-    The describe surface: ``{wrapper: {scans, rows, seconds,
-    filtered}}`` — enough to rank wrappers by observed scan cost.
+    The describe surface: ``{wrapper: {scans, rows, seconds}}`` —
+    enough to rank wrappers by observed scan cost.
     The counter slots hold ints at runtime; ``float`` is the
     common static type.
     """
@@ -182,11 +182,9 @@ def scan_timings(root: PlanMetrics | None
             continue
         wrapper = str(node.detail.get("wrapper", node.label))
         entry = out.setdefault(wrapper, {
-            "scans": 0, "rows": 0, "seconds": 0.0, "filtered": 0})
+            "scans": 0, "rows": 0, "seconds": 0.0})
         entry["scans"] = int(entry["scans"]) + 1
         entry["rows"] = int(entry["rows"]) + node.rows_out
         entry["seconds"] = round(
             float(entry["seconds"]) + node.seconds, 6)
-        if node.detail.get("filtered"):
-            entry["filtered"] = int(entry["filtered"]) + 1
     return out

@@ -10,10 +10,7 @@ assembles into a plan that
 * fetches only the columns a walk actually outputs (**projection
   pushdown** — the request travels through :class:`ScanProvider` down
   to the wrapper's capability protocol);
-* filters a hash join's probe side by the build side's key set
-  (**semi-join / ID-filter pushdown** — an :class:`IdFilter` handed to
-  the probe scan at run time);
-* fetches every ``(wrapper, columns, filter)`` combination **once** per
+* fetches every ``(wrapper, columns)`` combination **once** per
   batch/union via a :class:`ScanCache` (single-flight, thread-safe,
   keyed by the bound wrapper object and its data version, so a scan
   survives every release that does not rebind or change its wrapper).
@@ -42,42 +39,13 @@ from repro.relational.rows import Relation
 from repro.relational.schema import Attribute, RelationSchema
 
 __all__ = [
-    "IdFilter", "ScanKey", "ScanStats", "ScanCache",
+    "ScanKey", "ScanStats", "ScanCache",
     "ScanProvider", "WrapperScanProvider", "RelationScanProvider",
     "CachingScanProvider", "Unversioned", "as_scan_provider",
     "FusedBatch",
     "PhysicalOperator", "PhysicalScan", "PhysicalHashJoin",
     "PhysicalProject", "PhysicalUnion",
 ]
-
-
-@dataclass(frozen=True)
-class IdFilter:
-    """A pushed-down semi-join filter: keep rows where *attribute* takes
-    one of *values*.
-
-    The filter is always a *prefilter* — the join re-checks its full
-    condition — so honoring it partially (or ignoring it) is never
-    incorrect, just slower. Attribute naming follows the carrier: the
-    planner builds filters over source-qualified names, the wrapper
-    layer receives them translated to local names.
-    """
-
-    attribute: str
-    values: frozenset
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.values, frozenset):
-            object.__setattr__(self, "values", frozenset(self.values))
-
-    def matches(self, row: Mapping[str, object]) -> bool:
-        return row.get(self.attribute) in self.values
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def notation(self) -> str:
-        return f"{self.attribute}∈{{{len(self.values)} ids}}"
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +76,7 @@ class ScanKey:
     """Identity of one physical scan result.
 
     A scan's rows depend only on the object it reads, that object's
-    data, the columns and the filter; never on ``T``. ``bound`` is the
+    data and the columns; never on ``T``. ``bound`` is the
     object itself (the bound wrapper, compared by identity), so a
     rebind under the same name is a different key. ``data_version``
     ties the entry to the state of the backing data (wrappers bump it
@@ -120,7 +88,6 @@ class ScanKey:
     bound: object
     data_version: "int | Unversioned"
     columns: frozenset[str] | None
-    id_filter: tuple[str, frozenset] | None
 
 
 @dataclass
@@ -274,10 +241,10 @@ class ScanCache:
 class ScanProvider:
     """Resolves physical scans (qualified columns) for plan execution."""
 
-    def scan(self, name: str, columns: Sequence[str] | None = None,
-             id_filter: IdFilter | None = None) -> Relation:
+    def scan(self, name: str, columns: Sequence[str] | None = None
+             ) -> Relation:
         """Materialize wrapper *name* restricted to *columns* (qualified
-        attribute names, None = all) and filtered by *id_filter*."""
+        attribute names, None = all)."""
         raise NotImplementedError
 
     def estimate(self, name: str) -> int | None:
@@ -309,8 +276,8 @@ class WrapperScanProvider(ScanProvider):
     def __init__(self, resolve: Callable[[str], object]) -> None:
         self._resolve = resolve
 
-    def scan(self, name: str, columns: Sequence[str] | None = None,
-             id_filter: IdFilter | None = None) -> Relation:
+    def scan(self, name: str, columns: Sequence[str] | None = None
+             ) -> Relation:
         wrapper = self._resolve(name)
         local = {f"{wrapper.source_name}/{a}": a
                  for a in wrapper.attributes}
@@ -323,16 +290,7 @@ class WrapperScanProvider(ScanProvider):
                     f"wrapper {name} is missing attribute {exc.args[0]!r}; "
                     "the source likely evolved under the wrapper"
                 ) from None
-        local_filter = None
-        if id_filter is not None:
-            attr = local.get(id_filter.attribute)
-            if attr is None:
-                raise SchemaError(
-                    f"wrapper {name} has no attribute "
-                    f"{id_filter.attribute!r} to filter on")
-            local_filter = IdFilter(attr, id_filter.values)
-        return wrapper.relation(qualified=True, columns=local_columns,
-                                id_filter=local_filter)
+        return wrapper.relation(qualified=True, columns=local_columns)
 
     def estimate(self, name: str) -> int | None:
         return self._resolve(name).estimate_rows()
@@ -351,7 +309,7 @@ class WrapperScanProvider(ScanProvider):
 class RelationScanProvider(ScanProvider):
     """Adapts a logical :data:`~repro.relational.algebra.DataProvider`
     (mapping or callable of *full* qualified relations) to the physical
-    protocol: projection and filtering happen here, after the fetch.
+    protocol: projection happens here, after the fetch.
 
     The capability-less fallback — used for explicitly supplied test
     providers, and the baseline the pushdown benchmarks compare against.
@@ -369,35 +327,24 @@ class RelationScanProvider(ScanProvider):
         except KeyError:
             raise SchemaError(f"no data for relation {name!r}") from None
 
-    def scan(self, name: str, columns: Sequence[str] | None = None,
-             id_filter: IdFilter | None = None) -> Relation:
+    def scan(self, name: str, columns: Sequence[str] | None = None
+             ) -> Relation:
         relation = self._resolve(name)
-        if columns is None and id_filter is None:
+        if columns is None:
             return relation
         schema = relation.schema
-        if columns is not None:
-            missing = [c for c in columns if c not in schema]
-            if missing:
-                raise SchemaError(
-                    f"wrapper {name} is missing attributes "
-                    f"{sorted(missing)}")
-            wanted = frozenset(columns)
-            out_schema = RelationSchema(
-                schema.name,
-                tuple(a for a in schema.attributes if a.name in wanted),
-                schema.source)
-            names: tuple[str, ...] = tuple(
-                a.name for a in out_schema.attributes)
-        else:
-            out_schema = schema
-            names = schema.attribute_names
-        rows = []
-        for row in relation:
-            if id_filter is not None and not id_filter.matches(row):
-                continue
-            rows.append({n: row[n] for n in names}
-                        if columns is not None else dict(row))
-        return Relation.from_trusted(out_schema, rows)
+        missing = [c for c in columns if c not in schema]
+        if missing:
+            raise SchemaError(
+                f"wrapper {name} is missing attributes {sorted(missing)}")
+        wanted = frozenset(columns)
+        out_schema = RelationSchema(
+            schema.name,
+            tuple(a for a in schema.attributes if a.name in wanted),
+            schema.source)
+        names = out_schema.attribute_names
+        return Relation.from_trusted(
+            out_schema, [{n: row[n] for n in names} for row in relation])
 
     def estimate(self, name: str) -> int | None:
         provider = self._provider
@@ -416,17 +363,15 @@ class CachingScanProvider(ScanProvider):
         self.inner = inner
         self.cache = cache
 
-    def scan(self, name: str, columns: Sequence[str] | None = None,
-             id_filter: IdFilter | None = None) -> Relation:
+    def scan(self, name: str, columns: Sequence[str] | None = None
+             ) -> Relation:
         key = ScanKey(
             wrapper=name,
             bound=self.inner.bound(name),
             data_version=self.data_version(name),
-            columns=frozenset(columns) if columns is not None else None,
-            id_filter=(id_filter.attribute, id_filter.values)
-            if id_filter is not None else None)
+            columns=frozenset(columns) if columns is not None else None)
         return self.cache.get_or_fetch(
-            key, lambda: self.inner.scan(name, columns, id_filter))
+            key, lambda: self.inner.scan(name, columns))
 
     def estimate(self, name: str) -> int | None:
         try:
@@ -700,61 +645,45 @@ class PhysicalOperator:
 
     # -- public entry points (metrics instrumentation) -----------------------
 
-    def execute_encoded(self, provider: ScanProvider,
-                        runtime_filter: IdFilter | None = None,
-                        ) -> ColumnBatch:
-        """Materialize the node as a batch. *runtime_filter* only
-        reaches scans — a parent hash join pushes its build-side key
-        set down here."""
-        return self._instrumented(self._execute_encoded, provider,
-                                  runtime_filter)
+    def execute_encoded(self, provider: ScanProvider) -> ColumnBatch:
+        """Materialize the node as a batch."""
+        return self._instrumented(self._execute_encoded, provider)
 
-    def execute_fused(self, provider: ScanProvider,
-                      runtime_filter: IdFilter | None = None,
-                      ) -> FusedBatch:
+    def execute_fused(self, provider: ScanProvider) -> FusedBatch:
         """Execute as (part of) a fused pipeline segment: the result
         is gather state, not materialized columns. Operators that do
         not fuse return a single-leaf :class:`FusedBatch` wrapping
         their materialized batch — fusion degrades, never breaks."""
-        return self._instrumented(self._execute_fused, provider,
-                                  runtime_filter)
+        return self._instrumented(self._execute_fused, provider)
 
     def _instrumented(self,
-                      impl: "Callable[[ScanProvider, IdFilter | None],"
-                            " _ExecResult]",
-                      provider: ScanProvider,
-                      runtime_filter: IdFilter | None) -> _ExecResult:
+                      impl: "Callable[[ScanProvider], _ExecResult]",
+                      provider: ScanProvider) -> _ExecResult:
         collector = active_collector()
         if collector is None:
-            return impl(provider, runtime_filter)
-        kind, label, detail = self._metrics_entry(runtime_filter)
+            return impl(provider)
+        kind, label, detail = self._metrics_entry()
         frame = collector.enter(kind, label, detail)
         try:
-            result = impl(provider, runtime_filter)
+            result = impl(provider)
         except BaseException:
             collector.abort(frame)
             raise
         collector.exit(frame, len(result))
         return result
 
-    def _metrics_entry(self, runtime_filter: IdFilter | None
-                       ) -> tuple[str, str, dict[str, object] | None]:
+    def _metrics_entry(self) -> tuple[str, str, dict[str, object] | None]:
         """``(kind, label, detail)`` of this node's metrics frame."""
         name = type(self).__name__
         return (name.lower(), name, None)
 
     # -- implementations (overridden by subclasses) --------------------------
 
-    def _execute_encoded(self, provider: ScanProvider,
-                         runtime_filter: IdFilter | None = None,
-                         ) -> ColumnBatch:
+    def _execute_encoded(self, provider: ScanProvider) -> ColumnBatch:
         raise NotImplementedError
 
-    def _execute_fused(self, provider: ScanProvider,
-                       runtime_filter: IdFilter | None = None,
-                       ) -> FusedBatch:
-        return FusedBatch.from_batch(
-            self._execute_encoded(provider, runtime_filter))
+    def _execute_fused(self, provider: ScanProvider) -> FusedBatch:
+        return FusedBatch.from_batch(self._execute_encoded(provider))
 
     def explain_lines(self, indent: int = 0) -> list[str]:
         raise NotImplementedError
@@ -768,8 +697,7 @@ class PhysicalOperator:
 
 @dataclass
 class PhysicalScan(PhysicalOperator):
-    """A leaf scan with pushed-down projection (and, at run time, an
-    optional pushed-down semi-join filter).
+    """A leaf scan with pushed-down projection.
 
     With ``dedup`` the scan keeps only the first occurrence of each
     fetched row. The planner sets it on scans below a join under
@@ -795,9 +723,7 @@ class PhysicalScan(PhysicalOperator):
     def schema(self) -> RelationSchema:
         return self.relation_schema
 
-    def _execute_encoded(self, provider: ScanProvider,
-                         runtime_filter: IdFilter | None = None,
-                         ) -> ColumnBatch:
+    def _execute_encoded(self, provider: ScanProvider) -> ColumnBatch:
         # The row→batch boundary: the wrapper's relation pivots to
         # columns once and the pivot is memoized on the relation, so a
         # scan shared through the ScanCache pays it once per fetch.
@@ -805,21 +731,17 @@ class PhysicalScan(PhysicalOperator):
         # declared (rows are dicts); the batch is realigned to the
         # plan's order — a zero-copy rename — so a scan at the plan
         # root presents the plan schema.
-        batch = provider.scan(self.wrapper_name, self.columns,
-                              runtime_filter).columnar()
+        batch = provider.scan(self.wrapper_name, self.columns).columnar()
         return batch.reorder(self.relation_schema.attribute_names)
 
-    def _execute_fused(self, provider: ScanProvider,
-                       runtime_filter: IdFilter | None = None,
-                       ) -> FusedBatch:
+    def _execute_fused(self, provider: ScanProvider) -> FusedBatch:
         # No reorder here: fused consumers resolve columns by name, so
         # the relation-memoized batch — and the dictionary encodings
         # memoized on it — stays the *same object* for every query
         # scanning this wrapper, instead of one rename wrapper each.
         # The dedup keep list is memoized on that same batch, so a scan
         # cache hit reuses it, and it composes with any selection.
-        batch = provider.scan(self.wrapper_name, self.columns,
-                              runtime_filter).columnar()
+        batch = provider.scan(self.wrapper_name, self.columns).columnar()
         fused = FusedBatch.from_batch(batch)
         if self.dedup:
             keep = batch.distinct_keep()
@@ -828,14 +750,9 @@ class PhysicalScan(PhysicalOperator):
                                   len(keep))
         return fused
 
-    def _metrics_entry(self, runtime_filter: IdFilter | None
-                       ) -> tuple[str, str, dict[str, object] | None]:
-        detail: dict[str, object] = {"wrapper": self.wrapper_name}
-        label = f"scan {self.wrapper_name}"
-        if runtime_filter is not None:
-            detail["filtered"] = True
-            label += f" [{runtime_filter.notation()}]"
-        return ("scan", label, detail)
+    def _metrics_entry(self) -> tuple[str, str, dict[str, object] | None]:
+        return ("scan", f"scan {self.wrapper_name}",
+                {"wrapper": self.wrapper_name})
 
     def explain_lines(self, indent: int = 0) -> list[str]:
         pad = "  " * indent
@@ -853,15 +770,11 @@ class PhysicalScan(PhysicalOperator):
 
 @dataclass
 class PhysicalHashJoin(PhysicalOperator):
-    """Hash equi-join with plan-time build-side choice and optional
-    semi-join pushdown into a probe-side scan.
+    """Hash equi-join with plan-time build-side choice.
 
     *conditions* pairs ``(build_attr, probe_attr)`` in qualified names.
-    Execution materializes the build side first; when the probe is a
-    :class:`PhysicalScan` the distinct build keys of the first condition
-    travel down as an :class:`IdFilter`, so the probe fetches only
-    joinable rows. The join re-checks every condition, so the filter is
-    free to be a superset.
+    Execution materializes the build side first, then probes it with
+    the probe side's key lanes.
     """
 
     build: PhysicalOperator
@@ -869,7 +782,6 @@ class PhysicalHashJoin(PhysicalOperator):
     conditions: tuple[tuple[str, str], ...]
     #: estimated build-side cardinality (explain; None = unknown)
     build_estimate: int | None = None
-    semi_join: bool = True
 
     def schema(self) -> RelationSchema:
         b, p = self.build.schema(), self.probe.schema()
@@ -877,15 +789,10 @@ class PhysicalHashJoin(PhysicalOperator):
             f"({b.name}⋈̃{p.name})",
             tuple(b.attributes) + tuple(p.attributes), None)
 
-    def _execute_encoded(self, provider: ScanProvider,
-                         runtime_filter: IdFilter | None = None,
-                         ) -> ColumnBatch:
-        return self._execute_fused(provider,
-                                   runtime_filter).materialize()
+    def _execute_encoded(self, provider: ScanProvider) -> ColumnBatch:
+        return self._execute_fused(provider).materialize()
 
-    def _execute_fused(self, provider: ScanProvider,
-                       runtime_filter: IdFilter | None = None,
-                       ) -> FusedBatch:
+    def _execute_fused(self, provider: ScanProvider) -> FusedBatch:
         """Fused, int-coded hash join.
 
         Both sides execute fused; the join never gathers data columns —
@@ -917,27 +824,7 @@ class PhysicalHashJoin(PhysicalOperator):
         build_located = [build.locate(k) for k in build_keys]
         build_coded = (build.code_lane(*build_located[0])
                        if len(self.conditions) == 1 else None)
-
-        pushed: IdFilter | None = None
-        if self.semi_join and isinstance(self.probe, PhysicalScan):
-            if build_coded is not None:
-                # Distinct build keys via the dictionary: decode each
-                # *present* code once (values are hashable by
-                # construction — they were dictionary keys).
-                decode = build_coded[0].values
-                present: "Iterable[int]" = (
-                    accel.unique_codes(build_coded[1])
-                    if accel.is_array(build_coded[1])
-                    else set(build_coded[1]))
-                pushed = IdFilter(probe_keys[0], frozenset(
-                    map(decode.__getitem__, present)))
-            else:
-                try:
-                    pushed = IdFilter(probe_keys[0], frozenset(
-                        build.value_lane(*build_located[0])))
-                except TypeError:
-                    pushed = None  # unhashable keys: fetch unfiltered
-        probe = self.probe.execute_fused(provider, pushed)
+        probe = self.probe.execute_fused(provider)
         if not len(probe):
             return FusedBatch(build.leaves + probe.leaves,
                               build.compose([]) + probe.compose([]), 0)
@@ -1040,8 +927,7 @@ class PhysicalHashJoin(PhysicalOperator):
                           + probe.compose(probe_sel),
                           len(build_sel))
 
-    def _metrics_entry(self, runtime_filter: IdFilter | None
-                       ) -> tuple[str, str, dict[str, object] | None]:
+    def _metrics_entry(self) -> tuple[str, str, dict[str, object] | None]:
         conds = ",".join(f"{b}={p}" for b, p in self.conditions)
         return ("join", f"⋈ₕ[{conds}]", {"conditions": conds})
 
@@ -1050,11 +936,7 @@ class PhysicalHashJoin(PhysicalOperator):
         conds = ",".join(f"{b}={p}" for b, p in self.conditions)
         est = (f" build≈{self.build_estimate}"
                if self.build_estimate is not None else "")
-        semi = ""
-        if self.semi_join and isinstance(self.probe, PhysicalScan):
-            semi = (f" semi-join→{self.probe.wrapper_name}"
-                    f"[{self.conditions[0][1]}]")
-        lines = [f"{pad}⋈ₕ[{conds}]{est}{semi}"]
+        lines = [f"{pad}⋈ₕ[{conds}]{est}"]
         lines.extend(self.build.explain_lines(indent + 1))
         lines.extend(self.probe.explain_lines(indent + 1))
         return lines
@@ -1077,14 +959,11 @@ class PhysicalProject(PhysicalOperator):
             for out_name, in_name in self.mapping.items())
         return RelationSchema(f"π({child_schema.name})", attrs, None)
 
-    def _execute_encoded(self, provider: ScanProvider,
-                         runtime_filter: IdFilter | None = None,
-                         ) -> ColumnBatch:
+    def _execute_encoded(self, provider: ScanProvider) -> ColumnBatch:
         # The closing projection is where a fused pipeline finally
         # gathers values — and only for the mapped columns.
-        return self.child.execute_fused(
-            provider, runtime_filter).project(self.mapping,
-                                              self.schema())
+        return self.child.execute_fused(provider).project(
+            self.mapping, self.schema())
 
     def execute_encoded_distinct(self, provider: ScanProvider
                                  ) -> ColumnBatch:
@@ -1092,18 +971,14 @@ class PhysicalProject(PhysicalOperator):
         union's pre-pass): first occurrences are computed on the code
         lanes *before* any value is gathered or decoded."""
         return self._instrumented(self._execute_encoded_distinct,
-                                  provider, None)
+                                  provider)
 
-    def _execute_encoded_distinct(self, provider: ScanProvider,
-                                  runtime_filter: IdFilter | None
-                                  = None) -> ColumnBatch:
-        return self.child.execute_fused(
-            provider, runtime_filter).project(self.mapping,
-                                              self.schema(),
-                                              distinct=True)
+    def _execute_encoded_distinct(self, provider: ScanProvider
+                                  ) -> ColumnBatch:
+        return self.child.execute_fused(provider).project(
+            self.mapping, self.schema(), distinct=True)
 
-    def _metrics_entry(self, runtime_filter: IdFilter | None
-                       ) -> tuple[str, str, dict[str, object] | None]:
+    def _metrics_entry(self) -> tuple[str, str, dict[str, object] | None]:
         return ("project", f"π[{len(self.mapping)} cols]", None)
 
     def explain_lines(self, indent: int = 0) -> list[str]:
@@ -1141,9 +1016,7 @@ class PhysicalUnion(PhysicalOperator):
     def schema(self) -> RelationSchema:
         return self.branches[0].schema()
 
-    def _execute_encoded(self, provider: ScanProvider,
-                         runtime_filter: IdFilter | None = None,
-                         ) -> ColumnBatch:
+    def _execute_encoded(self, provider: ScanProvider) -> ColumnBatch:
         """Encoded union: each projection branch pre-deduplicates on
         its own code lanes (so the bulk of duplicate rows never
         decode), then the global dedup runs over the shrunken concat —
@@ -1166,8 +1039,7 @@ class PhysicalUnion(PhysicalOperator):
             return merged
         return merged.distinct()
 
-    def _metrics_entry(self, runtime_filter: IdFilter | None
-                       ) -> tuple[str, str, dict[str, object] | None]:
+    def _metrics_entry(self) -> tuple[str, str, dict[str, object] | None]:
         kind = "distinct" if self.distinct else "all"
         return ("union", f"∪ {kind}", None)
 

@@ -114,7 +114,7 @@ class GovernedService:
         self._journal_info_override = None
         self.lock = EpochLock()
         self.stats = ServiceStats()
-        #: shared physical-scan cache: every (wrapper, columns, filter)
+        #: shared physical-scan cache: every (wrapper, columns)
         #: combination is fetched once across all queries, batches and
         #: releases. A release adds a wrapper and changes no existing
         #: one, so scans are not cleared at epoch boundaries: each key

@@ -20,10 +20,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Sequence, TYPE_CHECKING
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.relational.physical import IdFilter
+from typing import Any, Sequence
 
 from repro.core.ontology import BDIOntology
 from repro.core.release import Release, new_release
@@ -66,11 +63,10 @@ class LatencyWrapper(StaticWrapper):
         super().__init__(*args, **kwargs)
         self.latency = latency
 
-    def fetch_rows(self, columns: "Sequence[str] | None" = None,
-                   id_filter: "IdFilter | None" = None) -> list[dict]:
+    def fetch_rows(self, columns: Sequence[str] | None = None) -> list[dict]:
         if self.latency > 0:
             time.sleep(self.latency)
-        return super().fetch_rows(columns=columns, id_filter=id_filter)
+        return super().fetch_rows(columns=columns)
 
 
 @dataclass

@@ -532,8 +532,5 @@ class DocumentStore:
             self._version_floors[name] = dropped.data_version + 1
         return dropped is not None
 
-    def collection_names(self) -> list[str]:
-        return sorted(self._collections)
-
     def __contains__(self, name: object) -> bool:
         return name in self._collections

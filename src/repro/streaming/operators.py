@@ -27,13 +27,9 @@ maintained result is bag-equal to a cold recompute by construction
 (distinct is support counting: a row enters the output when its
 support rises from 0 and leaves when it falls back to 0).
 
-Semi-join pushdown is deliberately *not* mirrored: scan states hold the
-full (projected) wrapper bag, because a row filtered out by today's
-build keys may be joinable tomorrow — runtime ID filters are a fetch
-optimization, never a semantic one, so dropping them keeps deltas exact.
-Scan dedup under DISTINCT is, like the semi-join, not mirrored: the
-full bag plus the union's support counts keep a tuple until its last
-supporting row is deleted.
+Scan dedup under DISTINCT is deliberately *not* mirrored: scan states
+hold the full (projected) wrapper bag, and the union's support counts
+keep a tuple until its last supporting row is deleted.
 """
 
 from __future__ import annotations

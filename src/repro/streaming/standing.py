@@ -240,7 +240,7 @@ class StandingQuery:
                    state: ScanState) -> Counter[RowTuple]:
         """A leaf's whole bag as an all-inserts delta (shares the scan
         cache with cold executions of the same plan)."""
-        relation = provider.scan(state.wrapper_name, state.columns, None)
+        relation = provider.scan(state.wrapper_name, state.columns)
         batch = relation.columnar().reorder(state.schema.attribute_names)
         dense = batch.dense_columns()
         if not dense:  # zero-column schema: every row is ()

@@ -1,7 +1,7 @@
 """Wrapper layer of the mediator/wrapper architecture."""
 
 from repro.wrappers.base import (
-    IdFilter, StaticWrapper, Wrapper, WrapperCapabilities, WrapperDeltas,
+    StaticWrapper, Wrapper, WrapperCapabilities, WrapperDeltas,
     qualify,
 )
 from repro.wrappers.json_flatten import flatten_document, flatten_documents
@@ -9,7 +9,7 @@ from repro.wrappers.mongo import MongoWrapper
 from repro.wrappers.rest import RestWrapper
 
 __all__ = [
-    "IdFilter", "StaticWrapper", "Wrapper", "WrapperCapabilities",
+    "StaticWrapper", "Wrapper", "WrapperCapabilities",
     "WrapperDeltas", "qualify",
     "flatten_document", "flatten_documents",
     "MongoWrapper", "RestWrapper",

@@ -10,23 +10,18 @@ source-qualified view used by the ontology and the rewriting algorithm
 Capability protocol (physical execution layer)
 ----------------------------------------------
 
-The planner (:mod:`repro.query.planner`) pushes work down to sources
-when they can take it:
+The planner (:mod:`repro.query.planner`) pushes projections down to
+sources that can take them: ``fetch_rows(columns=[...])`` asks for a
+subset of the declared attributes.
 
-* **projection pushdown** — ``fetch_rows(columns=[...])`` asks for a
-  subset of the declared attributes;
-* **ID-filter pushdown** — ``fetch_rows(id_filter=IdFilter(a, values))``
-  asks only for rows whose ID attribute ``a`` takes one of *values*
-  (the semi-join filter of a hash join's build side).
-
-A wrapper *declares* what it honors via :meth:`Wrapper.capabilities`;
-:meth:`Wrapper.fetch` is the capability-aware entry point: it forwards
-only the pushdowns the wrapper declared, validates what came back, and
-applies the residue (column trim, ID filter) itself — so a wrapper that
-declines (or mis-implements) a pushdown still yields exactly the
-requested relation. Every ``fetch_rows`` takes both keywords (the
-``wrapper-capabilities`` lint rule checks it), even when it honors
-neither.
+A wrapper *declares* whether it honors that via
+:meth:`Wrapper.capabilities`; :meth:`Wrapper.fetch` is the
+capability-aware entry point: it forwards *columns* only when the
+wrapper declared projection, validates what came back, and trims the
+residue itself — so a wrapper that declines (or mis-implements) the
+pushdown still yields exactly the requested relation. Every
+``fetch_rows`` takes ``columns`` (the ``wrapper-capabilities`` lint
+rule checks it), even when it ignores it.
 """
 
 from __future__ import annotations
@@ -35,11 +30,10 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 from repro.errors import SchemaError, WrapperSchemaMismatchError
-from repro.relational.physical import IdFilter
 from repro.relational.rows import Relation
 from repro.relational.schema import Attribute, RelationSchema
 
-__all__ = ["IdFilter", "Wrapper", "WrapperCapabilities", "WrapperDeltas",
+__all__ = ["Wrapper", "WrapperCapabilities", "WrapperDeltas",
            "StaticWrapper", "qualify"]
 
 
@@ -52,19 +46,15 @@ def qualify(source_name: str, attribute: str) -> str:
 class WrapperCapabilities:
     """What a wrapper's native ``fetch_rows`` honors.
 
-    ``projection`` — the wrapper returns only the requested columns;
-    ``id_filter`` — the wrapper applies :class:`IdFilter` at the source.
-    Anything not declared is applied by :meth:`Wrapper.fetch` after the
-    full fetch (the validated fallback).
+    ``projection`` — the wrapper returns only the requested columns.
+    Undeclared, :meth:`Wrapper.fetch` trims the full fetch instead (the
+    validated fallback).
     """
 
     projection: bool = False
-    id_filter: bool = False
 
     def notation(self) -> str:
-        flags = [name for name in ("projection", "id_filter")
-                 if getattr(self, name)]
-        return "+".join(flags) if flags else "none"
+        return "projection" if self.projection else "none"
 
 
 @dataclass(frozen=True)
@@ -149,7 +139,7 @@ class Wrapper:
         """Pushdowns the wrapper's ``fetch_rows`` honors natively.
 
         The conservative default declares none: :meth:`fetch` then
-        fetches the full relation and applies projection/filter itself.
+        fetches the full relation and trims it itself.
         """
         return WrapperCapabilities()
 
@@ -165,7 +155,7 @@ class Wrapper:
         """Version token of the *data* behind the wrapper.
 
         Scan caches key fetched relations by ``(wrapper, bound object,
-        data_version, columns, filter)`` and keep them across releases;
+        data_version, columns)`` and keep them across releases;
         a wrapper whose backing data can mutate in place must change
         this token so cached scans are not served stale. A wrapper that
         keeps the default ``0`` is treated as immutable for as long as
@@ -197,23 +187,21 @@ class Wrapper:
 
     # -- data ----------------------------------------------------------------------
 
-    def fetch_rows(self, columns: Sequence[str] | None = None,
-                   id_filter: IdFilter | None = None) -> list[dict]:
+    def fetch_rows(self, columns: Sequence[str] | None = None) -> list[dict]:
         """Produce raw rows keyed by local attribute names (override).
 
-        :meth:`fetch` always passes both keywords, but each is ``None``
-        unless the wrapper declares the matching capability;
-        implementations without any capability may ignore both.
+        :meth:`fetch` always passes *columns*, but it is ``None`` unless
+        the wrapper declares projection; implementations without that
+        capability may ignore it.
         """
         raise NotImplementedError
 
-    def fetch(self, columns: Sequence[str] | None = None,
-              id_filter: IdFilter | None = None) -> list[dict]:
+    def fetch(self, columns: Sequence[str] | None = None) -> list[dict]:
         """Capability-aware fetch with a validated fallback.
 
         Returns rows keyed by local attribute names, restricted to
-        *columns* (schema order) and filtered by *id_filter* — whether
-        the wrapper did that work natively or the base class had to.
+        *columns* (schema order) — whether the wrapper did that work
+        natively or the base class had to.
         Raises :class:`~repro.errors.WrapperSchemaMismatchError` when a
         row misses requested attributes (source drift under the
         wrapper).
@@ -226,39 +214,17 @@ class Wrapper:
             wanted = frozenset(columns)
         else:
             wanted = self._expected_keys
-        if id_filter is not None and \
-                id_filter.attribute not in self._expected_keys:
-            raise SchemaError(
-                f"wrapper {self.name} has no attribute "
-                f"{id_filter.attribute!r} to filter on")
 
-        caps = self.capabilities()
         push_columns = None
-        if columns is not None and caps.projection:
+        if columns is not None and self.capabilities().projection:
             push_columns = list(columns)
-            if (id_filter is not None
-                    and id_filter.attribute not in wanted):
-                # The filtered attribute has to come back even though
-                # the caller did not ask for it — native filter
-                # implementations evaluate it per row, and the base's
-                # residual pass needs it when the wrapper declined; it
-                # is trimmed again below.
-                push_columns.append(id_filter.attribute)
-        rows = self.fetch_rows(
-            columns=push_columns,
-            id_filter=id_filter if caps.id_filter else None)
+        rows = self.fetch_rows(columns=push_columns)
 
-        # Validated fallback: apply the ID filter residually *before*
-        # trimming (a no-op membership pass when the wrapper already
-        # honored it — which doubles as validation), trim undeclared
-        # columns, and reject rows missing requested attributes.
-        filter_attr = id_filter.attribute if id_filter is not None else None
+        # Validated fallback: trim undeclared columns, and reject rows
+        # missing requested attributes.
         out: list[dict] = []
         for row in rows:
             keys = row.keys()
-            if filter_attr is not None and filter_attr in keys and \
-                    row[filter_attr] not in id_filter.values:
-                continue
             if keys != wanted:
                 if wanted - keys:
                     raise WrapperSchemaMismatchError(
@@ -276,16 +242,15 @@ class Wrapper:
         return RelationSchema(full.name, attrs, full.source)
 
     def relation(self, qualified: bool = False,
-                 columns: Sequence[str] | None = None,
-                 id_filter: IdFilter | None = None) -> Relation:
+                 columns: Sequence[str] | None = None) -> Relation:
         """Fetch and validate the wrapper's relation.
 
         ``qualified=True`` rekeys columns to source-qualified names — the
         form consumed by walk execution. *columns* restricts the schema
-        (and the fetch, when the wrapper can push projections down);
-        *id_filter* restricts the rows. Both use *local* attribute names.
+        (and the fetch, when the wrapper can push projections down); it
+        uses *local* attribute names.
         """
-        rows = self.fetch(columns, id_filter)
+        rows = self.fetch(columns)
         schema = self.qualified_schema if qualified else self.schema
         if columns is not None:
             schema = self._subset_schema(schema, frozenset(
@@ -335,7 +300,7 @@ class StaticWrapper(Wrapper):
         self._log_floor = 0
 
     def capabilities(self) -> WrapperCapabilities:
-        return WrapperCapabilities(projection=True, id_filter=True)
+        return WrapperCapabilities(projection=True)
 
     def estimate_rows(self) -> int | None:
         return len(self._rows)
@@ -343,38 +308,24 @@ class StaticWrapper(Wrapper):
     def data_version(self) -> int:
         return self._data_version
 
-    def fetch_rows(self, columns: Sequence[str] | None = None,
-                   id_filter: IdFilter | None = None) -> list[dict]:
+    def fetch_rows(self, columns: Sequence[str] | None = None) -> list[dict]:
         names = tuple(columns) if columns is not None else self.attributes
         rename = self._projection
-        filter_attr = id_filter.attribute if id_filter is not None else None
-        out: list[dict] = []
-        for row in self._rows:
-            if not rename:
-                if filter_attr is not None and \
-                        row.get(filter_attr) not in id_filter.values:
-                    continue
-                if columns is None:
-                    out.append(dict(row))
-                    continue
-                try:
-                    # A missing declared attribute is schema drift and
-                    # must surface exactly as it does on a full fetch —
-                    # not be papered over as None.
-                    out.append({a: row[a] for a in names})
-                except KeyError as exc:
-                    raise WrapperSchemaMismatchError(
-                        f"wrapper {self.name} row is missing attribute "
-                        f"{exc.args[0]!r}; the source likely evolved "
-                        "under the wrapper — register a new release"
-                    ) from None
-            else:
-                projected = {a: row.get(rename.get(a, a)) for a in names}
-                if filter_attr is not None and \
-                        projected.get(filter_attr) not in id_filter.values:
-                    continue
-                out.append(projected)
-        return out
+        if rename:
+            return [{a: row.get(rename.get(a, a)) for a in names}
+                    for row in self._rows]
+        if columns is None:
+            return [dict(row) for row in self._rows]
+        try:
+            # A missing declared attribute is schema drift and must
+            # surface exactly as it does on a full fetch — not be
+            # papered over as None.
+            return [{a: row[a] for a in names} for row in self._rows]
+        except KeyError as exc:
+            raise WrapperSchemaMismatchError(
+                f"wrapper {self.name} row is missing attribute "
+                f"{exc.args[0]!r}; the source likely evolved under the "
+                "wrapper — register a new release") from None
 
     def replace_rows(self, rows: Iterable[Mapping[str, object]]) -> None:
         """Swap the whole row set (no per-row change records).

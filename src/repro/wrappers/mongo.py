@@ -16,11 +16,10 @@ exposes, e.g.::
         non_id_attributes=["lagRatio"],
     )
 
-Pushdown: the wrapper declares both capabilities and expresses them as
-*extra pipeline stages* executed by the store itself — an ID filter
-becomes a trailing ``{"$match": {attr: {"$in": [...]}}}`` and a column
-subset a trailing inclusion ``$project`` — exactly how a real MongoDB
-deployment would evaluate them server-side.
+Pushdown: the wrapper declares projection and expresses a column
+subset as an *extra pipeline stage* executed by the store itself — a
+trailing inclusion ``$project`` — exactly how a real MongoDB deployment
+would evaluate it server-side.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from typing import Iterable, Sequence
 
 from repro.sources.document_store import DocumentStore, aggregate
 from repro.wrappers.base import (
-    IdFilter, Wrapper, WrapperCapabilities, WrapperDeltas,
+    Wrapper, WrapperCapabilities, WrapperDeltas,
 )
 
 __all__ = ["MongoWrapper"]
@@ -55,7 +54,7 @@ class MongoWrapper(Wrapper):
         self.pipeline = list(pipeline)
 
     def capabilities(self) -> WrapperCapabilities:
-        return WrapperCapabilities(projection=True, id_filter=True)
+        return WrapperCapabilities(projection=True)
 
     def estimate_rows(self) -> int | None:
         if self.collection not in self.store:
@@ -69,13 +68,8 @@ class MongoWrapper(Wrapper):
             return 0
         return self.store.get_collection(self.collection).data_version
 
-    def fetch_rows(self, columns: Sequence[str] | None = None,
-                   id_filter: IdFilter | None = None) -> list[dict]:
+    def fetch_rows(self, columns: Sequence[str] | None = None) -> list[dict]:
         pipeline = list(self.pipeline)
-        if id_filter is not None:
-            pipeline.append({"$match": {
-                id_filter.attribute: {"$in": sorted(
-                    id_filter.values, key=repr)}}})
         wanted = set(columns) if columns is not None else set(
             self.attributes)
         if columns is not None:

@@ -6,8 +6,7 @@ fields onto the wrapper's attributes, optionally computing derived values.
 
 Pushdown: the wrapper asks the endpoint for a *partial response*
 (top-level field selection, the ``?fields=`` idiom) and prunes the
-flattening walk to the needed paths; ID filters drop rows before any
-other attribute of the row is computed. Derived attributes declare the
+flattening walk to the needed paths. Derived attributes declare the
 flat paths they read via *derived_inputs* — without that declaration a
 fetch involving the derived attribute falls back to the full payload
 (the base layer still trims the result, so answers never change).
@@ -20,7 +19,7 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 from repro.errors import WrapperError
 from repro.sources.rest_api import Endpoint
 from repro.wrappers.base import (
-    IdFilter, Wrapper, WrapperCapabilities, WrapperDeltas,
+    Wrapper, WrapperCapabilities, WrapperDeltas,
 )
 from repro.wrappers.json_flatten import flatten_documents
 
@@ -76,7 +75,7 @@ class RestWrapper(Wrapper):
                 "field mapping nor a derivation")
 
     def capabilities(self) -> WrapperCapabilities:
-        return WrapperCapabilities(projection=True, id_filter=True)
+        return WrapperCapabilities(projection=True)
 
     def estimate_rows(self) -> int | None:
         return self.count
@@ -136,8 +135,7 @@ class RestWrapper(Wrapper):
             return flat[path]
         return self.derived[attribute](flat)
 
-    def fetch_rows(self, columns: Sequence[str] | None = None,
-                   id_filter: IdFilter | None = None) -> list[dict]:
+    def fetch_rows(self, columns: Sequence[str] | None = None) -> list[dict]:
         attributes = tuple(columns) if columns is not None \
             else self.attributes
         fields, paths = self._needed_paths(attributes)
@@ -145,22 +143,8 @@ class RestWrapper(Wrapper):
                                         self.seed, fields=fields)
         flat_rows = flatten_documents(documents, unwind=self.unwind,
                                       paths=paths)
-
-        filter_attr = id_filter.attribute if id_filter is not None else None
-        out: list[dict] = []
-        for flat in flat_rows:
-            row: dict[str, Any] = {}
-            if filter_attr is not None and filter_attr in attributes:
-                # Evaluate the filtered ID first; skip the row before
-                # computing anything else.
-                row[filter_attr] = self._value_of(filter_attr, flat)
-                if row[filter_attr] not in id_filter.values:
-                    continue
-            for attribute in attributes:
-                if attribute not in row:
-                    row[attribute] = self._value_of(attribute, flat)
-            out.append(row)
-        return out
+        return [{a: self._value_of(a, flat) for a in attributes}
+                for flat in flat_rows]
 
     # -- change-data-capture --------------------------------------------------
 

@@ -3,17 +3,15 @@
 
 
 class WrapperCapabilities:
-    def __init__(self, projection: bool = False,
-                 id_filter: bool = False) -> None:
+    def __init__(self, projection: bool = False) -> None:
         self.projection = projection
-        self.id_filter = id_filter
 
 
 class HonestWrapper:
     def capabilities(self) -> WrapperCapabilities:
-        return WrapperCapabilities(projection=True, id_filter=True)
+        return WrapperCapabilities(projection=True)
 
-    def fetch_rows(self, columns=None, id_filter=None) -> list:
+    def fetch_rows(self, columns=None) -> list:
         return []
 
     def delta_cursor(self) -> int:
@@ -24,7 +22,7 @@ class HonestWrapper:
 
 
 class PassThroughWrapper:
-    """Takes the pushdown keywords through **kwargs and honors none."""
+    """Takes the pushdown keyword through **kwargs and ignores it."""
 
     def fetch_rows(self, **kwargs) -> list:
         return []

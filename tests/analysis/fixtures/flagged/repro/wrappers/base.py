@@ -2,19 +2,17 @@
 
 
 class WrapperCapabilities:
-    def __init__(self, projection: bool = False,
-                 id_filter: bool = False) -> None:
+    def __init__(self, projection: bool = False) -> None:
         self.projection = projection
-        self.id_filter = id_filter
 
 
 class BrokenWrapper:
     """Advertises more than it implements."""
 
     def capabilities(self) -> WrapperCapabilities:
-        return WrapperCapabilities(projection=True, id_filter=True)
+        return WrapperCapabilities(projection=True)
 
-    def fetch_rows(self, id_filter=None) -> list:
+    def fetch_rows(self, limit=None) -> list:
         # violation: projection=True but no `columns` parameter
         return []
 
@@ -24,10 +22,10 @@ class BrokenWrapper:
 
 
 class ZeroArgumentWrapper:
-    """Advertises nothing, yet Wrapper.fetch passes both keywords."""
+    """Advertises nothing, yet Wrapper.fetch passes columns=."""
 
     def fetch_rows(self) -> list:
-        # violations: no `columns`, no `id_filter` parameter
+        # violation: no `columns` parameter
         return []
 
 

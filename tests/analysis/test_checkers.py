@@ -127,9 +127,8 @@ class TestFlaggedTree:
 
     def test_zero_argument_fetch_rows_flagged(self, flagged):
         caps = messages(flagged, "wrapper-capabilities")
-        for param in ("columns", "id_filter"):
-            assert any(m.startswith("ZeroArgumentWrapper.fetch_rows")
-                       and f"`{param}`" in m for m in caps)
+        assert any(m.startswith("ZeroArgumentWrapper.fetch_rows")
+                   and "`columns`" in m for m in caps)
 
     def test_missing_delta_surface_flagged(self, flagged):
         caps = messages(flagged, "wrapper-capabilities")

@@ -113,9 +113,9 @@ def count_fetches(scenario):
     for name, wrapper in scenario.wrappers.items():
         original = wrapper.fetch_rows
 
-        def counted(columns=None, id_filter=None, _o=original, _n=name):
+        def counted(columns=None, _o=original, _n=name):
             counts[_n] = counts.get(_n, 0) + 1
-            return _o(columns=columns, id_filter=id_filter)
+            return _o(columns=columns)
 
         wrapper.fetch_rows = counted
     return counts

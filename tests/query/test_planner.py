@@ -17,7 +17,7 @@ from repro.relational.physical import (
 from repro.relational.rows import Relation
 from repro.relational.schema import RelationSchema
 from repro.relational.walk import JoinCondition, Walk
-from repro.wrappers.base import StaticWrapper
+from repro.wrappers.base import StaticWrapper, Wrapper, WrapperCapabilities
 
 
 def caching_scans(ontology, scans=None):
@@ -190,8 +190,7 @@ class TestJoinOrdering:
         branch = plan_walk(walk, {"v": "DA/v"}, scans.estimate)
         join = branch.child
         assert isinstance(join, PhysicalHashJoin)
-        # wb (1 row) is the build side; wa (10 rows) probes and can
-        # receive the semi-join filter.
+        # wb (1 row) is the build side; wa (10 rows) probes.
         assert join.build.wrapper_name == "wb"
         assert join.probe.wrapper_name == "wa"
         assert join.build_estimate == 1
@@ -256,15 +255,46 @@ class TestEngineIntegration:
         assert planned == naive
         assert len(planned) > 0
 
+    def test_columns_only_wrappers_equal_naive(self, evolved):
+        """Wrappers whose ``fetch_rows`` takes ``columns`` and nothing
+        else answer through the planner exactly as naive evaluation."""
+
+        class ColumnsOnly(Wrapper):
+            def __init__(self, inner):
+                attributes = inner.schema.attributes
+                super().__init__(
+                    inner.name, inner.source_name,
+                    [a.name for a in attributes if a.is_id],
+                    [a.name for a in attributes if not a.is_id])
+                self.inner = inner
+
+            def capabilities(self):
+                return WrapperCapabilities(projection=True)
+
+            def fetch_rows(self, columns=None):
+                return self.inner.fetch(columns)
+
+        ontology = evolved.ontology
+        for wrapper in evolved.wrappers.values():
+            ontology.bind_wrapper(ColumnsOnly(wrapper))
+        planned = QueryEngine(ontology, use_cache=False,
+                              use_answer_cache=False).answer(
+                                  EXEMPLARY_QUERY, distinct=False)
+        naive = QueryEngine(ontology, use_planner=False, use_cache=False,
+                            use_answer_cache=False).answer(
+                                EXEMPLARY_QUERY, distinct=False)
+        assert planned == naive
+        assert len(planned) > 0
+
     def test_answer_many_shares_scans(self, evolved):
         fetches = []
         for wrapper in evolved.wrappers.values():
             original = wrapper.fetch_rows
 
-            def counted(columns=None, id_filter=None, _o=original,
+            def counted(columns=None, _o=original,
                         _n=wrapper.name):
                 fetches.append(_n)
-                return _o(columns=columns, id_filter=id_filter)
+                return _o(columns=columns)
 
             wrapper.fetch_rows = counted
         engine = QueryEngine(evolved.ontology)
@@ -280,7 +310,6 @@ class TestEngineIntegration:
         assert "physical plan" in text
         assert "pushed" in text
         assert "shared ×2" in text
-        assert "semi-join" in text
         assert "final UCQ" in text
         # Set semantics: DISTINCT scans deduplicate; the two supersede
         # walks join different wrappers, so neither folds.
@@ -439,17 +468,45 @@ class TestSetSemantics:
 
 
 class TestScanCacheIntegration:
-    def counting_wrapper(self):
+    def counting_wrapper(self, rows=({"id": 1, "a": 2},)):
         calls = []
 
         class Counting(StaticWrapper):
-            def fetch_rows(self, columns=None, id_filter=None):
+            def fetch_rows(self, columns=None):
                 calls.append(1)
-                return super().fetch_rows(columns, id_filter)
+                return super().fetch_rows(columns)
 
-        wrapper = Counting("w1", "D1", ["id"], ["a"],
-                           [{"id": 1, "a": 2}])
+        wrapper = Counting("w1", "D1", ["id"], ["a"], rows)
         return wrapper, calls
+
+    def test_build_key_sets_share_one_probe_fetch(self):
+        """Two walks probe one wrapper under different build-side key
+        sets: a scan is keyed by (wrapper, columns) alone, so through
+        one scan cache the probe wrapper is fetched once."""
+        probe, calls = self.counting_wrapper(
+            [{"id": i, "a": 10 * i} for i in range(10)])
+        builds = {
+            "wx": StaticWrapper("wx", "DX", ["id"], [],
+                                [{"id": 1}, {"id": 2}]),
+            "wy": StaticWrapper("wy", "DY", ["id"], [], [{"id": 3}]),
+        }
+        bound = {"w1": probe, **builds}
+        scans = CachingScanProvider(WrapperScanProvider(bound.__getitem__),
+                                    ScanCache())
+        answers = {}
+        for name, build in builds.items():
+            walk = Walk()
+            walk.add_wrapper(build.qualified_schema, set())
+            walk.add_wrapper(probe.qualified_schema, {"D1/a"})
+            walk.add_join(JoinCondition(name, f"{build.source_name}/id",
+                                        "w1", "D1/id"))
+            branch = plan_walk(walk, {"a": "D1/a"}, scans.estimate)
+            assert branch.child.probe.wrapper_name == "w1"
+            answers[name] = sorted(
+                row["a"] for row in branch.execute_encoded(scans).to_rows())
+        assert answers == {"wx": [10, 20], "wy": [30]}
+        assert len(calls) == 1
+        assert scans.cache.stats.hits == 1
 
     def test_cache_shared_across_calls_until_data_changes(self):
         wrapper, calls = self.counting_wrapper()

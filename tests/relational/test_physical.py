@@ -7,7 +7,7 @@ import pytest
 
 from repro.errors import SchemaError
 from repro.relational.physical import (
-    CachingScanProvider, IdFilter, PhysicalHashJoin, PhysicalScan,
+    CachingScanProvider, PhysicalHashJoin, PhysicalScan,
     PhysicalUnion, RelationScanProvider, ScanCache, ScanKey,
     WrapperScanProvider, as_scan_provider,
 )
@@ -37,29 +37,12 @@ def provider():
     }
 
 
-class TestIdFilter:
-    def test_coerces_values_to_frozenset(self):
-        f = IdFilter("a", [1, 2, 2])
-        assert f.values == frozenset({1, 2})
-        assert len(f) == 2
-
-    def test_matches(self):
-        f = IdFilter("a", {1})
-        assert f.matches({"a": 1})
-        assert not f.matches({"a": 2})
-        assert not f.matches({})
-
-    def test_notation_counts_ids(self):
-        assert "2 ids" in IdFilter("a", {1, 2}).notation()
-
-
 BOUND = object()  # the object a test scan reads
 
 
 class TestScanCache:
-    def key(self, wrapper="w", version=0, columns=None, id_filter=None,
-            bound=BOUND):
-        return ScanKey(wrapper, bound, version, columns, id_filter)
+    def key(self, wrapper="w", version=0, columns=None, bound=BOUND):
+        return ScanKey(wrapper, bound, version, columns)
 
     def test_miss_then_hit(self):
         cache = ScanCache()
@@ -224,11 +207,6 @@ class TestRelationScanProvider:
         assert set(out.schema.attribute_names) == {"D1/id", "D1/b"}
         assert out.rows[0] == {"D1/id": 1, "D1/b": 100}
 
-    def test_id_filter(self, provider):
-        scans = RelationScanProvider(provider)
-        out = scans.scan("w1", id_filter=IdFilter("D1/id", {2, 3}))
-        assert sorted(r["D1/id"] for r in out) == [2, 3]
-
     def test_missing_column_rejected(self, provider):
         scans = RelationScanProvider(provider)
         with pytest.raises(SchemaError, match="missing"):
@@ -255,9 +233,9 @@ class TestWrapperScanProvider:
 
     def test_scan_translates_qualified_names(self):
         scans = WrapperScanProvider({"w1": self.wrapper()}.__getitem__)
-        out = scans.scan("w1", columns=["D1/id", "D1/a"],
-                         id_filter=IdFilter("D1/id", {2}))
-        assert out.rows == [{"D1/id": 2, "D1/a": 20}]
+        out = scans.scan("w1", columns=["D1/id", "D1/a"])
+        assert out.rows == [{"D1/id": 1, "D1/a": 10},
+                            {"D1/id": 2, "D1/a": 20}]
 
     def test_unknown_column_rejected(self):
         scans = WrapperScanProvider({"w1": self.wrapper()}.__getitem__)
@@ -286,9 +264,9 @@ class TestCachingScanProvider:
         calls = []
 
         class Counting(StaticWrapper):
-            def fetch_rows(self, columns=None, id_filter=None):
+            def fetch_rows(self, columns=None):
                 calls.append(1)
-                return super().fetch_rows(columns, id_filter)
+                return super().fetch_rows(columns)
 
         wrapper = Counting("w1", "D1", ["id"], [], [{"id": 1}])
         scans = CachingScanProvider(
@@ -345,33 +323,15 @@ class TestPhysicalOperators:
                             tuple(columns) if columns else None,
                             len(provider[name].schema.attributes))
 
-    def test_hash_join_pushes_build_keys(self, provider):
-        fetched = {}
-
-        class Spy(RelationScanProvider):
-            def scan(self, name, columns=None, id_filter=None):
-                fetched[name] = id_filter
-                return super().scan(name, columns, id_filter)
-
-        scans = Spy(provider)
-        join = PhysicalHashJoin(
-            build=self.scan(provider, "w2"),
-            probe=self.scan(provider, "w1"),
-            conditions=(("D2/id", "D1/id"),))
-        out = join.execute_encoded(scans).to_relation()
-        assert fetched["w1"] is not None  # semi-join filter arrived
-        assert fetched["w1"].values == frozenset({2, 3, 9})
-        assert sorted(r["D1/id"] for r in out) == [2, 3]
-
     def test_empty_build_skips_probe(self, provider):
         provider = dict(provider)
         provider["w2"] = rel("w2", ["D2/id"], ["D2/c"], [], source="D2")
         seen = []
 
         class Spy(RelationScanProvider):
-            def scan(self, name, columns=None, id_filter=None):
+            def scan(self, name, columns=None):
                 seen.append(name)
-                return super().scan(name, columns, id_filter)
+                return super().scan(name, columns)
 
         join = PhysicalHashJoin(
             build=self.scan(provider, "w2"),
@@ -393,8 +353,8 @@ class TestPhysicalOperators:
             probe=self.scan(provider, "w2"),
             conditions=(("D1/id", "D2/id"),))
         with pytest.raises(TypeError):
-            # the join itself still needs hashable keys; pushdown just
-            # must not be the thing that raises first on the scan side
+            # the join needs hashable keys; the scans themselves fetch
+            # the unhashable rows without complaint
             join.execute_encoded(RelationScanProvider(provider))
 
     def test_union_distinct_single_pass(self, provider):

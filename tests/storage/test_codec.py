@@ -101,7 +101,7 @@ class TestWrapperCodec:
 
     def test_live_wrapper_materializes(self):
         class LiveWrapper(Wrapper):
-            def fetch_rows(self, columns=None, id_filter=None):
+            def fetch_rows(self, columns=None):
                 return [{"id": 1, "v": 10}]
 
         wrapper = LiveWrapper("w2", "D2", ["id"], ["v"])
@@ -113,7 +113,7 @@ class TestWrapperCodec:
 
     def test_unserializable_rows_degrade_to_opaque(self):
         class WeirdWrapper(Wrapper):
-            def fetch_rows(self, columns=None, id_filter=None):
+            def fetch_rows(self, columns=None):
                 return [{"id": object()}]
 
         payload = encode_wrapper(WeirdWrapper("w3", "D3", ["id"], []))

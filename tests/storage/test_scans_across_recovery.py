@@ -22,10 +22,10 @@ def count_fetches(ontology, counts):
             continue  # already counted
         original = wrapper.fetch_rows
 
-        def counted(columns=None, id_filter=None, _o=original,
+        def counted(columns=None, _o=original,
                     _n=wrapper.name):
             counts[_n] = counts.get(_n, 0) + 1
-            return _o(columns=columns, id_filter=id_filter)
+            return _o(columns=columns)
 
         wrapper.fetch_rows = counted
     return counts

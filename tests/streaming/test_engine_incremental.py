@@ -121,11 +121,11 @@ class TestTornSeed:
         racing = [True]
         races: list[str] = []
 
-        def racing_fetch_rows(columns=None, id_filter=None):
+        def racing_fetch_rows(columns=None):
             if racing[0]:
                 races.append(f"race-{len(races)}")
                 satellite.append_rows([{"hid": "h0", "m": races[-1]}])
-            return fetch_rows(columns=columns, id_filter=id_filter)
+            return fetch_rows(columns=columns)
 
         satellite.fetch_rows = racing_fetch_rows
         wrappers["wSat1"].append_rows([{"hid": "h1", "m": "fresh"}])

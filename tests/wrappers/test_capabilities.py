@@ -1,42 +1,26 @@
-"""Capability-protocol tests: native pushdown, declines, validated
-fallback, legacy wrappers."""
+"""Capability-protocol tests: native pushdown, declines and the
+validated fallback."""
 
 import pytest
 
 from repro.errors import WrapperSchemaMismatchError
 from repro.sources.document_store import DocumentStore
 from repro.sources.rest_api import ApiVersion, Endpoint, FieldSpec
-from repro.wrappers.base import (
-    IdFilter, StaticWrapper, Wrapper, WrapperCapabilities,
-)
+from repro.wrappers.base import StaticWrapper, Wrapper, WrapperCapabilities
 from repro.wrappers.mongo import MongoWrapper
 from repro.wrappers.rest import RestWrapper
 
 
-class LegacyWrapper(Wrapper):
-    """Third-party style wrapper that honors no pushdown: it takes the
-    keywords every ``fetch_rows`` takes and ignores them."""
-
-    def __init__(self):
-        super().__init__("legacy", "DL", ["id"], ["a", "b"])
-        self.calls = 0
-
-    def fetch_rows(self, columns=None, id_filter=None):
-        self.calls += 1
-        return [{"id": 1, "a": 10, "b": 100},
-                {"id": 2, "a": 20, "b": 200}]
-
-
 class DecliningWrapper(Wrapper):
-    """New signature but declares no capabilities — must be handed the
-    full fetch and trimmed by the base."""
+    """Declares no capabilities — must be handed the full fetch and
+    trimmed by the base."""
 
     def __init__(self):
         super().__init__("decline", "DD", ["id"], ["a"])
         self.seen = []
 
-    def fetch_rows(self, columns=None, id_filter=None):
-        self.seen.append((columns, id_filter))
+    def fetch_rows(self, columns=None):
+        self.seen.append(columns)
         return [{"id": 1, "a": 10}, {"id": 2, "a": 20}]
 
 
@@ -47,25 +31,18 @@ class LyingWrapper(Wrapper):
         super().__init__("liar", "DX", ["id"], ["a", "b"])
 
     def capabilities(self):
-        return WrapperCapabilities(projection=True, id_filter=True)
+        return WrapperCapabilities(projection=True)
 
-    def fetch_rows(self, columns=None, id_filter=None):
+    def fetch_rows(self, columns=None):
         return [{"id": 1, "a": 2, "b": 3}]  # always full rows
 
 
 class TestValidatedFallback:
-    def test_legacy_wrapper_still_projects_and_filters(self):
-        w = LegacyWrapper()
-        rows = w.fetch(columns=["id", "a"],
-                       id_filter=IdFilter("id", {2}))
-        assert rows == [{"id": 2, "a": 20}]
-        assert w.calls == 1
-
     def test_declining_wrapper_never_sees_pushdowns(self):
         w = DecliningWrapper()
-        rows = w.fetch(columns=["a"], id_filter=IdFilter("id", {1}))
-        assert rows == [{"a": 10}]
-        assert w.seen == [(None, None)]
+        rows = w.fetch(columns=["a"])
+        assert rows == [{"a": 10}, {"a": 20}]
+        assert w.seen == [None]
 
     def test_lying_wrapper_output_is_trimmed(self):
         w = LyingWrapper()
@@ -82,11 +59,6 @@ class TestValidatedFallback:
         with pytest.raises(Exception, match="no attribute"):
             w.fetch(columns=["ghost"])
 
-    def test_unknown_filter_attribute_rejected(self):
-        w = StaticWrapper("w", "D", ["a"], [], [{"a": 1}])
-        with pytest.raises(Exception, match="no attribute"):
-            w.fetch(id_filter=IdFilter("ghost", {1}))
-
 
 class TestRelationSubsets:
     def test_qualified_subset_relation(self):
@@ -97,19 +69,13 @@ class TestRelationSubsets:
         assert rel.rows == [{"D9/a": 1, "D9/c": 3}]
         assert rel.schema.attribute("D9/a").is_id
 
-    def test_local_subset_relation_with_filter(self):
-        w = StaticWrapper("w", "D", ["a"], ["b"],
-                          [{"a": 1, "b": 2}, {"a": 3, "b": 4}])
-        rel = w.relation(columns=["a"], id_filter=IdFilter("a", {3}))
-        assert rel.rows == [{"a": 3}]
-
 
 class TestStaticWrapperPushdown:
     def test_capabilities_declared(self):
         w = StaticWrapper("w", "D", ["a"], [], [])
         caps = w.capabilities()
-        assert caps.projection and caps.id_filter
-        assert caps.notation() == "projection+id_filter"
+        assert caps.projection
+        assert caps.notation() == "projection"
 
     def test_estimate_and_data_version(self):
         w = StaticWrapper("w", "D", ["a"], [], [{"a": 1}, {"a": 2}])
@@ -123,17 +89,6 @@ class TestStaticWrapperPushdown:
                           [{"appId": 7, "tool": "t"}],
                           projection={"TargetApp": "appId"})
         assert w.fetch_rows(columns=["TargetApp"]) == [{"TargetApp": 7}]
-
-    def test_filter_attribute_outside_requested_columns(self):
-        # The filter column must be fetched (and then trimmed) even
-        # when the caller did not request it — including for wrappers
-        # with native capabilities and rename projections.
-        w = StaticWrapper("w", "S", ["id"], ["a"],
-                          [{"raw_id": 1, "raw_a": 10},
-                           {"raw_id": 2, "raw_a": 20}],
-                          projection={"id": "raw_id", "a": "raw_a"})
-        assert w.fetch(columns=["a"],
-                       id_filter=IdFilter("id", {1})) == [{"a": 10}]
 
     def test_narrow_fetch_still_detects_drift(self):
         # Projection pushdown must not paper schema drift over as None.
@@ -155,11 +110,6 @@ class TestMongoPushdown:
                                                     "$watchTime"]}}}],
             id_attributes=["VoDmonitorId"],
             non_id_attributes=["lagRatio"])
-
-    def test_id_filter_as_match_stage(self):
-        w = self.wrapper()
-        rows = w.fetch(id_filter=IdFilter("VoDmonitorId", {2, 3}))
-        assert sorted(r["VoDmonitorId"] for r in rows) == [2, 3]
 
     def test_projection_as_project_stage(self):
         w = self.wrapper()
@@ -217,18 +167,6 @@ class TestRestPushdown:
         w = self.wrapper()
         fields, paths = w._needed_paths(("ratio",))
         assert fields is None and paths is None
-
-    def test_id_filter_skips_rows_early(self):
-        w = self.wrapper()
-        rows = w.fetch(id_filter=IdFilter("id", {2}))
-        assert [r["id"] for r in rows] == [2]
-
-    def test_id_filter_applies_when_column_not_requested(self):
-        w = self.wrapper()
-        full = w.fetch()
-        rows = w.fetch(columns=["ratio"], id_filter=IdFilter("id", {2}))
-        assert rows == [{"ratio": r["ratio"]}
-                        for r in full if r["id"] == 2]
 
     def test_estimate_and_deterministic_data_version(self):
         w = self.wrapper()
