@@ -33,7 +33,7 @@ from repro.core.vocabulary import (
 from repro.errors import OntologyError, UnknownWrapperError
 from repro.rdf.dataset import Dataset
 from repro.rdf.graph import Graph
-from repro.rdf.namespace import M as M_NS
+from repro.rdf.namespace import G as G_NS, M as M_NS
 from repro.rdf.sparql import parse_sparql, select
 from repro.rdf.term import IRI
 from repro.relational.rows import Relation
@@ -75,7 +75,9 @@ class EvolutionEvent:
     Records the epoch it produced and the set of Global-graph concepts it
     affected — the unit of fine-grained cache invalidation: a cached
     rewriting survives the event iff its concept set is disjoint from
-    :attr:`concepts` and no event in between is :attr:`ungoverned`.
+    :attr:`concepts` and no event in between is :attr:`ungoverned`. A
+    rewriting the event does touch can still be *extended* rather than
+    recomputed when the event names the :attr:`wrapper` it added.
     """
 
     epoch: int
@@ -87,6 +89,13 @@ class EvolutionEvent:
     #: to concepts (edits bypassing the release machinery); caches must
     #: treat it as touching everything
     ungoverned: bool = False
+    #: the wrapper a purely additive release added (a new wrapper name
+    #: whose ``owl:sameAs`` links all belong to attributes created by
+    #: the same release, no absorbed edits, governed). Under LAV such a
+    #: release leaves every existing walk as it was, so a cached
+    #: rewriting only gains the walks over this wrapper. None for every
+    #: other event, and for events decoded from a snapshot.
+    wrapper: str | None = None
 
 
 @dataclass(frozen=True)
@@ -221,7 +230,8 @@ class BDIOntology:
     def note_evolution(self, concepts: Iterable[IRI | str],
                        description: str = "",
                        ungoverned: bool = False,
-                       gap_absorbed: bool = False) -> EvolutionEvent:
+                       gap_absorbed: bool = False,
+                       wrapper: str | None = None) -> EvolutionEvent:
         """Record one governed evolution step affecting *concepts*.
 
         Called by Algorithm 1 (:func:`repro.core.release.new_release`)
@@ -236,7 +246,9 @@ class BDIOntology:
         marked *ungoverned* (caches treat it as touching everything).
         With a bracket, only a gap that predated the bracket does so.
         *gap_absorbed* is Algorithm 1's override: the caller vouches
-        that the pending gap is covered by *concepts*.
+        that the pending gap is covered by *concepts*. *wrapper* is
+        Algorithm 1's claim that the step only added that wrapper (see
+        :attr:`EvolutionEvent.wrapper`); an ungoverned event drops it.
         """
         if not gap_absorbed:
             pending = (self._evolution_bracket_gap
@@ -250,7 +262,8 @@ class BDIOntology:
             concepts=frozenset(IRI(str(c)) for c in concepts),
             description=description,
             structure=self.fingerprint().structure,
-            ungoverned=ungoverned)
+            ungoverned=ungoverned,
+            wrapper=None if ungoverned else wrapper)
         self._evolution_log.append(event)
         self._structure_at_last_event = event.structure
         for listener in tuple(self._evolution_listeners):
@@ -390,12 +403,27 @@ class BDIOntology:
         return list(self._lookup(("id_features", str(concept)), compute))
 
     def wrappers_providing(self, concept: IRI | str,
-                           feature: IRI | str) -> list[IRI]:
+                           feature: IRI | str,
+                           among: Iterable[IRI] | None = None,
+                           ) -> list[IRI]:
         """Algorithm 4 line 8: named graphs asserting the hasFeature edge.
 
         ``SELECT ?g FROM T WHERE { GRAPH ?g {⟨c, G:hasFeature, f⟩} }``;
         graph names are translated back to wrapper URIs via ``M:mapping``.
+        *among* restricts the answer to those wrappers: ``?g`` is then
+        bound to each one's own mapping graph, so the cost no longer
+        grows with the number of wrappers in ``T``. An extended
+        rewriting asks right after a release, when the select's cached
+        answer was just dropped.
         """
+        if among is not None:
+            edge = (IRI(str(concept)), G_NS.hasFeature, IRI(str(feature)))
+            return sorted(
+                wrapper for wrapper in among
+                if (graph := self.mappings.mapping_graph_of(
+                    wrapper_local_name(wrapper))) is not None
+                and edge in graph)
+
         def compute() -> tuple[IRI, ...]:
             rows = select(self.dataset, _FEATURE_GRAPHS,
                           bindings={"concept": IRI(str(concept)),

@@ -14,8 +14,10 @@ attributes across versions), stores the LAV named graph and serializes
 ``F`` as ``owl:sameAs`` triples. The algorithm is linear in the size of
 ``R`` and idempotent on the graphs (re-applying the same release adds no
 triple — the graphs are sets); each application does record one
-evolution event, so release-aware caches conservatively re-derive
-rewritings over the release's concepts.
+evolution event, so release-aware caches re-derive rewritings over the
+release's concepts. When the release is purely additive, the event names
+the wrapper it added, and a cached single-concept rewriting is extended
+by that wrapper's walks instead.
 """
 
 from __future__ import annotations
@@ -228,11 +230,13 @@ def new_release(ontology: BDIOntology, release: Release,
         known_attributes = {
             str(r["a"]) for r in select(ontology.s, _ATTRIBUTES)
         }
+        created: set[IRI] = set()
         for attribute in release.attributes:
             attr_uri = attribute_uri(release.source_name, attribute)
             if str(attr_uri) not in known_attributes:
                 ontology.sources.add_attribute(release.source_name,
                                                attribute)
+                created.add(attr_uri)
             ontology.sources.link_wrapper_attribute(
                 release.wrapper_name, release.source_name, attribute)
 
@@ -249,12 +253,17 @@ def new_release(ontology: BDIOntology, release: Release,
                                                release.subgraph)
 
         # Lines 17-21: serialize F as owl:sameAs triples (conflicts were
-        # rejected above, before any mutation).
+        # rejected above, before any mutation). Mapping an attribute
+        # that existed unmapped can hand a feature to an old wrapper
+        # linked to it, so only links on attributes created above keep
+        # the release purely additive.
+        additive = previous_subgraph is None and not absorbed_concepts
         for attribute, feature in sorted(
                 release.attribute_to_feature.items()):
             attr_uri = attribute_uri(release.source_name, attribute)
             if ontology.mappings.feature_of_attribute(attr_uri) is None:
                 ontology.mappings.add_same_as(attr_uri, feature)
+                additive = additive and attr_uri in created
 
         if release.wrapper is not None:
             ontology.bind_wrapper(release.wrapper)
@@ -269,7 +278,8 @@ def new_release(ontology: BDIOntology, release: Release,
             affected,
             description=f"release {release.wrapper_name} "
                         f"({release.source_name})",
-            gap_absorbed=bool(absorbed_concepts))
+            gap_absorbed=bool(absorbed_concepts),
+            wrapper=release.wrapper_name if additive else None)
     except BaseException:
         ontology.abort_evolution()
         raise

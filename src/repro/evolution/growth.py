@@ -13,13 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.ontology import BDIOntology
-from repro.core.release import new_release
+from repro.core.release import Release, new_release
 from repro.evolution.release_builder import build_release
 from repro.evolution.wordpress import WORDPRESS_RELEASES, \
     WordpressRelease, all_wordpress_fields
 from repro.rdf.namespace import Namespace, S as S_NS
 
-__all__ = ["GrowthRecord", "replay_wordpress", "ascii_chart"]
+__all__ = ["GrowthRecord", "replay_wordpress", "wordpress_release",
+           "ascii_chart"]
 
 #: Domain vocabulary for the Wordpress study.
 WP = Namespace("urn:wordpress:")
@@ -69,6 +70,23 @@ def _canonical_feature(attribute: str) -> str:
     return _FEATURE_ALIASES.get(attribute, attribute)
 
 
+def wordpress_release(ontology: BDIOntology,
+                      spec: WordpressRelease) -> Release:
+    """The release ``⟨w, G, F⟩`` of one Wordpress version.
+
+    The wrapper is ``wp_v<version>``; the steward's hints align renamed
+    attributes with their canonical Post feature.
+    """
+    name = f"wp_v{spec.version.replace('.', '_')}"
+    id_attr = "ID" if "ID" in spec.fields else "id"
+    hints = {field: WP[f"post/{_canonical_feature(field)}"]
+             for field in spec.fields}
+    return build_release(
+        ontology, "wordpress_posts", name, id_attributes=[id_attr],
+        non_id_attributes=[f for f in spec.fields if f != id_attr],
+        feature_hints=hints)
+
+
 def replay_wordpress(releases: list[WordpressRelease] | None = None,
                      ) -> tuple[BDIOntology, list[GrowthRecord]]:
     """Replay the Wordpress history; return the ontology and the records."""
@@ -78,18 +96,8 @@ def replay_wordpress(releases: list[WordpressRelease] | None = None,
 
     records: list[GrowthRecord] = []
     cumulative_s = len(ontology.s)
-    source_name = "wordpress_posts"
 
-    for index, release_spec in enumerate(history, start=1):
-        wrapper_name = f"wp_v{release_spec.version.replace('.', '_')}"
-        id_attr = "ID" if "ID" in release_spec.fields else "id"
-        non_ids = [f for f in release_spec.fields if f != id_attr]
-        hints = {
-            name: WP[f"post/{_canonical_feature(name)}"]
-            for name in release_spec.fields
-        }
-        hints[id_attr] = WP["post/id"]
-
+    for release_spec in history:
         attrs_before = len(ontology.sources.attributes())
         s_before = len(ontology.s)
         m_before = len(ontology.m)
@@ -97,17 +105,14 @@ def replay_wordpress(releases: list[WordpressRelease] | None = None,
         lav_before = ontology.triple_counts()["lav_graphs"]
         edges_before = ontology.s.count(None, S_NS.hasAttribute, None)
 
-        release = build_release(
-            ontology, source_name, wrapper_name,
-            id_attributes=[id_attr], non_id_attributes=non_ids,
-            feature_hints=hints)
+        release = wordpress_release(ontology, release_spec)
         new_release(ontology, release)
 
         added_s = len(ontology.s) - s_before
         cumulative_s += added_s
         records.append(GrowthRecord(
             version=release_spec.version,
-            wrapper=wrapper_name,
+            wrapper=release.wrapper_name,
             added_s=added_s,
             added_m=len(ontology.m) - m_before,
             added_lav=ontology.triple_counts()["lav_graphs"] - lav_before,

@@ -102,6 +102,12 @@ class OMQBuilder:
         return parse_omq(self.to_sparql())
 
 
+def _by_reason(counts: dict[str, int]) -> str:
+    """``reason = count`` pairs in reason order, or ``none``."""
+    return ", ".join(f"{reason} = {counts[reason]}"
+                     for reason in sorted(counts)) or "none"
+
+
 def describe_cache(cache: "RewriteCache | None") -> str:
     """Readable inventory of a rewriting cache: stats + per-entry state.
 
@@ -122,6 +128,8 @@ def describe_cache(cache: "RewriteCache | None") -> str:
         f"structure evictions = {stats.structure_evictions}, "
         f"lineage evictions = {stats.lineage_evictions}, "
         f"LRU evictions = {stats.lru_evictions}",
+        f"  extended by additive releases = {stats.extended}, "
+        f"extension fallbacks: {_by_reason(stats.extension_fallbacks)}",
     ]
     for entry in cache.entries():
         concepts = ", ".join(sorted(
@@ -180,7 +188,8 @@ def describe_service(service: "GovernedService") -> str:
     lines.append(
         f"  incremental maintenance: patches = {answer_stats.patches}, "
         f"seeds = {answer_stats.seeds}, "
-        f"fallbacks = {answer_stats.fallbacks}")
+        f"fallbacks = {answer_stats.fallbacks} "
+        f"(errors: {_by_reason(answer_stats.fallback_errors)})")
     journal = service.journal_info()
     if journal is None:
         lines.append("  journal: none (in-memory state — a restart "

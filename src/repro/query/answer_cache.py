@@ -88,6 +88,10 @@ class AnswerCacheStats:
     #: patch attempts that degraded to a full recompute (the valve
     #: tripped on delta volume, or the patch path raised)
     fallbacks: int = 0
+    #: entries discarded because the patch path raised, by exception
+    #: class name, so a programming error (``TypeError``) does not pass
+    #: for an ordinary fallback
+    fallback_errors: dict[str, int] = field(default_factory=dict)
 
     @property
     def lookups(self) -> int:
@@ -98,12 +102,13 @@ class AnswerCacheStats:
         total = self.lookups
         return self.hits / total if total else 0.0
 
-    def snapshot(self) -> dict[str, int | float]:
+    def snapshot(self) -> dict[str, object]:
         return {"hits": self.hits, "misses": self.misses,
                 "stores": self.stores, "evictions": self.evictions,
                 "invalidations": self.invalidations,
                 "patches": self.patches, "seeds": self.seeds,
                 "fallbacks": self.fallbacks,
+                "fallback_errors": dict(self.fallback_errors),
                 "hit_rate": round(self.hit_rate, 4)}
 
 
@@ -240,16 +245,21 @@ class AnswerCache:
                 self._entries.move_to_end(slot)
 
     def discard(self, key: str, distinct: bool,
-                fallback: bool = False) -> bool:
+                error: BaseException | None = None) -> bool:
         """Drop one entry (a failed patch attempt clears its state so
-        the normal recompute-and-store path takes over)."""
+        the normal recompute-and-store path takes over). *error* is
+        what the patch attempt raised; it is counted as a fallback
+        under its class name."""
         with self._lock:
             entry = self._entries.pop((key, distinct), None)
             if entry is None:
                 return False
             self.stats.evictions += 1
-            if fallback:
+            if error is not None:
                 self.stats.fallbacks += 1
+                errors = self.stats.fallback_errors
+                name = type(error).__name__
+                errors[name] = errors.get(name, 0) + 1
             return True
 
     def store(self, key: str, distinct: bool,

@@ -33,6 +33,23 @@ reads ``T`` only through the query's concepts — features and IDs of those
 concepts (Algorithms 2-3), wrappers providing their features and edges
 (Algorithms 4-5). A release whose subgraph mentions none of them cannot
 add, remove or alter any walk of the cached result.
+
+A release that does touch an entry's concept need not cost a full
+rewrite. Algorithm 1 marks an event *additive* (it names the wrapper it
+added, :attr:`~repro.core.ontology.EvolutionEvent.wrapper`) when the
+wrapper is new, no steward edits were absorbed, the event is governed
+and every ``owl:sameAs`` it wrote belongs to an attribute it created.
+Such a release edits no existing wrapper's attributes, mappings or LAV
+graph and leaves G alone, so every old walk, and its coverage and
+minimality, is unchanged; only walks over the new wrapper can appear.
+When every release touching a single-concept entry is additive and no
+edit followed the last event, :meth:`RewriteCache.lookup` still misses
+but hands the entry and the added wrappers to its caller, which passes
+them to :func:`~repro.query.rewriter.rewrite` (``extend=``) to compute
+only the new walks. Multi-concept entries, non-additive
+releases (including every event decoded from a snapshot) and trailing
+out-of-band edits fall back to a full rewrite, counted by reason in
+:attr:`CacheStats.extension_fallbacks`.
 """
 
 from __future__ import annotations
@@ -96,6 +113,13 @@ class CacheStats:
     survived_releases: int = 0
     #: entries dropped by the LRU bound
     lru_evictions: int = 0
+    #: stale entries :meth:`RewriteCache.lookup` handed out to be
+    #: extended with the walks of wrappers additive releases added
+    extended: int = 0
+    #: invalidations a release touching the entry forced instead of an
+    #: extension, by reason: ``multi_concept``, ``non_additive`` or
+    #: ``out_of_band_edit``
+    extension_fallbacks: dict[str, int] = field(default_factory=dict)
 
     @property
     def lookups(self) -> int:
@@ -106,7 +130,7 @@ class CacheStats:
         """Hits per lookup in [0, 1]; 0.0 before any lookup."""
         return self.hits / self.lookups if self.lookups else 0.0
 
-    def snapshot(self) -> dict[str, int | float]:
+    def snapshot(self) -> dict[str, object]:
         return {
             "hits": self.hits,
             "misses": self.misses,
@@ -117,8 +141,15 @@ class CacheStats:
             "lineage_evictions": self.lineage_evictions,
             "survived_releases": self.survived_releases,
             "lru_evictions": self.lru_evictions,
+            "extended": self.extended,
+            "extension_fallbacks": dict(self.extension_fallbacks),
             "hit_rate": round(self.hit_rate, 4),
         }
+
+
+#: a stale single-concept rewriting and the wrappers the additive
+#: releases since it was stored added (``rewrite(..., extend=)``)
+Extension = tuple[RewritingResult, tuple[str, ...]]
 
 
 @dataclass
@@ -184,13 +215,21 @@ class RewriteCache:
     # -- core operations -----------------------------------------------------
 
     def lookup(self, ontology: BDIOntology, query: OMQ,
-               key: str | None = None) -> RewritingResult | None:
+               key: str | None = None,
+               extendable: list[Extension] | None = None,
+               ) -> RewritingResult | None:
         """Return the cached rewriting for *query*, if still valid.
 
         Validation is two-staged: releases since the entry was stored are
         checked concept-by-concept (selective survival), then the
         structural fingerprint guards against ungoverned mutations.
         Pass *key* when :func:`canonical_omq_key` was already computed.
+
+        An entry that only additive releases made stale is a miss too.
+        With *extendable* given, it is taken out of the cache and
+        appended there as ``(result, added wrappers)`` for
+        :func:`~repro.query.rewriter.rewrite`'s ``extend=`` (the caller
+        stores the extended result); without, it is invalidated.
         """
         key = key if key is not None else canonical_omq_key(query)
         with self._lock:
@@ -229,11 +268,31 @@ class RewriteCache:
                     self.stats.structure_evictions += 1
                     self.stats.misses += 1
                     return None
-                if any(event.concepts & entry.concepts
-                       for event in events):
+                touching = [e for e in events
+                            if e.concepts & entry.concepts]
+                if touching:
+                    # A release met the entry's concepts: it is extended
+                    # when every such release only added a wrapper (see
+                    # the module docstring), else rewritten cold.
                     del self._entries[key]
-                    self.stats.invalidated += 1
                     self.stats.misses += 1
+                    reason: str | None = None
+                    if len(entry.concepts) > 1:
+                        reason = "multi_concept"
+                    elif any(e.wrapper is None for e in touching):
+                        reason = "non_additive"
+                    elif events[-1].structure != fingerprint.structure:
+                        reason = "out_of_band_edit"
+                    elif extendable is not None:
+                        extendable.append((entry.result, tuple(
+                            e.wrapper for e in touching
+                            if e.wrapper is not None)))
+                        self.stats.extended += 1
+                        return None
+                    self.stats.invalidated += 1
+                    if reason is not None:
+                        fallbacks = self.stats.extension_fallbacks
+                        fallbacks[reason] = fallbacks.get(reason, 0) + 1
                     return None
                 if events[-1].structure != fingerprint.structure:
                     # T was mutated out of band *after* the latest

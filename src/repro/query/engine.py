@@ -9,7 +9,9 @@ Rewriting is memoized in a release-aware :class:`~repro.query.cache.
 RewriteCache` (on by default): repeated queries — the dominant analyst
 workload — skip Algorithms 2-5 entirely, and a release landing through
 Algorithm 1 invalidates only the cached rewritings whose concepts the
-release touched.
+release touched. A purely additive release does not even do that to a
+single-concept rewriting: the rewriting is extended by the walks over
+the wrapper the release added.
 
 For multi-analyst workloads, :meth:`QueryEngine.answer_many` answers a
 whole batch at once: queries are deduplicated by canonical OMQ key
@@ -34,7 +36,7 @@ from repro.errors import UnanswerableQueryError
 from repro.query.answer_cache import (
     AnswerCache, AnswerCacheStats, answer_cache_env_enabled,
 )
-from repro.query.cache import CacheStats, RewriteCache, \
+from repro.query.cache import CacheStats, Extension, RewriteCache, \
     canonical_omq_key
 from repro.query.omq import OMQ, parse_omq
 from repro.query.planner import PhysicalPlan, plan_ucq
@@ -138,9 +140,14 @@ class QueryEngine:
         """Cache-aware rewriting of an already parsed OMQ."""
         if self.cache is None:
             return rewrite(self.ontology, omq)
-        result = self.cache.lookup(self.ontology, omq, key=key)
+        extendable: list[Extension] = []
+        result = self.cache.lookup(self.ontology, omq, key=key,
+                                   extendable=extendable)
         if result is None:
-            result = rewrite(self.ontology, omq)
+            # A rewriting only additive releases made stale is extended
+            # by their wrappers' walks; anything else is rewritten cold.
+            result = rewrite(self.ontology, omq,
+                             extend=extendable[0] if extendable else None)
             self.cache.store(self.ontology, omq, result, key=key)
         return result
 
@@ -266,9 +273,9 @@ class QueryEngine:
         state from full scans (through the shared scan cache) so the
         cold path stays byte-identical. Any failure — a seed whose
         wrapper never held still, a failing rescan, an unmaintainable
-        operator, corrupted state — discards the entry and returns
-        None, handing control back to the ordinary recompute-and-store
-        path.
+        operator, corrupted state — discards the entry, counting the
+        fallback under the exception's class, and returns None, handing
+        control back to the ordinary recompute-and-store path.
         """
         entry = cache.patchable_entry(key, distinct, fingerprint)
         if entry is None:
@@ -291,8 +298,8 @@ class QueryEngine:
                                     outcome.data_versions, standing,
                                     kind)
                 return outcome.relation
-        except Exception:
-            cache.discard(key, distinct, fallback=True)
+        except Exception as exc:
+            cache.discard(key, distinct, error=exc)
             return None
 
     def plan(self, query: OMQ | str,

@@ -15,7 +15,7 @@ steps follow the paper's numbering:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Collection, Iterator
 
 from repro.core.ontology import BDIOntology
 from repro.core.vocabulary import qualified_attribute_name
@@ -46,8 +46,15 @@ class ConceptWalks:
 
 
 def intra_concept_generation(ontology: BDIOntology, concepts: list[IRI],
-                             expanded: OMQ) -> list[ConceptWalks]:
-    """Phase #2: the list of partial walks per concept."""
+                             expanded: OMQ,
+                             wrappers: Collection[IRI] | None = None,
+                             ) -> list[ConceptWalks]:
+    """Phase #2: the list of partial walks per concept.
+
+    *wrappers* restricts the phase to those wrappers (by URI): the
+    partial walks of the others are left out, as when a cached
+    rewriting is extended by the wrappers additive releases added.
+    """
     partial_walks: list[ConceptWalks] = []
 
     for concept in concepts:
@@ -70,7 +77,8 @@ def intra_concept_generation(ontology: BDIOntology, concepts: list[IRI],
         # their attributes; accumulate requested attributes per wrapper.
         requested_per_wrapper: dict[IRI, set[IRI]] = {}
         for feature in sorted(features):
-            for wrapper in ontology.wrappers_providing(concept, feature):
+            for wrapper in ontology.wrappers_providing(concept, feature,
+                                                       among=wrappers):
                 attribute = ontology.attribute_providing(wrapper, feature)
                 if attribute is None:
                     continue

@@ -14,13 +14,22 @@ over the wrappers:
 
 The :class:`RewritingResult` exposes every intermediate artifact so the
 evaluation harness (and curious users) can inspect each phase.
+
+``rewrite(..., extend=(base, wrappers))`` is the same pipeline run after
+releases that only *added* wrappers (paper §4: under LAV a release never
+edits an existing mapping). For a single-concept query the walks of the
+old wrappers, and their coverage and minimality, cannot change, so
+phase 2 runs for the added wrappers only, the filter checks only their
+walks, and every list is merged in the order a cold rewrite emits it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from repro.core.ontology import BDIOntology
+from repro.core.vocabulary import wrapper_uri
 from repro.query.coverage import is_covering, is_minimal
 from repro.query.expansion import query_expansion
 from repro.query.intra_concept import ConceptWalks, intra_concept_generation
@@ -77,10 +86,22 @@ class RewritingResult:
 
 
 def rewrite(ontology: BDIOntology, query: OMQ | str,
-            prefixes: dict[str, str] | None = None) -> RewritingResult:
-    """Run the full rewriting pipeline over *query*."""
+            prefixes: dict[str, str] | None = None, *,
+            extend: "tuple[RewritingResult, Iterable[str]] | None" = None,
+            ) -> RewritingResult:
+    """Run the rewriting pipeline over *query*.
+
+    With *extend* = ``(base, wrappers)``, *base* is the rewriting of the
+    same query computed before releases that only added the named
+    *wrappers* (:attr:`~repro.core.ontology.EvolutionEvent.wrapper`),
+    and must span a single concept. The result equals a cold rewrite's,
+    walk by walk and in order, but only the added wrappers' walks are
+    generated and filtered.
+    """
     original = parse_omq(query, prefixes) if isinstance(query, str) \
         else query
+    if extend is not None:
+        return _extended(ontology, original, *extend)
 
     well_formed = well_formed_query(ontology, original)
     concepts, expanded = query_expansion(ontology, well_formed)
@@ -103,6 +124,53 @@ def rewrite(ontology: BDIOntology, query: OMQ | str,
         concepts=concepts,
         expanded=expanded,
         partial_walks=partial,
+        walks=accepted,
+        rejected=rejected,
+    )
+
+
+def _wrapper_order(walk: Walk) -> IRI:
+    """The key a single-concept walk is emitted by: its wrapper's URI
+    (phase 2 visits providing wrappers in URI order)."""
+    (name,) = walk.wrapper_names
+    return wrapper_uri(name)
+
+
+def _extended(ontology: BDIOntology, original: OMQ, base: RewritingResult,
+              wrappers: Iterable[str]) -> RewritingResult:
+    """*base* plus the walks over *wrappers*, in cold-rewrite order.
+
+    Phases 1 and 3 read only G and the query, which an additive release
+    leaves alone, and a single concept's partial walks are its
+    candidates, so phase 2 and the filter run for the added wrappers
+    only. Each candidate holds one wrapper; merging by wrapper URI (the
+    phase-2 order) and by wrapper names (the accepted-walk order)
+    therefore reproduces a cold rewrite's lists exactly.
+    """
+    if len(base.concepts) != 1:
+        raise ValueError("only a single-concept rewriting can be extended")
+    added = frozenset(wrapper_uri(name) for name in wrappers)
+    (fresh,) = intra_concept_generation(ontology, base.concepts,
+                                        base.expanded, wrappers=added)
+    accepted = list(base.walks)
+    rejected = list(base.rejected)
+    for walk in fresh.walks:
+        if is_covering(ontology, walk, base.well_formed) and is_minimal(
+                ontology, walk, base.well_formed):
+            accepted.append(walk)
+        else:
+            rejected.append(walk)
+    accepted.sort(key=lambda w: sorted(w.wrapper_names))
+    rejected.sort(key=_wrapper_order)
+    (old,) = base.partial_walks
+    partial = ConceptWalks(old.concept, sorted(
+        old.walks + fresh.walks, key=_wrapper_order))
+    return RewritingResult(
+        original=original,
+        well_formed=base.well_formed,
+        concepts=list(base.concepts),
+        expanded=base.expanded,
+        partial_walks=[partial],
         walks=accepted,
         rejected=rejected,
     )

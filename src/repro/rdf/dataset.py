@@ -17,7 +17,8 @@ from bisect import insort
 from typing import Iterable, Iterator, Optional
 
 from repro.errors import GraphNotFoundError
-from repro.rdf.graph import Graph, TripleReader, _pattern_term
+from repro.rdf.graph import Graph, MutationTally, TripleReader, \
+    _pattern_term
 from repro.rdf.term import IRI
 from repro.rdf.triple import Quad, Triple
 
@@ -69,10 +70,15 @@ class Dataset:
     1
     """
 
-    __slots__ = ("_default", "_named", "_names", "_retired_mutations")
+    __slots__ = ("_default", "_named", "_names", "_retired_mutations",
+                 "_tally")
 
     def __init__(self) -> None:
+        #: running total of every graph's effective mutations plus the
+        #: retired ones, so :meth:`mutation_count` reads one integer
+        self._tally = MutationTally()
         self._default = Graph()
+        self._default.attach_tally(self._tally)
         self._named: dict[IRI, Graph] = {}
         #: the keys of ``_named`` in term order, kept sorted on insert and
         #: remove so reads never re-sort
@@ -96,6 +102,7 @@ class Dataset:
         existing = self._named.get(iri)
         if existing is None:
             existing = Graph(iri)
+            existing.attach_tally(self._tally)
             self._named[iri] = existing
             insort(self._names, iri)
         return existing
@@ -119,8 +126,12 @@ class Dataset:
             return False
         self._names.remove(iri)
         # Keep mutation_count() monotonic: retain the dropped graph's
-        # history and count the drop itself as one more mutation.
+        # history and count the drop itself as one more mutation. The
+        # tally already holds that history; later edits of the dropped
+        # graph object no longer belong to this dataset.
+        dropped.attach_tally(None)
         self._retired_mutations += dropped.mutation_count + 1
+        self._tally.count += 1
         return True
 
     def graph_names(self) -> list[IRI]:
@@ -172,10 +183,11 @@ class Dataset:
 
         Dropped graphs keep contributing their history (plus one for the
         drop), so drop-and-recreate cannot reproduce an earlier value;
-        this makes count-neutral edits detectable by fingerprints.
+        this makes count-neutral edits detectable by fingerprints. It
+        is kept as a running total, so reading it costs O(1); it always
+        equals the sum of :meth:`mutation_counts`.
         """
-        return (self._retired_mutations + self._default.mutation_count
-                + sum(g.mutation_count for g in self._named.values()))
+        return self._tally.count
 
     def mutation_counts(self) -> dict[str, int]:
         """Per-graph mutation counts plus the retired-graph carry-over.
@@ -196,6 +208,7 @@ class Dataset:
         retired = counts.get("*retired*", 0)
         if retired < self._retired_mutations:
             raise ValueError("retired mutation count may only advance")
+        self._tally.count += retired - self._retired_mutations
         self._retired_mutations = retired
         for name, count in counts.items():
             if name == "*retired*":

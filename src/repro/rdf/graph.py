@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Optional
 from repro.rdf.term import IRI, Term, Variable
 from repro.rdf.triple import Triple, coerce_node
 
-__all__ = ["Graph", "TripleReader"]
+__all__ = ["Graph", "MutationTally", "TripleReader"]
 
 _Index = dict  # nested: {t1: {t2: set(t3)}}
 
@@ -28,6 +28,20 @@ def _pattern_term(value: object | None) -> Optional[Term]:
     if value is None or isinstance(value, Variable):
         return None
     return coerce_node(value)
+
+
+class MutationTally:
+    """A running total of effective mutations shared by several graphs.
+
+    A :class:`~repro.rdf.dataset.Dataset` attaches one tally to each of
+    its graphs, and every effective edit of any of them bumps it, so the
+    dataset's total is read in O(1) instead of summed over its graphs.
+    """
+
+    __slots__ = ("count",)
+
+    def __init__(self) -> None:
+        self.count = 0
 
 
 class TripleReader:
@@ -87,7 +101,7 @@ class Graph(TripleReader):
     """
 
     __slots__ = ("identifier", "_spo", "_pos", "_osp", "_size",
-                 "_mutations")
+                 "_mutations", "_tally")
 
     def __init__(self, identifier: IRI | str | None = None,
                  triples: Iterable[object] | None = None) -> None:
@@ -105,6 +119,8 @@ class Graph(TripleReader):
         self._osp: _Index = {}
         self._size = 0
         self._mutations = 0
+        #: the owning dataset's running total (None for a free graph)
+        self._tally: MutationTally | None = None
         if triples is not None:
             self.update(triples)
 
@@ -130,7 +146,7 @@ class Graph(TripleReader):
         self._pos.setdefault(t.p, {}).setdefault(t.o, set()).add(t.s)
         self._osp.setdefault(t.o, {}).setdefault(t.s, set()).add(t.p)
         self._size += 1
-        self._mutations += 1
+        self._count_mutations(1)
         return self
 
     def update(self, items: Iterable[object]) -> "Graph":
@@ -162,7 +178,7 @@ class Graph(TripleReader):
             if not self._osp[t.o]:
                 del self._osp[t.o]
         self._size -= 1
-        self._mutations += 1
+        self._count_mutations(1)
         return True
 
     def remove_matching(self, s: object | None = None, p: object | None = None,
@@ -175,11 +191,25 @@ class Graph(TripleReader):
 
     def clear(self) -> None:
         if self._size:
-            self._mutations += 1
+            self._count_mutations(1)
         self._spo.clear()
         self._pos.clear()
         self._osp.clear()
         self._size = 0
+
+    def _count_mutations(self, count: int) -> None:
+        self._mutations += count
+        tally = self._tally
+        if tally is not None:
+            tally.count += count
+
+    def attach_tally(self, tally: MutationTally | None) -> None:
+        """Report later edits to *tally* (None detaches the graph).
+
+        The owning dataset calls this when it creates or drops the
+        graph; the graph's own count so far is not added to *tally*.
+        """
+        self._tally = tally
 
     @property
     def mutation_count(self) -> int:
@@ -203,7 +233,7 @@ class Graph(TripleReader):
             raise ValueError(
                 f"mutation count may only advance ({self._mutations} -> "
                 f"{count})")
-        self._mutations = count
+        self._count_mutations(count - self._mutations)
 
     # -- queries ----------------------------------------------------------------
 

@@ -48,12 +48,13 @@ class TestThreadedCacheConsistency:
         assert len(cache) <= 3
         # Every entry is accounted for: each miss stored once, and a
         # stored entry either is still live, was replaced by a racing
-        # duplicate miss, or was evicted by exactly one counter.
+        # duplicate miss, was taken to be extended, or was evicted by
+        # exactly one counter.
         assert stats.stores == stats.misses
         assert stats.stores == (
             len(cache) + stats.replacements + stats.lru_evictions
             + stats.invalidated + stats.structure_evictions
-            + stats.lineage_evictions)
+            + stats.lineage_evictions + stats.extended)
 
     def test_concurrent_invalidation_never_tears_counters(self):
         scenario = build_industrial_service()
@@ -105,8 +106,10 @@ class TestInvalidationOrdering:
                 expected = 48 if q == query else 24
                 assert len(relation.rows) == expected, \
                     "stale pre-release rewriting served after release"
-        # Only the touched concept's entry was invalidated.
-        assert scenario.mdm.cache.stats.invalidated == 1
+        # The release only added a wrapper, so the touched concept's
+        # entry was extended by its walks rather than invalidated.
+        assert scenario.mdm.cache.stats.extended == 1
+        assert scenario.mdm.cache.stats.invalidated == 0
 
     def test_interleaved_batches_and_releases(self):
         scenario = build_industrial_service()

@@ -139,3 +139,57 @@ class TestUnionView:
     def test_quads_of_absent_graph_create_nothing(self, dataset):
         assert list(dataset.quads(graph="http://g/absent")) == []
         assert dataset.graph_names() == [G1, G2]
+
+
+class TestMutationTotal:
+    """The running total always equals the per-graph sum."""
+
+    @staticmethod
+    def assert_total(ds: Dataset) -> None:
+        assert ds.mutation_count() == sum(ds.mutation_counts().values())
+
+    def test_total_tracks_every_kind_of_edit(self):
+        ds = Dataset()
+        a = ds.graph("http://x/a")
+        b = ds.graph("http://x/b")
+        a.add(("http://x/s", "http://x/p", "http://x/o"))
+        b.add(("http://x/s", "http://x/p", "http://x/o"))
+        ds.default_graph.add(("http://x/s", "http://x/p", "http://x/d"))
+        self.assert_total(ds)
+        before = ds.mutation_count()
+        a.add(("http://x/s", "http://x/p", "http://x/o"))  # no-op
+        assert ds.mutation_count() == before
+        # count-neutral: one out, one in
+        a.remove(("http://x/s", "http://x/p", "http://x/o"))
+        a.add(("http://x/s", "http://x/p", "http://x/o2"))
+        assert ds.mutation_count() == before + 2
+        self.assert_total(ds)
+        b.clear()
+        self.assert_total(ds)
+        assert ds.remove_graph("http://x/b")
+        self.assert_total(ds)
+        b.add(("http://x/s", "http://x/p", "http://x/late"))  # dropped
+        self.assert_total(ds)
+        ds.graph("http://x/b").add(
+            ("http://x/s", "http://x/p", "http://x/o"))
+        self.assert_total(ds)
+        assert ds.mutation_count() > before + 2
+
+    def test_restore_reproduces_the_total(self):
+        ds = Dataset()
+        graph = ds.graph("http://x/a")
+        for i in range(3):
+            graph.add(("http://x/s", "http://x/p", f"http://x/o{i}"))
+        graph.remove(("http://x/s", "http://x/p", "http://x/o0"))
+        ds.graph("http://x/gone").add(
+            ("http://x/s", "http://x/p", "http://x/o"))
+        ds.remove_graph("http://x/gone")
+        counts = ds.mutation_counts()
+
+        rebuilt = Dataset()
+        for triple in graph:
+            rebuilt.graph("http://x/a").add(triple)
+        rebuilt.restore_mutation_counts(counts)
+        assert rebuilt.mutation_counts() == counts
+        assert rebuilt.mutation_count() == ds.mutation_count()
+        self.assert_total(rebuilt)

@@ -87,6 +87,30 @@ class TestPatchLifecycle:
         assert stats.fallbacks == 1
         assert stats.evictions == 1  # the broken entry was discarded
 
+    def test_seed_type_error_is_counted_under_its_class(self, scenario,
+                                                        monkeypatch):
+        """A programming error in the patch path still recomputes the
+        oracle's bag, but shows under its own class, not as an
+        ordinary fallback."""
+        from repro.mdm import MDM
+        from repro.streaming.standing import StandingQuery
+        mdm = MDM(scenario.ontology)
+        engine = mdm.engine
+        engine.answer(EXEMPLARY_QUERY)
+        churn(scenario)
+
+        def stale_call(self, provider):
+            raise TypeError("scan() takes 3 positional arguments")
+
+        monkeypatch.setattr(StandingQuery, "seed", stale_call)
+        assert engine.answer(EXEMPLARY_QUERY) == oracle_answer(scenario)
+        stats = engine.answer_cache.stats
+        assert stats.fallbacks == 1
+        assert stats.fallback_errors == {"TypeError": 1}
+        assert stats.snapshot()["fallback_errors"] == {"TypeError": 1}
+        assert "fallbacks = 1 (errors: TypeError = 1)" in \
+            mdm.serving().describe()
+
     def test_valve_reseed_counts_as_fallback(self, scenario,
                                              monkeypatch):
         import repro.streaming.standing as standing_mod
