@@ -32,7 +32,6 @@ import itertools
 import secrets
 import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Sequence
 
@@ -45,6 +44,7 @@ from repro.api.protocol import (
     DescribeResponse, ErrorInfo, QueryRequest, QueryResponse,
     ReleaseRequest, ReleaseResponse, check_api_version,
 )
+from repro.util.lru import LRU
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.ontology import EvolutionEvent, OntologyFingerprint
@@ -82,18 +82,10 @@ class _Cursor:
 class ProtocolEndpoint:
     """v1 protocol handler over one governed service."""
 
-    def __init__(self, service: "GovernedService", *,
-                 cursor_capacity: int = CURSOR_CAPACITY,
-                 idempotency_capacity: int = IDEMPOTENCY_CAPACITY) -> None:
-        if cursor_capacity < 1:
-            raise ValueError("cursor_capacity must be >= 1")
-        if idempotency_capacity < 1:
-            raise ValueError("idempotency_capacity must be >= 1")
+    def __init__(self, service: "GovernedService") -> None:
         self.service = service
-        self.cursor_capacity = cursor_capacity
-        self.idempotency_capacity = idempotency_capacity
-        self._cursors: "OrderedDict[str, _Cursor]" = OrderedDict()
-        self._replays: "OrderedDict[str, ReleaseResponse]" = OrderedDict()
+        self._cursors: LRU[str, _Cursor] = LRU(CURSOR_CAPACITY)
+        self._replays: LRU[str, ReleaseResponse] = LRU(IDEMPOTENCY_CAPACITY)
         self._state_lock = threading.Lock()
         self._token_counter = itertools.count(1)
         # Both volatile stores are scoped to the journal's boot id:
@@ -102,19 +94,16 @@ class ProtocolEndpoint:
         # idempotency replay store is *re-seeded from the journal* with
         # epochs recomputed during recovery replay — never the epochs a
         # previous boot recorded, which would be stale after a
-        # snapshot-assisted restart.
+        # snapshot-assisted restart. Seeding in journal order leaves
+        # the newest outcomes when recovery holds more than fit.
         info = service.journal_info()
         self.boot_id = ((info or {}).get("boot_id")
                         or secrets.token_hex(8))
         for key, outcome in service.mdm.recovered_idempotency.items():
-            self._replays[key] = ReleaseResponse(
+            self._replays.put(key, ReleaseResponse(
                 ok=True, epoch=outcome.get("epoch"),
                 triples_added=outcome.get("triples_added"),
-                replayed=False)
-        while len(self._replays) > self.idempotency_capacity:
-            # recovery may hold more outcomes than this endpoint is
-            # configured to keep: evict oldest, like live appends do
-            self._replays.popitem(last=False)
+                replayed=False))
 
     # -- lifecycle hooks -----------------------------------------------------
 
@@ -300,9 +289,7 @@ class ProtocolEndpoint:
                         request_id=request.request_id,
                         distinct=request.distinct)
         with self._state_lock:
-            self._cursors[token] = state
-            while len(self._cursors) > self.cursor_capacity:
-                self._cursors.popitem(last=False)
+            self._cursors.put(token, state)
         return token
 
     def _continue_page(self, request: QueryRequest,
@@ -319,7 +306,7 @@ class ProtocolEndpoint:
                 raise InvalidCursorError(
                     "unknown, exhausted or evicted cursor")
             if state.superseded:
-                del self._cursors[token]
+                self._cursors.pop(token)
                 raise EpochSuperseded(
                     f"cursor opened at epoch {state.epoch} was "
                     "invalidated by a release; re-issue the query to "
@@ -327,7 +314,6 @@ class ProtocolEndpoint:
                     requested=state.epoch,
                     serving=self.service.lock.epoch)
             self._check_pin(request.epoch, state.epoch)
-            self._cursors.move_to_end(token)
             size = request.page_size or state.page_size
             rows = state.relation.page(state.offset, size)
             page = state.page
@@ -336,7 +322,7 @@ class ProtocolEndpoint:
             state.page += 1
             has_more = state.offset < total
             if not has_more:
-                del self._cursors[token]
+                self._cursors.pop(token)
             relation = state.relation
             epoch, fingerprint = state.epoch, state.fingerprint
         return QueryResponse(
@@ -407,10 +393,7 @@ class ProtocolEndpoint:
                 # write lock, never re-run Algorithm 1.
                 if key is not None:
                     with self._state_lock:
-                        self._replays[key] = response
-                        while len(self._replays) > \
-                                self.idempotency_capacity:
-                            self._replays.popitem(last=False)
+                        self._replays.put(key, response)
             return response
         except Exception as exc:
             return ReleaseResponse(
@@ -463,6 +446,9 @@ class ProtocolEndpoint:
                     "scan_cache": service.scan_cache.stats.snapshot(),
                     "answer_cache":
                         service.answer_cache.stats.snapshot(),
+                    "rewrite_cache": (
+                        service.mdm.cache.stats.snapshot()
+                        if service.mdm.cache is not None else None),
                     "open_cursors": self.open_cursors,
                     "max_workers": service.max_workers,
                     "journal": service.journal_info(),

@@ -27,11 +27,11 @@ from __future__ import annotations
 
 import http.client
 import threading
-import time
 import urllib.parse
-from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
+
+from repro.util.lru import LRU
 
 __all__ = ["Backend", "EpochBalancer", "SessionState"]
 
@@ -217,19 +217,16 @@ class SessionState:
     floor: int = -1
     #: preferred (sticky) backend key; cursors only resolve here
     backend_key: str | None = None
-    last_used: float = field(default_factory=time.monotonic)
 
 
 class EpochBalancer:
     """Session table + candidate ordering over a set of backends."""
 
-    def __init__(self, *, session_capacity: int = SESSION_CAPACITY) -> None:
-        self._backends: "OrderedDict[str, Backend]" = \
-            OrderedDict()  # guarded-by: _lock
-        self._sessions: "OrderedDict[str, SessionState]" = \
-            OrderedDict()  # guarded-by: _lock
+    def __init__(self) -> None:
+        self._backends: dict[str, Backend] = {}  # guarded-by: _lock
+        self._sessions: LRU[str, SessionState] = \
+            LRU(SESSION_CAPACITY)  # guarded-by: _lock
         self._lock = threading.Lock()
-        self.session_capacity = session_capacity
         self._rr = 0  # guarded-by: _lock
 
     # -- topology ------------------------------------------------------------
@@ -274,12 +271,7 @@ class EpochBalancer:
             state = self._sessions.get(session_id)
             if state is None:
                 state = SessionState()
-                self._sessions[session_id] = state
-                while len(self._sessions) > self.session_capacity:
-                    self._sessions.popitem(last=False)
-            else:
-                self._sessions.move_to_end(session_id)
-            state.last_used = time.monotonic()
+                self._sessions.put(session_id, state)
             return state
 
     def note_response(self, session_id: str | None, backend: Backend,

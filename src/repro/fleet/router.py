@@ -122,12 +122,8 @@ class FleetRouter:
                  upstream_timeout: float = 30.0,
                  retry_backoff: float = 0.02,
                  release_retries: int = 2,
-                 session_capacity: int | None = None,
                  verbose: bool = False) -> None:
-        balancer_kwargs = {}
-        if session_capacity is not None:
-            balancer_kwargs["session_capacity"] = session_capacity
-        self.balancer = EpochBalancer(**balancer_kwargs)
+        self.balancer = EpochBalancer()
         self.probe_interval = probe_interval
         self.probe_timeout = probe_timeout
         self.upstream_timeout = upstream_timeout

@@ -14,6 +14,7 @@ from repro.core.ontology import BDIOntology
 from repro.core.vocabulary import GLOBAL_GRAPH
 from repro.errors import MalformedQueryError, UnknownConceptError, \
     UnknownFeatureError
+from repro.query.cache import REWRITE_CACHE_ENTRIES
 from repro.query.omq import OMQ, parse_omq
 from repro.rdf.namespace import G as G_NS
 from repro.rdf.term import IRI
@@ -120,7 +121,7 @@ def describe_cache(cache: "RewriteCache | None") -> str:
         return "rewriting cache: disabled"
     stats = cache.stats
     lines = [
-        f"rewriting cache: {len(cache)}/{cache.max_entries} entries",
+        f"rewriting cache: {len(cache)}/{REWRITE_CACHE_ENTRIES} entries",
         f"  lookups = {stats.lookups} (hits = {stats.hits}, "
         f"misses = {stats.misses}, hit rate = {stats.hit_rate:.1%})",
         f"  invalidated by releases = {stats.invalidated}, "
@@ -175,6 +176,7 @@ def describe_service(service: "GovernedService") -> str:
         f"invalidations = {scan_stats.invalidations}, "
         f"evictions: data version = {scan_stats.version_evictions}, "
         f"rebind = {scan_stats.rebind_evictions}, "
+        f"LRU = {scan_stats.lru_evictions}, "
         f"failed probes: version = {sum(scan_stats.unversioned.values())}"
         f", estimate = {sum(scan_stats.unestimated.values())}")
     answer_stats = service.answer_cache.stats
@@ -184,6 +186,7 @@ def describe_service(service: "GovernedService") -> str:
         f"misses = {answer_stats.misses}, "
         f"hit rate = {answer_stats.hit_rate:.1%}, "
         f"evictions = {answer_stats.evictions}, "
+        f"LRU evictions = {answer_stats.lru_evictions}, "
         f"invalidations = {answer_stats.invalidations}")
     lines.append(
         f"  incremental maintenance: patches = {answer_stats.patches}, "

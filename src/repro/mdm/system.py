@@ -34,6 +34,7 @@ from repro.storage.journal import (
     Journal, execute_command, execute_release, replay_into,
 )
 from repro.storage.snapshot import Snapshot, restore_state, take_snapshot
+from repro.util.lru import LRU
 from repro.wrappers.base import Wrapper
 
 __all__ = ["MDM"]
@@ -64,7 +65,8 @@ class MDM:
         #: idempotency outcomes recovered from the journal at
         #: :meth:`open` time (key -> {"seq", "epoch", "triples_added"});
         #: the protocol endpoint seeds its replay store from this
-        self.recovered_idempotency: dict[str, dict[str, Any]] = {}
+        self.recovered_idempotency: LRU[str, dict[str, Any]] = LRU(
+            IDEMPOTENCY_OUTCOMES_KEPT)
 
     # -- durable lifecycle ---------------------------------------------------
 
@@ -101,9 +103,8 @@ class MDM:
         # later release wins — replay recomputes the exact epochs).
         recovered.update(replay_into(
             mdm, journal.records(after=snapshot_seq), journal=journal))
-        while len(recovered) > IDEMPOTENCY_OUTCOMES_KEPT:
-            recovered.pop(next(iter(recovered)))
-        mdm.recovered_idempotency = recovered
+        for key, outcome in recovered.items():
+            mdm.recovered_idempotency.put(key, outcome)
         journal.append_boot()
         mdm.journal = journal
         mdm._snapshot_path = snapshot_path
@@ -248,15 +249,11 @@ class MDM:
             # Mirror the journaled outcome so snapshots can persist it:
             # a snapshot folds the release record in, so recovery
             # replay alone would never see this key again.
-            self.recovered_idempotency[idempotency_key] = {
+            self.recovered_idempotency.put(idempotency_key, {
                 "seq": self.journal.last_seq,
                 "epoch": self.ontology.epoch,
                 "triples_added": delta,
-            }
-            while len(self.recovered_idempotency) > \
-                    IDEMPOTENCY_OUTCOMES_KEPT:
-                self.recovered_idempotency.pop(
-                    next(iter(self.recovered_idempotency)))
+            })
         return delta
 
     def build_wrapper_release(self, wrapper: Wrapper,

@@ -39,11 +39,11 @@ from __future__ import annotations
 
 import os
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.relational.rows import Relation
+from repro.util.lru import LRU, LRUStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.ontology import OntologyFingerprint
@@ -63,17 +63,20 @@ def answer_cache_env_enabled() -> bool:
     """
     return os.environ.get("REPRO_ANSWER_CACHE", "1") != "0"
 
+#: answers one :class:`AnswerCache` keeps (LRU entries), and the rows
+#: they may hold together (each answer weighs its row count)
+ANSWER_CACHE_ENTRIES = 256
+ANSWER_CACHE_ROWS = 1_000_000
+
 #: the data-state evidence of one answer: ``(wrapper, data_version)``
 #: per wrapper the plan scanned, sorted for a canonical representation
 DataVersions = "tuple[tuple[str, object], ...]"
 
 
 @dataclass
-class AnswerCacheStats:
+class AnswerCacheStats(LRUStats):
     """Counters of one :class:`AnswerCache`."""
 
-    hits: int = 0
-    misses: int = 0
     stores: int = 0
     #: entries dropped because their fingerprint or bound objects no
     #: longer matched at lookup time, or because a patch attempt failed
@@ -92,24 +95,6 @@ class AnswerCacheStats:
     #: class name, so a programming error (``TypeError``) does not pass
     #: for an ordinary fallback
     fallback_errors: dict[str, int] = field(default_factory=dict)
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.lookups
-        return self.hits / total if total else 0.0
-
-    def snapshot(self) -> dict[str, object]:
-        return {"hits": self.hits, "misses": self.misses,
-                "stores": self.stores, "evictions": self.evictions,
-                "invalidations": self.invalidations,
-                "patches": self.patches, "seeds": self.seeds,
-                "fallbacks": self.fallbacks,
-                "fallback_errors": dict(self.fallback_errors),
-                "hit_rate": round(self.hit_rate, 4)}
 
 
 @dataclass
@@ -131,7 +116,6 @@ class CachedAnswer:
     #: the objects the answer read, aligned with ``data_versions`` and
     #: compared by identity (see :func:`same_objects`)
     bound: tuple[object, ...] = ()
-    hit_count: int = 0
     standing: "StandingQuery | None" = field(
         default=None, repr=False, compare=False)
     lock: threading.RLock = field(
@@ -151,16 +135,15 @@ class AnswerCache:
     Keys are ``(canonical OMQ key, distinct)``; validity evidence (the
     ontology fingerprint and every scanned wrapper's data_version) is
     stored per entry and re-checked on every lookup, so a stale entry
-    can never be served — at worst it is evicted and recomputed.
+    can never be served — at worst it is evicted and recomputed. The
+    LRU holds at most :data:`ANSWER_CACHE_ENTRIES` answers and
+    :data:`ANSWER_CACHE_ROWS` rows.
     """
 
-    def __init__(self, max_entries: int = 256) -> None:
-        if max_entries < 1:
-            raise ValueError("max_entries must be >= 1")
-        self.max_entries = max_entries
+    def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._entries: "OrderedDict[tuple[str, bool], CachedAnswer]" = \
-            OrderedDict()  # guarded-by: _lock
+        self._entries: LRU[tuple[str, bool], CachedAnswer] = LRU(
+            ANSWER_CACHE_ENTRIES, ANSWER_CACHE_ROWS)  # guarded-by: _lock
         self.stats = AnswerCacheStats()  # guarded-by: _lock
 
     def __len__(self) -> int:
@@ -169,7 +152,8 @@ class AnswerCache:
 
     def __contains__(self, key: object) -> bool:
         with self._lock:
-            return any(k[0] == key for k in self._entries)
+            return ((key, True) in self._entries
+                    or (key, False) in self._entries)
 
     def lookup(self, key: str, distinct: bool,
                fingerprint: "OntologyFingerprint",
@@ -194,16 +178,14 @@ class AnswerCache:
                 return None
             if entry.fingerprint != fingerprint or not same_objects(
                     entry.bound, bound):
-                del self._entries[slot]
+                self._entries.pop(slot)
                 self.stats.evictions += 1
                 self.stats.misses += 1
                 return None
             if entry.data_versions != data_versions:
                 self.stats.misses += 1
                 return None
-            entry.hit_count += 1
             self.stats.hits += 1
-            self._entries.move_to_end(slot)
             entry.relation.mark_reused()
             return entry.relation
 
@@ -213,7 +195,7 @@ class AnswerCache:
         """The entry a patch attempt may refresh: present and computed
         under the current fingerprint (its data_versions may lag)."""
         with self._lock:
-            entry = self._entries.get((key, distinct))
+            entry = self._entries.peek((key, distinct))
             if entry is None or entry.fingerprint != fingerprint:
                 return None
             return entry
@@ -227,7 +209,8 @@ class AnswerCache:
         just created), ``"patch"`` (O(Δ) refresh), ``"fallback"``
         (the valve reseeded). Caller holds ``entry.lock``; the entry is
         updated in place so a concurrent LRU eviction at worst orphans
-        it — the returned relation stays correct either way.
+        it — the returned relation stays correct either way. A live
+        entry is re-weighed by its new relation's rows.
         """
         relation.mark_reused()
         with self._lock:
@@ -241,8 +224,9 @@ class AnswerCache:
             else:
                 self.stats.patches += 1
             slot = (entry.key, entry.distinct)
-            if self._entries.get(slot) is entry:
-                self._entries.move_to_end(slot)
+            if self._entries.peek(slot) is entry:
+                self.stats.lru_evictions += len(self._entries.put(
+                    slot, entry, len(relation)))
 
     def discard(self, key: str, distinct: bool,
                 error: BaseException | None = None) -> bool:
@@ -251,7 +235,7 @@ class AnswerCache:
         what the patch attempt raised; it is counted as a fallback
         under its class name."""
         with self._lock:
-            entry = self._entries.pop((key, distinct), None)
+            entry = self._entries.pop((key, distinct))
             if entry is None:
                 return False
             self.stats.evictions += 1
@@ -267,37 +251,23 @@ class AnswerCache:
               data_versions: "tuple[tuple[str, object], ...]",
               relation: Relation,
               bound: tuple[object, ...] = ()) -> CachedAnswer:
-        """Install an answer (last-writer-wins; LRU-evicts past cap)."""
+        """Install an answer (last-writer-wins; LRU-evicts past either
+        bound, possibly the answer itself when it alone outweighs the
+        row bound)."""
         entry = CachedAnswer(key=key, distinct=distinct,
                              fingerprint=fingerprint,
                              data_versions=data_versions,
                              relation=relation, bound=bound)
         with self._lock:
-            self._entries[(key, distinct)] = entry
-            self._entries.move_to_end((key, distinct))
             self.stats.stores += 1
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
+            self.stats.lru_evictions += len(self._entries.put(
+                (key, distinct), entry, len(relation)))
         return entry
 
     def clear(self) -> int:
         """Drop every cached answer; returns how many were dropped."""
         with self._lock:
-            dropped = len(self._entries)
-            self._entries.clear()
+            dropped = self._entries.clear()
             if dropped:
                 self.stats.invalidations += 1
             return dropped
-
-    def entries(self) -> list[CachedAnswer]:
-        """Point-in-time snapshot of entries (observability aid)."""
-        with self._lock:
-            return list(self._entries.values())
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        with self._lock:
-            count = len(self._entries)
-            return (f"<AnswerCache {count} entr"
-                    f"{'y' if count == 1 else 'ies'}, "
-                    f"hits={self.stats.hits} "
-                    f"misses={self.stats.misses}>")

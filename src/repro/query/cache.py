@@ -56,16 +56,19 @@ from __future__ import annotations
 
 import hashlib
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from repro.core.ontology import BDIOntology
 from repro.query.omq import OMQ
 from repro.query.rewriter import RewritingResult
 from repro.rdf.term import IRI
+from repro.util.lru import LRU, LRUStats
 
 __all__ = ["CacheStats", "CachedRewriting", "RewriteCache",
            "canonical_omq_key", "concepts_of_result"]
+
+#: rewritings one :class:`RewriteCache` keeps (LRU entries)
+REWRITE_CACHE_ENTRIES = 256
 
 
 def canonical_omq_key(query: OMQ) -> str:
@@ -92,11 +95,9 @@ def concepts_of_result(result: RewritingResult) -> frozenset[IRI]:
 
 
 @dataclass
-class CacheStats:
+class CacheStats(LRUStats):
     """Observability counters for one :class:`RewriteCache`."""
 
-    hits: int = 0
-    misses: int = 0
     #: entries written (one per miss in engine usage)
     stores: int = 0
     #: stores that overwrote a live entry under the same key (duplicate
@@ -111,8 +112,6 @@ class CacheStats:
     lineage_evictions: int = 0
     #: entries revalidated across ≥1 release touching other concepts
     survived_releases: int = 0
-    #: entries dropped by the LRU bound
-    lru_evictions: int = 0
     #: stale entries :meth:`RewriteCache.lookup` handed out to be
     #: extended with the walks of wrappers additive releases added
     extended: int = 0
@@ -120,31 +119,6 @@ class CacheStats:
     #: extension, by reason: ``multi_concept``, ``non_additive`` or
     #: ``out_of_band_edit``
     extension_fallbacks: dict[str, int] = field(default_factory=dict)
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        """Hits per lookup in [0, 1]; 0.0 before any lookup."""
-        return self.hits / self.lookups if self.lookups else 0.0
-
-    def snapshot(self) -> dict[str, object]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "stores": self.stores,
-            "replacements": self.replacements,
-            "invalidated": self.invalidated,
-            "structure_evictions": self.structure_evictions,
-            "lineage_evictions": self.lineage_evictions,
-            "survived_releases": self.survived_releases,
-            "lru_evictions": self.lru_evictions,
-            "extended": self.extended,
-            "extension_fallbacks": dict(self.extension_fallbacks),
-            "hit_rate": round(self.hit_rate, 4),
-        }
 
 
 #: a stale single-concept rewriting and the wrappers the additive
@@ -190,12 +164,9 @@ class RewriteCache:
     (:class:`repro.service.EpochLock`) for answer-level consistency.
     """
 
-    def __init__(self, max_entries: int = 256) -> None:
-        if max_entries < 1:
-            raise ValueError("max_entries must be >= 1")
-        self.max_entries = max_entries
-        self._entries: "OrderedDict[str, CachedRewriting]" = \
-            OrderedDict()  # guarded-by: _lock
+    def __init__(self) -> None:
+        self._entries: LRU[str, CachedRewriting] = \
+            LRU(REWRITE_CACHE_ENTRIES)  # guarded-by: _lock
         self.stats = CacheStats()  # guarded-by: _lock
         #: guards _entries and stats together; reentrant so explicit
         #: invalidation may be called from evolution listeners that fire
@@ -243,7 +214,7 @@ class RewriteCache:
                 # than the entry was computed against; fingerprints of
                 # distinct ontologies can collide, so identity is
                 # checked first.
-                del self._entries[key]
+                self._entries.pop(key)
                 self.stats.lineage_evictions += 1
                 self.stats.misses += 1
                 return None
@@ -256,7 +227,7 @@ class RewriteCache:
                     # predates a different lineage of this ontology
                     # object (e.g. an id() reuse); nothing can be
                     # proven, evict.
-                    del self._entries[key]
+                    self._entries.pop(key)
                     self.stats.lineage_evictions += 1
                     self.stats.misses += 1
                     return None
@@ -264,7 +235,7 @@ class RewriteCache:
                     # An event covering edits that bypassed the
                     # governance layer: nothing can be attributed to
                     # concepts, evict.
-                    del self._entries[key]
+                    self._entries.pop(key)
                     self.stats.structure_evictions += 1
                     self.stats.misses += 1
                     return None
@@ -274,7 +245,7 @@ class RewriteCache:
                     # A release met the entry's concepts: it is extended
                     # when every such release only added a wrapper (see
                     # the module docstring), else rewritten cold.
-                    del self._entries[key]
+                    self._entries.pop(key)
                     self.stats.misses += 1
                     reason: str | None = None
                     if len(entry.concepts) > 1:
@@ -298,7 +269,7 @@ class RewriteCache:
                     # T was mutated out of band *after* the latest
                     # recorded event; those edits have no concept
                     # attribution, evict.
-                    del self._entries[key]
+                    self._entries.pop(key)
                     self.stats.structure_evictions += 1
                     self.stats.misses += 1
                     return None
@@ -313,12 +284,11 @@ class RewriteCache:
                 # Same epoch but different shape: T was mutated outside
                 # the release machinery; no concept attribution is
                 # possible.
-                del self._entries[key]
+                self._entries.pop(key)
                 self.stats.structure_evictions += 1
                 self.stats.misses += 1
                 return None
 
-            self._entries.move_to_end(key)
             entry.hit_count += 1
             self.stats.hits += 1
             return entry.result
@@ -343,11 +313,8 @@ class RewriteCache:
             self.stats.stores += 1
             if entry.key in self._entries:
                 self.stats.replacements += 1
-            self._entries[entry.key] = entry
-            self._entries.move_to_end(entry.key)
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-                self.stats.lru_evictions += 1
+            self.stats.lru_evictions += len(
+                self._entries.put(entry.key, entry))
             return entry
 
     # -- explicit invalidation ----------------------------------------------
@@ -364,16 +331,14 @@ class RewriteCache:
             stale = [key for key, entry in self._entries.items()
                      if entry.concepts & victims]
             for key in stale:
-                del self._entries[key]
+                self._entries.pop(key)
             self.stats.invalidated += len(stale)
             return len(stale)
 
     def clear(self) -> int:
         """Drop every entry; return how many were dropped."""
         with self._lock:
-            count = len(self._entries)
-            self._entries.clear()
-            return count
+            return self._entries.clear()
 
     # -- introspection -------------------------------------------------------
 
@@ -381,11 +346,4 @@ class RewriteCache:
         """Current entries, least-recently-used first (a snapshot; safe
         to iterate while other threads hit the cache)."""
         with self._lock:
-            return list(self._entries.values())
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        with self._lock:
-            return (f"<RewriteCache "
-                    f"{len(self._entries)}/{self.max_entries} "
-                    f"entries, {self.stats.hits} hits, "
-                    f"{self.stats.misses} misses>")
+            return self._entries.values()

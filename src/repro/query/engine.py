@@ -27,7 +27,6 @@ serving layer's job
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Sequence
 
@@ -48,6 +47,7 @@ from repro.relational.physical import (
 )
 from repro.relational.rows import Relation
 from repro.streaming.standing import StandingQuery
+from repro.util.lru import LRU
 
 __all__ = ["QueryEngine"]
 
@@ -68,15 +68,15 @@ class QueryEngine:
                  use_answer_cache: bool = True) -> None:
         self.ontology = ontology
         self.prefixes = dict(prefixes or {})
-        #: route evaluation through the physical planner (projection and
-        #: ID-filter pushdown, shared scans, encoded/fused execution);
+        #: route evaluation through the physical planner (projection
+        #: pushdown, shared scans, encoded/fused execution);
         #: False = naive logical evaluation, the reference oracle the
         #: equivalence suites and ``bench_columnar`` compare against.
         self.use_planner = use_planner
         #: canonical OMQ key → last run's PlanMetrics tree (LRU-bounded
         #: observability feed of explain(analyze=True) and describe)
-        self._metrics_log: "OrderedDict[str, PlanMetrics]" = \
-            OrderedDict()  # guarded-by: _metrics_lock
+        self._metrics_log: LRU[str, PlanMetrics] = \
+            LRU(METRICS_LOG_MAX)  # guarded-by: _metrics_lock
         self._metrics_lock = threading.Lock()
         #: release-aware rewriting cache (None when use_cache is False)
         self.cache: RewriteCache | None = \
@@ -100,8 +100,7 @@ class QueryEngine:
         #: the stale-memo check and the clear happen under the same
         #: critical section, so a concurrent parse can never revive an
         #: entry built under the previous prefix bindings.
-        self._parse_memo: "OrderedDict[str, tuple[OMQ, str]]" = \
-            OrderedDict()
+        self._parse_memo: LRU[str, tuple[OMQ, str]] = LRU(PARSE_MEMO_MAX)
         self._parse_memo_prefixes = dict(self.prefixes)
         self._parse_lock = threading.Lock()
 
@@ -121,7 +120,6 @@ class QueryEngine:
                 self._parse_memo_prefixes = dict(self.prefixes)
             parsed = self._parse_memo.get(query)
             if parsed is not None:
-                self._parse_memo.move_to_end(query)
                 return parsed
             prefixes = dict(self.prefixes)
         # Parse outside the lock (pure function of text + prefixes), so
@@ -130,10 +128,7 @@ class QueryEngine:
         parsed = (omq, canonical_omq_key(omq))
         with self._parse_lock:
             if self._parse_memo_prefixes == prefixes:
-                self._parse_memo[query] = parsed
-                self._parse_memo.move_to_end(query)
-                while len(self._parse_memo) > PARSE_MEMO_MAX:
-                    self._parse_memo.popitem(last=False)
+                self._parse_memo.put(query, parsed)
         return parsed
 
     def _rewrite_parsed(self, omq: OMQ, key: str) -> RewritingResult:
@@ -195,10 +190,7 @@ class QueryEngine:
         if metrics is None:
             return
         with self._metrics_lock:
-            self._metrics_log[key] = metrics
-            self._metrics_log.move_to_end(key)
-            while len(self._metrics_log) > METRICS_LOG_MAX:
-                self._metrics_log.popitem(last=False)
+            self._metrics_log.put(key, metrics)
 
     def _cached_or_pending(self, omq: OMQ, key: str, distinct: bool,
                            scan_cache: ScanCache | None,
@@ -371,14 +363,14 @@ class QueryEngine:
 
         With the planner on, the *whole batch* shares one
         :class:`~repro.relational.physical.ScanCache` (a private one
-        unless *scan_cache* is passed): every ``(wrapper, columns,
-        filter)`` combination is fetched exactly once, single-flighted
-        across the worker threads.
+        unless *scan_cache* is passed): every ``(wrapper, columns)``
+        combination is fetched exactly once, single-flighted across the
+        worker threads.
         """
         if scan_cache is None and self.use_planner:
             scan_cache = ScanCache()
         parsed = [self._parse(query) for query in queries]
-        unique: "OrderedDict[str, OMQ]" = OrderedDict()
+        unique: dict[str, OMQ] = {}
         for omq, key in parsed:
             unique.setdefault(key, omq)
 
@@ -427,7 +419,7 @@ class QueryEngine:
     def explain(self, query: OMQ | str, analyze: bool = False) -> str:
         """Textual account of the rewriting phases, the final UCQ and —
         with the planner on — the physical plan that :meth:`answer`
-        executes, with pushed-down columns/filters and shared-scan
+        executes, with pushed-down columns and shared-scan
         annotations. The physical section renders the same
         :class:`~repro.query.planner.PhysicalPlan` construction the
         execution path uses, so the two cannot diverge. With
@@ -486,7 +478,7 @@ class QueryEngine:
         """Recent executions' metrics trees, oldest first, keyed by
         canonical OMQ key (LRU-bounded; treat trees as immutable)."""
         with self._metrics_lock:
-            return list(self._metrics_log.items())
+            return self._metrics_log.items()
 
     def wrapper_timings(self) -> dict[str, dict[str, float]]:
         """Per-wrapper scan aggregates over the retained metrics trees

@@ -13,7 +13,8 @@ assembles into a plan that
 * fetches every ``(wrapper, columns)`` combination **once** per
   batch/union via a :class:`ScanCache` (single-flight, thread-safe,
   keyed by the bound wrapper object and its data version, so a scan
-  survives every release that does not rebind or change its wrapper).
+  survives every release that does not rebind or change its wrapper,
+  and bounded in entries and rows by an LRU).
 
 Operators exchange :class:`~repro.relational.columnar.ColumnBatch`
 values and, inside fused pipeline segments, :class:`FusedBatch` gather
@@ -37,6 +38,7 @@ from repro.relational.columnar import ColumnBatch, EncodedColumn, \
 from repro.relational.metrics import active_collector
 from repro.relational.rows import Relation
 from repro.relational.schema import Attribute, RelationSchema
+from repro.util.lru import LRU, LRUStats
 
 __all__ = [
     "ScanKey", "ScanStats", "ScanCache",
@@ -51,6 +53,11 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # Scan cache
 # ---------------------------------------------------------------------------
+
+#: scans one :class:`ScanCache` keeps (LRU entries), and the rows they
+#: may hold together (each scan weighs its row count)
+SCAN_CACHE_ENTRIES = 1024
+SCAN_CACHE_ROWS = 1_000_000
 
 
 class Unversioned:
@@ -91,11 +98,9 @@ class ScanKey:
 
 
 @dataclass
-class ScanStats:
+class ScanStats(LRUStats):
     """Counters of one :class:`ScanCache` (shared-scan observability)."""
 
-    hits: int = 0
-    misses: int = 0
     #: explicit :meth:`ScanCache.clear` calls that dropped entries
     invalidations: int = 0
     #: entries dropped because their wrapper's data_version moved on
@@ -108,20 +113,6 @@ class ScanStats:
     #: cardinality estimates that raised, by reason (the planner then
     #: orders that wrapper as unknown)
     unestimated: dict[str, int] = field(default_factory=dict)
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def snapshot(self) -> dict[str, object]:
-        return {"hits": self.hits, "misses": self.misses,
-                "invalidations": self.invalidations,
-                "version_evictions": self.version_evictions,
-                "rebind_evictions": self.rebind_evictions,
-                "unversioned": dict(self.unversioned),
-                "unestimated": dict(self.unestimated),
-                "hit_rate": round(self.hit_rate, 4)}
 
 
 class _Inflight:
@@ -149,12 +140,16 @@ class ScanCache:
     paper's old wrappers keep serving historical queries). A key holds
     the bound wrapper object and its data version; when either moves on
     under a wrapper's name, that name's superseded entries are evicted,
-    so a long-running cache holds one generation per wrapper.
+    so a long-running cache holds one generation per wrapper. Within
+    it, the LRU keeps at most :data:`SCAN_CACHE_ENTRIES` scans and
+    :data:`SCAN_CACHE_ROWS` rows; an in-flight scan weighs nothing
+    until its rows land.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._entries: dict[ScanKey, _Inflight] = {}  # guarded-by: _lock
+        self._entries: LRU[ScanKey, _Inflight] = LRU(
+            SCAN_CACHE_ENTRIES, SCAN_CACHE_ROWS)  # guarded-by: _lock
         #: wrapper name → (bound object, data_version) last seen
         self._versions: dict[str, tuple[object, int | Unversioned]] = \
             {}  # guarded-by: _lock
@@ -168,25 +163,18 @@ class ScanCache:
     def clear(self) -> int:
         """Drop every cached scan; returns how many were dropped."""
         with self._lock:
-            dropped = len(self._entries)
-            self._entries.clear()
+            dropped = self._entries.clear()
             self._versions.clear()
             if dropped:
                 self.stats.invalidations += 1
             return dropped
 
-    def note_unversioned(self, token: Unversioned) -> None:
-        """Count one version probe that raised."""
+    def note_failed_probe(self, probe: str, reason: str) -> None:
+        """Count one probe that raised under *reason* in the
+        ``unversioned`` or ``unestimated`` tally of :class:`ScanStats`."""
         with self._lock:
-            unversioned = self.stats.unversioned
-            unversioned[token.reason] = \
-                unversioned.get(token.reason, 0) + 1
-
-    def note_unestimated(self, reason: str) -> None:
-        """Count one cardinality estimate that raised."""
-        with self._lock:
-            unestimated = self.stats.unestimated
-            unestimated[reason] = unestimated.get(reason, 0) + 1
+            tally: dict[str, int] = getattr(self.stats, probe)
+            tally[reason] = tally.get(reason, 0) + 1
 
     def get_or_fetch(self, key: ScanKey,
                      fetch: Callable[[], Relation]) -> Relation:
@@ -195,11 +183,11 @@ class ScanCache:
             if last is not None and (last[0] is not key.bound
                                      or last[1] != key.data_version):
                 stats = self.stats
-                for k in [k for k in self._entries
+                for k in [k for k, _ in self._entries.items()
                           if k.wrapper == key.wrapper
                           and (k.bound is not key.bound
                                or k.data_version != key.data_version)]:
-                    del self._entries[k]
+                    self._entries.pop(k)
                     if k.bound is key.bound:
                         stats.version_evictions += 1
                     else:
@@ -208,7 +196,7 @@ class ScanCache:
             slot = self._entries.get(key)
             if slot is None:
                 slot = _Inflight()
-                self._entries[key] = slot
+                self.stats.lru_evictions += len(self._entries.put(key, slot))
                 owner = True
                 self.stats.misses += 1
             else:
@@ -216,17 +204,23 @@ class ScanCache:
                 self.stats.hits += 1
         if owner:
             try:
-                slot.relation = fetch()
+                relation = slot.relation = fetch()
             except BaseException as exc:
                 slot.error = exc
                 with self._lock:
                     # Failed fetches are not cached; waiters re-raise.
-                    if self._entries.get(key) is slot:
-                        del self._entries[key]
+                    if self._entries.peek(key) is slot:
+                        self._entries.pop(key)
                 slot.event.set()
                 raise
+            with self._lock:
+                # The landed rows weigh in (unless the slot was dropped
+                # while in flight).
+                if self._entries.peek(key) is slot:
+                    self.stats.lru_evictions += len(self._entries.put(
+                        key, slot, len(relation)))
             slot.event.set()
-            return slot.relation
+            return relation
         slot.event.wait()
         if slot.error is not None:
             raise slot.error
@@ -379,13 +373,14 @@ class CachingScanProvider(ScanProvider):
         except Exception as exc:
             # Estimates only steer join order, so an unknown one is
             # safe; the failure is counted, not hidden.
-            self.cache.note_unestimated(f"{name}: {type(exc).__name__}")
+            self.cache.note_failed_probe(
+                "unestimated", f"{name}: {type(exc).__name__}")
             return None
 
     def data_version(self, name: str) -> "int | Unversioned":
         token = self.inner.data_version(name)
         if isinstance(token, Unversioned):
-            self.cache.note_unversioned(token)
+            self.cache.note_failed_probe("unversioned", token.reason)
         return token
 
     def bound(self, name: str) -> object:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterator
 
 from repro.errors import EpochDrainTimeout
@@ -46,14 +46,8 @@ class EpochLockStats:
     max_drained_readers: int = 0
 
     def snapshot(self) -> dict[str, int | float]:
-        return {
-            "reads": self.reads,
-            "writes": self.writes,
-            "reads_blocked": self.reads_blocked,
-            "writes_drained": self.writes_drained,
-            "drain_seconds": round(self.drain_seconds, 6),
-            "max_drained_readers": self.max_drained_readers,
-        }
+        return {**asdict(self),
+                "drain_seconds": round(self.drain_seconds, 6)}
 
 
 class EpochLock:

@@ -135,6 +135,7 @@ def take_snapshot(target: Any, seq: int) -> Snapshot:
     state would pin a fingerprint nothing ever exhibited.
     """
     ontology: BDIOntology = target.ontology
+    outcomes = getattr(target, "recovered_idempotency", None)
     releases = [encode_release(r)
                 for r in getattr(target, "release_log", ())]
     wrappers = {}
@@ -151,8 +152,7 @@ def take_snapshot(target: Any, seq: int) -> Snapshot:
         mutation_counts=ontology.dataset.mutation_counts(),
         releases=releases,
         wrappers=wrappers,
-        idempotency=dict(getattr(target, "recovered_idempotency",
-                                 None) or {}),
+        idempotency=dict(outcomes.items()) if outcomes else {},
     )
 
 

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 from repro.errors import SchemaError, WrapperSchemaMismatchError
+from repro.relational.physical import Unversioned
 from repro.relational.rows import Relation
 from repro.relational.schema import Attribute, RelationSchema
 
@@ -151,19 +152,19 @@ class Wrapper:
         """
         return None
 
-    def data_version(self) -> int:
+    def data_version(self) -> "int | Unversioned":
         """Version token of the *data* behind the wrapper.
 
         Scan caches key fetched relations by ``(wrapper, bound object,
-        data_version, columns)`` and keep them across releases;
+        data_version, columns)`` and keep them across releases, and the
+        answer cache checks the tokens of every wrapper an answer read;
         a wrapper whose backing data can mutate in place must change
-        this token so cached scans are not served stale. A wrapper that
-        keeps the default ``0`` is treated as immutable for as long as
-        the same object stays bound, across releases too: only a rebind
-        (another object under its name) fetches it again. Every
-        production wrapper here overrides it.
+        this token so neither serves stale rows. The default is an
+        :class:`~repro.relational.physical.Unversioned` token, equal to
+        no other: a wrapper that does not override this is scanned
+        afresh every time and its answers are never cached.
         """
-        return 0
+        return Unversioned(f"{self.name}: no data_version")
 
     # -- change-data-capture protocol ------------------------------------------
 

@@ -99,14 +99,11 @@ class RestWrapper(Wrapper):
         count, seed); the live-overlay seq covers documents pushed,
         updated or deleted at run time. Two fetches under the same
         token return identical rows — exactly the property a scan
-        cache needs.
+        cache needs. A failing probe raises (so it reads as
+        :class:`~repro.relational.physical.Unversioned`, not unchanged).
         """
-        try:
-            base = self._base_token()
-            live = self.endpoint.live_seq(self.version)
-        except Exception:
-            base, live = (), -1
-        return hash((base, live))
+        return hash((self._base_token(),
+                     self.endpoint.live_seq(self.version)))
 
     def _needed_paths(self, attributes: Sequence[str]
                       ) -> tuple[list[str] | None, list[str] | None]:

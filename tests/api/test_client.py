@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.api import GovernedClient, InProcessTransport, as_transport
+from repro.api import endpoint as endpoint_module
 from repro.errors import (
     EpochSuperseded, InvalidCursorError, MalformedRequestError,
     UnanswerableQueryError,
@@ -123,8 +124,9 @@ class TestPagination:
             client.fetch_page("c999.no-such-token")
 
     def test_cursor_capacity_evicts_lru(self, serving_scenario,
-                                        service):
-        service.endpoint.cursor_capacity = 2
+                                        service, monkeypatch):
+        # the endpoint is built lazily, so it reads the patched bound
+        monkeypatch.setattr(endpoint_module, "CURSOR_CAPACITY", 2)
         client = service.client()
         query = serving_scenario.queries["sina_weibo"]
         oldest = client.query(query, page_size=5)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 
+import repro.fleet.balancer as balancer_module
 from repro.fleet.balancer import Backend, EpochBalancer
 from repro.fleet.router import _epoch_of, _pin_of
 
@@ -96,8 +97,9 @@ class TestSessions:
         assert state.floor == 9
         assert state.backend_key == "r0"
 
-    def test_session_table_is_lru_capped(self):
-        lb = EpochBalancer(session_capacity=3)
+    def test_session_table_is_lru_capped(self, monkeypatch):
+        monkeypatch.setattr(balancer_module, "SESSION_CAPACITY", 3)
+        lb = EpochBalancer()
         for i in range(5):
             lb.session(f"s{i}")
         assert lb.tracked_sessions == 3

@@ -7,6 +7,7 @@ import pytest
 
 from repro.datasets import EXEMPLARY_QUERY, build_supersede
 from repro.datasets.supersede import register_w4
+import repro.query.answer_cache as answer_cache_module
 from repro.query import AnswerCache, QueryEngine
 from repro.relational import Relation
 from repro.relational.schema import RelationSchema
@@ -77,8 +78,9 @@ class TestAnswerCacheUnit:
         assert cache.stats.evictions == 1
         assert cache.patchable_entry("q", True, "fp") is None
 
-    def test_lru_eviction_past_cap(self):
-        cache = AnswerCache(max_entries=2)
+    def test_lru_eviction_past_cap(self, monkeypatch):
+        monkeypatch.setattr(answer_cache_module, "ANSWER_CACHE_ENTRIES", 2)
+        cache = AnswerCache()
         for key in ("a", "b", "c"):
             cache.store(key, True, "fp", VERSIONS, relation_of(1))
         assert len(cache) == 2
@@ -87,6 +89,19 @@ class TestAnswerCacheUnit:
         cache.lookup("b", True, "fp", VERSIONS)
         cache.store("d", True, "fp", VERSIONS, relation_of(1))
         assert "b" in cache and "c" not in cache
+
+    def test_patch_re_weighs_the_entry(self, monkeypatch):
+        monkeypatch.setattr(answer_cache_module, "ANSWER_CACHE_ROWS", 3)
+        cache = AnswerCache()
+        entry = cache.store("a", True, "fp", VERSIONS, relation_of(1))
+        cache.install_patch(entry, relation_of(3), VERSIONS,
+                            standing=None, kind="patch")
+        # the patched answer now weighs 3 rows, so one more row
+        # pushes it out
+        cache.store("b", True, "fp", VERSIONS, relation_of(1))
+        assert "a" not in cache and "b" in cache
+        assert cache.stats.lru_evictions == 1
+        assert cache.stats.snapshot()["lru_evictions"] == 1
 
     def test_clear_counts_invalidations(self):
         cache = AnswerCache()
@@ -97,10 +112,6 @@ class TestAnswerCacheUnit:
         snapshot = cache.stats.snapshot()
         assert snapshot["stores"] == 1
         assert snapshot["hit_rate"] == 0.0
-
-    def test_max_entries_validated(self):
-        with pytest.raises(ValueError):
-            AnswerCache(max_entries=0)
 
 
 @pytest.fixture()
@@ -335,3 +346,67 @@ class TestFailClosedFreshness:
         for old, new in ((3, 4), (4, 5)):
             self.change(w3, old, new)
             assert engine.answer(EXEMPLARY_QUERY) == self.oracle(scenario)
+
+    def test_failing_rest_probe_is_served_from_no_cache(self):
+        """A REST wrapper whose probe raises never reads as unchanged:
+        two failing probes used to mint equal tokens."""
+        from repro.evolution.apply import GovernedApi
+        from repro.relational.physical import ScanCache
+        from repro.sources.rest_api import (
+            ApiVersion, Endpoint, FieldSpec, RestApi,
+        )
+        api = RestApi("Svc")
+        endpoint = Endpoint("GET /items")
+        endpoint.add_version(ApiVersion("1", [
+            FieldSpec("id", "int"), FieldSpec("val", "string")]))
+        api.add_endpoint(endpoint)
+        gov = GovernedApi(api)
+        wrapper = gov.model_endpoint("GET /items",
+                                     id_field="id").current_wrapper
+        query = """
+        SELECT ?x WHERE {
+            VALUES (?x) { (<urn:api:Svc:GET_items/val>) }
+            <urn:api:Svc:GET_items> G:hasFeature
+                <urn:api:Svc:GET_items/val>
+        }
+        """
+
+        def live_seq(version):
+            raise RuntimeError("endpoint is down")
+        endpoint.live_seq = live_seq
+        engine = QueryEngine(gov.ontology)
+        scans = ScanCache()
+        expected = QueryEngine(gov.ontology, use_planner=False,
+                               use_cache=False, use_answer_cache=False
+                               ).answer(query)
+        for _ in range(2):
+            assert engine.answer(query, scan_cache=scans) == expected
+        answers = engine.answer_cache.stats
+        assert (answers.hits, answers.stores) == (0, 0)
+        assert scans.stats.hits == 0 and scans.stats.misses == 2
+        assert list(scans.stats.unversioned) == [f"{wrapper}: RuntimeError"]
+
+    def test_bare_wrapper_is_never_served_stale(self, scenario):
+        """A wrapper that keeps the base ``data_version`` is not taken
+        for immutable: rows emptied in place are not served from a
+        cache."""
+        from repro.wrappers.base import Wrapper
+
+        class Bare(Wrapper):
+            def __init__(self, like):
+                super().__init__(like.name, like.source_name,
+                                 like.id_attributes,
+                                 like.non_id_attributes)
+                self.rows = like.fetch_rows()
+
+            def fetch_rows(self, columns=None):
+                return [dict(row) for row in self.rows]
+
+        bare = Bare(scenario.wrappers["w3"])
+        scenario.ontology.bind_wrapper(bare)
+        engine = QueryEngine(scenario.ontology)
+        assert len(engine.answer(EXEMPLARY_QUERY)) == 5
+        bare.rows.clear()
+        assert engine.answer(EXEMPLARY_QUERY) == self.oracle(scenario)
+        assert len(self.oracle(scenario)) == 0
+        assert engine.answer_cache.stats.hits == 0

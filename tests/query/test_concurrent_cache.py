@@ -15,6 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 from hypothesis import given, settings, strategies as st
 
+import repro.query.cache as cache_module
 from repro.query.cache import RewriteCache, canonical_omq_key
 from repro.query.engine import QueryEngine
 from repro.service import (
@@ -26,9 +27,11 @@ ROUNDS = 40
 
 
 class TestThreadedCacheConsistency:
-    def test_stats_stay_consistent_under_contention(self):
+    def test_stats_stay_consistent_under_contention(self, monkeypatch):
         scenario = build_industrial_service()
-        cache = RewriteCache(max_entries=3)  # force LRU churn too
+        # force LRU churn too
+        monkeypatch.setattr(cache_module, "REWRITE_CACHE_ENTRIES", 3)
+        cache = RewriteCache()
         queries = scenario.query_texts()
         barrier = threading.Barrier(THREADS)
 

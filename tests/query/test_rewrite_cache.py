@@ -7,6 +7,7 @@ from repro.datasets.supersede import register_w4
 from repro.evolution.apply import GovernedApi
 from repro.evolution.changes import Change, ChangeKind
 from repro.mdm import MDM
+import repro.query.cache as cache_module
 from repro.query.cache import RewriteCache, canonical_omq_key
 from repro.query.engine import QueryEngine
 from repro.query.omq import parse_omq
@@ -418,8 +419,9 @@ class TestStructureGuardAcrossReleases:
 
 
 class TestCacheMechanics:
-    def test_lru_eviction(self, scenario):
-        cache = RewriteCache(max_entries=1)
+    def test_lru_eviction(self, scenario, monkeypatch):
+        monkeypatch.setattr(cache_module, "REWRITE_CACHE_ENTRIES", 1)
+        cache = RewriteCache()
         engine = QueryEngine(scenario.ontology)
         engine.cache = cache
         engine.rewrite(EXEMPLARY_QUERY)
@@ -428,10 +430,6 @@ class TestCacheMechanics:
         assert cache.stats.lru_evictions == 1
         engine.rewrite(EXEMPLARY_QUERY)  # was evicted -> miss
         assert cache.stats.hits == 0
-
-    def test_invalid_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            RewriteCache(max_entries=0)
 
     def test_shared_cache_never_cross_serves_ontologies(self):
         """Two structurally identical ontologies sharing one cache must

@@ -1,11 +1,14 @@
 """Serving-layer scan-cache tests: cross-query sharing, scans that
 outlive releases, rebinds, observability."""
 
+import pytest
+
+import repro.relational.physical as physical_module
 from repro.api.protocol import QueryRequest, ReleaseRequest
 from repro.query import QueryEngine
 from repro.service.workload import (
-    LatencyWrapper, analyst_panel, build_industrial_service,
-    next_version_release,
+    _API_FIELDS, LatencyWrapper, _api_query, analyst_panel,
+    build_industrial_service, next_version_release,
 )
 
 
@@ -122,3 +125,41 @@ class TestServingScanCache:
         assert "scan cache" in text
         assert "misses = 1" in text
         assert "evictions: data version = 0, rebind = 0" in text
+
+
+class TestScanCacheBudget:
+    """The serving scan cache is an LRU bounded in scans and in rows:
+    distinct column sets past the budget evict the least-recent scans,
+    and every answer stays equal to the naive oracle."""
+
+    @pytest.mark.parametrize("bound,value", [
+        ("SCAN_CACHE_ENTRIES", 2),
+        ("SCAN_CACHE_ROWS", 16),  # two 8-row scans
+    ])
+    def test_distinct_column_sets_past_the_budget(self, monkeypatch,
+                                                  bound, value):
+        monkeypatch.setattr(physical_module, bound, value)
+        scenario = build_industrial_service(rows_per_wrapper=8)
+        fields = _API_FIELDS["google_calendar"]
+        # one column set per query: id plus one field, then id plus two
+        queries = ([_api_query("google_calendar", [f]) for f in fields]
+                   + [_api_query("google_calendar", fields[:2])])
+        expected = [oracle(scenario.ontology, q) for q in queries]
+        counts = count_fetches(scenario)
+        service = scenario.mdm.serving()
+        for query, answer in zip(queries, expected):
+            assert governed_answer(service, query) == answer
+        stats = service.scan_cache.stats
+        assert stats.misses == len(queries) == sum(counts.values())
+        assert stats.lru_evictions == len(queries) - 2 > 0
+        assert len(service.scan_cache) == 2
+        assert "LRU = 2" in service.describe()
+        # the oldest scan was evicted: re-requesting it fetches again
+        service.answer_cache.clear()
+        assert governed_answer(service, queries[0]) == expected[0]
+        assert sum(counts.values()) == len(queries) + 1
+        # the newest scan is still cached
+        service.answer_cache.clear()
+        assert governed_answer(service, queries[-1]) == expected[-1]
+        assert sum(counts.values()) == len(queries) + 1
+        assert stats.hits == 1
