@@ -149,15 +149,15 @@ class PhysicalPlan:
 
 def plan_walk(walk: Walk, mapping: dict[str, str],
               estimate: Estimator,
-              distinct: bool = False) -> PhysicalOperator:
+              distinct: bool = False) -> PhysicalProject:
     """Lower one walk into a physical branch.
 
     *mapping* is the branch's closing projection: output column name →
     qualified attribute (:meth:`UCQ.branch_mapping
     <repro.query.ucq.UCQ.branch_mapping>`). Only attributes reachable
     from it — plus join keys — are scanned. With *distinct* (the
-    branch feeds a DISTINCT union) every scan below a join
-    deduplicates its rows.
+    branch feeds a DISTINCT union) the closing projection drops its
+    duplicate rows, and so does every scan below a join.
     """
     if not walk.schemas:
         raise RewritingError("cannot lower an empty walk")
@@ -183,8 +183,8 @@ def plan_walk(walk: Walk, mapping: dict[str, str],
 
     estimates = {name: estimate(name) for name in walk.schemas}
     # A lone scan fetches exactly the branch's output columns, so the
-    # closing projection's DISTINCT pre-pass already drops its
-    # duplicates; deduplicating at the leaf pays only below a join.
+    # closing projection's dedup already drops its duplicates;
+    # deduplicating at the leaf pays only below a join.
     dedup = distinct and len(walk.schemas) > 1
 
     def leaf(name: str) -> PhysicalScan:
@@ -269,7 +269,7 @@ def plan_walk(walk: Walk, mapping: dict[str, str],
             f"redundant join conditions remain: "
             f"{[str(j) for j in sorted(pending)]}")
 
-    return PhysicalProject(tree, dict(mapping))
+    return PhysicalProject(tree, dict(mapping), distinct=distinct)
 
 
 def plan_ucq(ontology: BDIOntology, ucq: "UCQ",
@@ -298,7 +298,7 @@ def plan_ucq(ontology: BDIOntology, ucq: "UCQ",
     # Under set semantics a walk equivalent to an earlier one adds no
     # row: plan the first walk of each class, in UCQ order. Bag
     # semantics needs every walk's duplicates, so each is its own key.
-    branches: list[PhysicalOperator] = []
+    branches: list[PhysicalProject] = []
     walks: list[int] = []
     position_of: dict[object, int] = {}
     for index, walk in enumerate(ucq.walks):

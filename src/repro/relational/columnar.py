@@ -374,17 +374,22 @@ class ColumnBatch:
         """
         keep = self._keep
         if keep is _UNKNOWN:
-            keep = self._first_occurrence_keep()
+            keep = self._first_occurrence_keep(
+                [self.encoded_at(i) for i in range(len(self.columns))])
             self._keep = keep
         return keep
 
-    def _first_occurrence_keep(self) -> "list[int] | None":
+    def _first_occurrence_keep(
+            self, encodings: "Sequence[EncodedColumn | None]"
+    ) -> "list[int] | None":
+        """Keep list over the live rows, deduplicating each column on
+        its codes where *encodings* has them and on its values where
+        it has ``None``. With numpy and every column encoded, the
+        lanes are int64 vectors and the packed kernel runs."""
         if not self.columns:
             # Zero-column rows are all equal: at most one survives.
             return [0] if len(self) > 1 else None
         sel = self.selection
-        encodings = [self.encoded_at(i)
-                     for i in range(len(self.columns))]
         lanes: list[Any] = []
         if accel.available() and all(
                 enc is not None for enc in encodings):
@@ -473,52 +478,17 @@ class ColumnBatch:
                            name=self.schema.name)
 
     def distinct(self) -> "ColumnBatch":
-        """First-occurrence dedup over all columns (one zip pass).
+        """First-occurrence dedup over all columns (dense output).
 
         Columns whose dictionary encoding is already built (scan
         columns shared through the memo, or codes installed by the
-        fused projection) dedup on their int codes, so the zip keys
-        hash small ints instead of arbitrary objects. Codes share the
-        dictionary's equality (``1`` and ``1.0`` take one code), so
-        the result is identical to value dedup.
+        fused projection) dedup on their int codes; no new encoding is
+        built. Codes share the dictionary's equality (``1`` and ``1.0``
+        take one code), so the result is identical to value dedup.
         """
-        if not self.columns:
-            # Zero-column batches deduplicate to at most one row.
-            return ColumnBatch(self.schema, (),
-                               _length=min(len(self), 1))
-        encodings = [self.known_encoding(i)
-                     for i in range(len(self.columns))]
-        if accel.available() and all(
-                enc is not None for enc in encodings):
-            # Fully encoded batch: dedup on int64 code vectors before
-            # any value (or even the dense gather) is materialized.
-            arrays = [enc.codes_vector() if self.selection is None  # type: ignore[union-attr]
-                      else accel.take(enc.codes_vector(),  # type: ignore[union-attr]
-                                      self.selection)
-                      for enc in encodings]
-            first = accel.first_occurrence_keep(arrays)
-            if first is None:
-                return self.compact()
-            sel = self.selection
-            stored = (first if sel is None
-                      else [sel[k] for k in first])
-            return ColumnBatch(
-                self.schema,
-                tuple(list(map(column.__getitem__, stored))
-                      for column in self.columns),
-                _length=len(first))
-        dense = self.dense_columns()
-        # Any-typed lanes: a lane is either int codes or raw values,
-        # and list invariance would otherwise reject the mix.
-        lanes: list[list[Any]] = [
-            enc.select(self.selection) if enc is not None else live
-            for enc, live in zip(encodings, dense)]
-        keep = first_occurrences(lanes)
-        if keep is None:
-            return self.compact()
-        columns = tuple(list(map(column.__getitem__, keep))
-                        for column in dense)
-        return ColumnBatch(self.schema, columns, _length=len(keep))
+        keep = self._first_occurrence_keep(
+            [self.known_encoding(i) for i in range(len(self.columns))])
+        return self.compact() if keep is None else self.take(keep)
 
     # -- boundary adapters ---------------------------------------------------
 

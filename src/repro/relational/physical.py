@@ -438,10 +438,9 @@ class FusedBatch:
     outputs. Pipeline breakers (join build, union dedup) remain — they
     are where a segment's indices are finally consumed.
 
-    Column lookup is by qualified name, first leaf wins — the same
-    leftmost-match rule :meth:`ColumnBatch.rename` applies over a
-    joined batch's concatenated attributes, so a self-join resolves
-    identically whether or not its segment is materialized.
+    Column lookup is by qualified name, first leaf wins — the
+    leftmost-match rule of a join's concatenated attributes
+    (:meth:`PhysicalHashJoin.schema`).
     """
 
     __slots__ = ("leaves", "indices", "length")
@@ -521,28 +520,6 @@ class FusedBatch:
                 out.append(list(map(index.__getitem__, picks)))
         return tuple(out)
 
-    def materialize(self) -> ColumnBatch:
-        """Gather every leaf column (the unfused interop boundary)."""
-        attrs: list[Attribute] = []
-        columns: list[list[object]] = []
-        for leaf, index in zip(self.leaves, self.indices):
-            attrs.extend(leaf.schema.attributes)
-            if index is None:
-                columns.extend(leaf.columns)
-            else:
-                if accel.is_array(index):
-                    index = index.tolist()
-                columns.extend(
-                    list(map(data.__getitem__, index))
-                    for data in leaf.columns)
-        if len(self.leaves) == 1:
-            name = self.leaves[0].schema.name
-        else:
-            name = "({})".format(
-                "⋈̃".join(leaf.schema.name for leaf in self.leaves))
-        return ColumnBatch(RelationSchema(name, tuple(attrs), None),
-                           columns, _length=self.length)
-
     def project(self, mapping: Mapping[str, str],
                 schema: RelationSchema,
                 distinct: bool = False) -> ColumnBatch:
@@ -620,17 +597,21 @@ _ExecResult = TypeVar("_ExecResult", ColumnBatch, FusedBatch)
 class PhysicalOperator:
     """Base class of physical plan nodes.
 
-    :meth:`execute_encoded` materializes the node as a
-    :class:`~repro.relational.columnar.ColumnBatch`: joins run on
-    dictionary codes and pipeline-compatible chains fuse into one
-    gather pass (:meth:`execute_fused` / :class:`FusedBatch`).
+    Each operator implements one of two entry points. Scans and joins
+    run :meth:`execute_fused`: their result is a :class:`FusedBatch`,
+    gather state over the scan batches, and joins run on dictionary
+    codes. Projections and unions run :meth:`execute_encoded`: the
+    projection is where a fused segment finally gathers values into a
+    :class:`~repro.relational.columnar.ColumnBatch`, and a union
+    concatenates projected batches. So every plan is a union of
+    projections (or one projection) over fused scan/join trees.
 
     The public ``execute*`` methods are thin instrumented wrappers:
     when the thread has an active
     :class:`~repro.relational.metrics.MetricsCollector`, each call
     records a :class:`~repro.relational.metrics.PlanMetrics` frame
     (rows out, wall time) around the ``_execute*`` implementation.
-    Subclasses override the underscored implementations and call
+    Subclasses override the underscored implementation and call
     their *children's* public methods, never their own, so every node
     opens exactly one frame per execution.
     """
@@ -641,14 +622,12 @@ class PhysicalOperator:
     # -- public entry points (metrics instrumentation) -----------------------
 
     def execute_encoded(self, provider: ScanProvider) -> ColumnBatch:
-        """Materialize the node as a batch."""
+        """Materialize the node as a batch (projections and unions)."""
         return self._instrumented(self._execute_encoded, provider)
 
     def execute_fused(self, provider: ScanProvider) -> FusedBatch:
-        """Execute as (part of) a fused pipeline segment: the result
-        is gather state, not materialized columns. Operators that do
-        not fuse return a single-leaf :class:`FusedBatch` wrapping
-        their materialized batch — fusion degrades, never breaks."""
+        """Execute as part of a fused pipeline segment (scans and
+        joins): the result is gather state, not materialized columns."""
         return self._instrumented(self._execute_fused, provider)
 
     def _instrumented(self,
@@ -672,13 +651,15 @@ class PhysicalOperator:
         name = type(self).__name__
         return (name.lower(), name, None)
 
-    # -- implementations (overridden by subclasses) --------------------------
+    # -- implementations (each subclass overrides exactly one) ---------------
 
     def _execute_encoded(self, provider: ScanProvider) -> ColumnBatch:
-        raise NotImplementedError
+        raise NotImplementedError(
+            f"{type(self).__name__} executes only fused")
 
     def _execute_fused(self, provider: ScanProvider) -> FusedBatch:
-        return FusedBatch.from_batch(self._execute_encoded(provider))
+        raise NotImplementedError(
+            f"{type(self).__name__} executes only encoded")
 
     def explain_lines(self, indent: int = 0) -> list[str]:
         raise NotImplementedError
@@ -718,19 +699,10 @@ class PhysicalScan(PhysicalOperator):
     def schema(self) -> RelationSchema:
         return self.relation_schema
 
-    def _execute_encoded(self, provider: ScanProvider) -> ColumnBatch:
-        # The row→batch boundary: the wrapper's relation pivots to
-        # columns once and the pivot is memoized on the relation, so a
-        # scan shared through the ScanCache pays it once per fetch.
-        # Wrappers are free to order columns differently than the plan
-        # declared (rows are dicts); the batch is realigned to the
-        # plan's order — a zero-copy rename — so a scan at the plan
-        # root presents the plan schema.
-        batch = provider.scan(self.wrapper_name, self.columns).columnar()
-        return batch.reorder(self.relation_schema.attribute_names)
-
     def _execute_fused(self, provider: ScanProvider) -> FusedBatch:
-        # No reorder here: fused consumers resolve columns by name, so
+        # The row→batch boundary: the wrapper's relation pivots to
+        # columns once and the pivot is memoized on the relation. No
+        # reorder here: fused consumers resolve columns by name, so
         # the relation-memoized batch — and the dictionary encodings
         # memoized on it — stays the *same object* for every query
         # scanning this wrapper, instead of one rename wrapper each.
@@ -763,13 +735,22 @@ class PhysicalScan(PhysicalOperator):
         return [f"{pad}scan {self.wrapper_name} {cols}{dedup}{note}"]
 
 
+def _row_keys(lanes: Sequence[Any]) -> Iterable[object]:
+    """Per-row join keys over parallel value *lanes* (a tuple per row
+    for a multi-condition join)."""
+    return lanes[0] if len(lanes) == 1 else zip(*lanes)
+
+
 @dataclass
 class PhysicalHashJoin(PhysicalOperator):
     """Hash equi-join with plan-time build-side choice.
 
     *conditions* pairs ``(build_attr, probe_attr)`` in qualified names.
-    Execution materializes the build side first, then probes it with
-    the probe side's key lanes.
+    Both sides execute fused; the join never gathers a data column. It
+    maps both sides' keys into one int code space
+    (:meth:`_key_codes`), matches them with one kernel (:meth:`_match`)
+    and composes the two match lists through the children's gather
+    state.
     """
 
     build: PhysicalOperator
@@ -784,143 +765,100 @@ class PhysicalHashJoin(PhysicalOperator):
             f"({b.name}⋈̃{p.name})",
             tuple(b.attributes) + tuple(p.attributes), None)
 
-    def _execute_encoded(self, provider: ScanProvider) -> ColumnBatch:
-        return self._execute_fused(provider).materialize()
-
     def _execute_fused(self, provider: ScanProvider) -> FusedBatch:
-        """Fused, int-coded hash join.
-
-        Both sides execute fused; the join never gathers data columns —
-        it only produces two match lists and composes them through the
-        children's gather state. When the (single) key column is
-        dictionary-encoded on both sides, the probe dictionary is
-        remapped onto the build code space once
-        (:meth:`EncodedColumn.remap_onto` — one hash per *distinct*
-        value) and the build table becomes a dense code-indexed bucket
-        list, so the per-row probe is a list index instead of an object
-        hash. When only the *probe* side is encoded (typical shape: a
-        unique-ID build column aborts encoding, its fanned-out foreign
-        side doesn't), each build row hashes once through the probe
-        dictionary's existing value→code index and the bucket list is
-        laid out over the probe code space — the probe loop is still a
-        list index per row. Multi-condition joins and joins with an
-        unencoded probe key fall back to the raw-value hash table over
-        the fused lanes.
-        """
         build = self.build.execute_fused(provider)
         if not len(build):
+            # Nothing can match, so the probe side never executes.
             # Single empty leaf under the *plan* schema: parents still
             # resolve every attribute by name, zero rows flow.
             return FusedBatch.from_batch(
                 ColumnBatch.empty(self.schema()))
-
-        build_keys = [c[0] for c in self.conditions]
-        probe_keys = [c[1] for c in self.conditions]
-        build_located = [build.locate(k) for k in build_keys]
-        build_coded = (build.code_lane(*build_located[0])
-                       if len(self.conditions) == 1 else None)
         probe = self.probe.execute_fused(provider)
-        if not len(probe):
-            return FusedBatch(build.leaves + probe.leaves,
-                              build.compose([]) + probe.compose([]), 0)
-
-        build_sel: Any = []
-        probe_sel: Any = []
-        append_probe = probe_sel.append
-        probe_coded = (probe.code_lane(*probe.locate(probe_keys[0]))
-                       if len(self.conditions) == 1 else None)
-        if build_coded is not None and probe_coded is not None:
-            build_enc, build_codes = build_coded
-            probe_enc, probe_codes = probe_coded
-            translate = probe_enc.remap_onto(build_enc)
-            if accel.available():
-                mapped = accel.translate_codes(translate, probe_codes)
-                match = accel.csr_probe(build_codes, mapped,
-                                        build_enc.cardinality)
-                if match is not None:
-                    build_sel, probe_sel = match
-            else:
-                buckets: "list[list[int] | None]" = \
-                    [None] * build_enc.cardinality
-                for i, code in enumerate(build_codes):
-                    bucket = buckets[code]
-                    if bucket is None:
-                        buckets[code] = [i]
-                    else:
-                        bucket.append(i)
-                for j, probe_code in enumerate(probe_codes):
-                    target = translate[probe_code]
-                    if target < 0:
-                        continue
-                    bucket = buckets[target]
-                    if bucket is None:
-                        continue
-                    build_sel += bucket
-                    if len(bucket) == 1:
-                        append_probe(j)
-                    else:
-                        probe_sel += [j] * len(bucket)
-        elif probe_coded is not None:
-            probe_enc, probe_codes = probe_coded
-            lookup = probe_enc.index.get
-            if accel.available():
-                mapped = [lookup(value, -1) for value in
-                          build.value_lane(*build_located[0])]
-                match = accel.csr_probe(mapped, probe_codes,
-                                        probe_enc.cardinality)
-                if match is not None:
-                    build_sel, probe_sel = match
-            else:
-                buckets = [None] * probe_enc.cardinality
-                for i, value in enumerate(
-                        build.value_lane(*build_located[0])):
-                    code = lookup(value)
-                    if code is None:
-                        continue
-                    bucket = buckets[code]
-                    if bucket is None:
-                        buckets[code] = [i]
-                    else:
-                        bucket.append(i)
-                for j, probe_code in enumerate(probe_codes):
-                    bucket = buckets[probe_code]
-                    if bucket is None:
-                        continue
-                    build_sel += bucket
-                    if len(bucket) == 1:
-                        append_probe(j)
-                    else:
-                        probe_sel += [j] * len(bucket)
-        else:
-            build_lanes = [build.value_lane(*loc)
-                           for loc in build_located]
-            table: dict[object, list[int]] = {}
-            if len(build_lanes) == 1:
-                for i, key in enumerate(build_lanes[0]):
-                    table.setdefault(key, []).append(i)
-            else:
-                for i, key in enumerate(zip(*build_lanes)):
-                    table.setdefault(key, []).append(i)
-            probe_lanes = [probe.value_lane(*probe.locate(k))
-                           for k in probe_keys]
-            probe_iter: Iterable[object] = (
-                probe_lanes[0] if len(probe_lanes) == 1
-                else zip(*probe_lanes))
-            get = table.get
-            for j, key in enumerate(probe_iter):
-                matches = get(key)
-                if matches is None:
-                    continue
-                build_sel += matches
-                if len(matches) == 1:
-                    append_probe(j)
-                else:
-                    probe_sel += [j] * len(matches)
-
+        build_sel, probe_sel = self._match(*self._key_codes(build, probe))
         return FusedBatch(build.leaves + probe.leaves,
                           build.compose(build_sel)
                           + probe.compose(probe_sel),
                           len(build_sel))
+
+    def _key_codes(self, build: FusedBatch, probe: FusedBatch
+                   ) -> tuple[Any, Any, int]:
+        """``(build codes, probe codes, code-space size)``: both sides'
+        join keys as per-row ints in one code space, ``-1`` where a key
+        cannot match.
+
+        * Both keys dictionary-encoded (single condition): the build
+          codes as they are; the probe dictionary is remapped onto the
+          build's (:meth:`EncodedColumn.remap_onto` — one hash per
+          *distinct* value), so a probe row costs a list index.
+        * Only the probe key encoded (typical shape: a unique-ID build
+          column aborts encoding, its fanned-out foreign side doesn't):
+          each build value hashes once through the probe dictionary's
+          value→code index.
+        * Otherwise a dict numbers the build keys (a tuple per row for
+          a multi-condition join), and each probe key looks its number
+          up.
+        """
+        build_at = [build.locate(b) for b, _ in self.conditions]
+        probe_at = [probe.locate(p) for _, p in self.conditions]
+        if len(self.conditions) == 1:
+            probe_coded = probe.code_lane(*probe_at[0])
+            if probe_coded is not None:
+                probe_enc, probe_codes = probe_coded
+                build_coded = build.code_lane(*build_at[0])
+                if build_coded is not None:
+                    build_enc, build_codes = build_coded
+                    translate = probe_enc.remap_onto(build_enc)
+                    if accel.available():
+                        mapped = accel.translate_codes(translate,
+                                                       probe_codes)
+                    else:
+                        mapped = list(map(translate.__getitem__,
+                                          probe_codes))
+                    return build_codes, mapped, build_enc.cardinality
+                lookup = probe_enc.index.get
+                return ([lookup(value, -1) for value in
+                         build.value_lane(*build_at[0])],
+                        probe_codes, probe_enc.cardinality)
+        numbering: dict[object, int] = {}
+        number = numbering.setdefault
+        build_codes = [number(key, len(numbering)) for key in
+                       _row_keys([build.value_lane(*at)
+                                  for at in build_at])]
+        get = numbering.get
+        probe_codes = [get(key, -1) for key in
+                       _row_keys([probe.value_lane(*at)
+                                  for at in probe_at])]
+        return build_codes, probe_codes, len(numbering)
+
+    @staticmethod
+    def _match(build_codes: Any, probe_codes: Any,
+               cardinality: int) -> tuple[Any, Any]:
+        """``(build rows, probe rows)`` of every pair of equal codes in
+        ``0 .. cardinality - 1``: probe-major, build rows ascending
+        within a code. The numpy kernel emits the same order."""
+        if accel.available():
+            match = accel.csr_probe(build_codes, probe_codes, cardinality)
+            return match if match is not None else ([], [])
+        buckets: "list[list[int] | None]" = [None] * cardinality
+        for i, code in enumerate(build_codes):
+            if code >= 0:
+                bucket = buckets[code]
+                if bucket is None:
+                    buckets[code] = [i]
+                else:
+                    bucket.append(i)
+        build_sel: list[int] = []
+        probe_sel: list[int] = []
+        for j, code in enumerate(probe_codes):
+            bucket = buckets[code] if code >= 0 else None
+            if bucket is None:
+                continue
+            build_sel += bucket
+            if len(bucket) == 1:
+                probe_sel.append(j)
+            else:
+                probe_sel += [j] * len(bucket)
+        return build_sel, probe_sel
 
     def _metrics_entry(self) -> tuple[str, str, dict[str, object] | None]:
         conds = ",".join(f"{b}={p}" for b, p in self.conditions)
@@ -941,11 +879,17 @@ class PhysicalHashJoin(PhysicalOperator):
 class PhysicalProject(PhysicalOperator):
     """The closing projection of one UCQ branch: rename qualified
     attributes onto feature column names (π of the paper's final step),
-    gathering only the mapped columns from the child's fused segment."""
+    gathering only the mapped columns from the child's fused segment.
+
+    With ``distinct`` (the planner sets it on a branch that feeds a
+    DISTINCT union) the branch deduplicates itself: first occurrences
+    are computed on the code lanes *before* any value is gathered."""
 
     child: PhysicalOperator
     #: output column name → qualified input attribute
     mapping: dict[str, str] = field(default_factory=dict)
+    #: keep only the first occurrence of each output row
+    distinct: bool = False
 
     def schema(self) -> RelationSchema:
         child_schema = self.child.schema()
@@ -955,23 +899,8 @@ class PhysicalProject(PhysicalOperator):
         return RelationSchema(f"π({child_schema.name})", attrs, None)
 
     def _execute_encoded(self, provider: ScanProvider) -> ColumnBatch:
-        # The closing projection is where a fused pipeline finally
-        # gathers values — and only for the mapped columns.
         return self.child.execute_fused(provider).project(
-            self.mapping, self.schema())
-
-    def execute_encoded_distinct(self, provider: ScanProvider
-                                 ) -> ColumnBatch:
-        """Project with branch-local dedup fused in (a distinct
-        union's pre-pass): first occurrences are computed on the code
-        lanes *before* any value is gathered or decoded."""
-        return self._instrumented(self._execute_encoded_distinct,
-                                  provider)
-
-    def _execute_encoded_distinct(self, provider: ScanProvider
-                                  ) -> ColumnBatch:
-        return self.child.execute_fused(provider).project(
-            self.mapping, self.schema(), distinct=True)
+            self.mapping, self.schema(), distinct=self.distinct)
 
     def _metrics_entry(self) -> tuple[str, str, dict[str, object] | None]:
         return ("project", f"π[{len(self.mapping)} cols]", None)
@@ -986,11 +915,11 @@ class PhysicalProject(PhysicalOperator):
 
 @dataclass
 class PhysicalUnion(PhysicalOperator):
-    """Union of schema-compatible branches; ``distinct`` deduplicates
-    during the single output pass. Branch scans hitting one
-    :class:`ScanCache` fetch each shared wrapper once."""
+    """Union of schema-compatible projection branches; ``distinct``
+    deduplicates during the single output pass. Branch scans hitting
+    one :class:`ScanCache` fetch each shared wrapper once."""
 
-    branches: tuple[PhysicalOperator, ...]
+    branches: tuple[PhysicalProject, ...]
     distinct: bool = True
     #: UCQ walks each branch stands for (explain only; empty = one
     #: each). The planner folds equivalent walks into one branch under
@@ -1007,30 +936,26 @@ class PhysicalUnion(PhysicalOperator):
                 raise SchemaError(
                     "union branches have incompatible schemas: "
                     f"{sorted(first)} vs {sorted(other)}")
+        for branch in self.branches:
+            if not isinstance(branch, PhysicalProject):
+                raise SchemaError(
+                    "union branches must be projections, got "
+                    f"{type(branch).__name__}")
 
     def schema(self) -> RelationSchema:
         return self.branches[0].schema()
 
     def _execute_encoded(self, provider: ScanProvider) -> ColumnBatch:
-        """Encoded union: each projection branch pre-deduplicates on
-        its own code lanes (so the bulk of duplicate rows never
-        decode), then the global dedup runs over the shrunken concat —
-        and is skipped entirely for a single pre-deduped branch."""
-        schema = self.schema()
-        batches: list[ColumnBatch] = []
-        pre_deduped: list[bool] = []
-        for branch in self.branches:
-            if self.distinct and isinstance(branch, PhysicalProject):
-                batches.append(
-                    branch.execute_encoded_distinct(provider))
-                pre_deduped.append(True)
-            else:
-                batches.append(branch.execute_encoded(provider))
-                pre_deduped.append(False)
-        merged = concat_batches(schema, batches)
-        if not self.distinct:
-            return merged
-        if len(batches) == 1 and pre_deduped[0]:
+        """Concatenate every branch's batch, then deduplicate globally
+        under ``distinct``. Branches the planner marked ``distinct``
+        already dropped their own duplicates on their code lanes, so
+        the global pass runs over the shrunken concat — and not at all
+        for a single such branch."""
+        merged = concat_batches(
+            self.schema(),
+            [branch.execute_encoded(provider) for branch in self.branches])
+        if not self.distinct or (len(self.branches) == 1
+                                 and self.branches[0].distinct):
             return merged
         return merged.distinct()
 

@@ -28,8 +28,8 @@ maintained result is bag-equal to a cold recompute by construction
 support rises from 0 and leaves when it falls back to 0).
 
 Scan dedup under DISTINCT is deliberately *not* mirrored: scan states
-hold the full (projected) wrapper bag, and the union's support counts
-keep a tuple until its last supporting row is deleted.
+pass the full (projected) wrapper bag's changes on, and the union's
+support counts keep a tuple until its last supporting row is deleted.
 """
 
 from __future__ import annotations
@@ -82,33 +82,28 @@ class DeltaNode:
 
 
 class ScanState(DeltaNode):
-    """Leaf: the maintained bag of one wrapper scan.
+    """Leaf: one wrapper scan's delta, passed through.
 
     Tuples follow the plan's qualified attribute order
     (``schema.attribute_names``); ``columns`` is the pushed-down
     projection the standing query re-requests when it must rescan.
+    What the query needs of the rows lives above the leaf, in the join
+    indexes and the result bag; the leaf keeps only the running size
+    of the wrapper's bag, which the fallback valve reads.
     """
 
     def __init__(self, scan: PhysicalScan) -> None:
         self.schema = scan.schema()
         self.wrapper_name = scan.wrapper_name
         self.columns = scan.columns
-        self.rows: Counter[RowTuple] = Counter()
-        self._size = 0  # running Σ|count|: the valve reads it per tick
+        self._size = 0  # running Σ count of the wrapper's bag
 
     def apply(self, scan_deltas: ScanDeltas) -> Counter[RowTuple]:
         delta = scan_deltas.get(self)
         if not delta:
             return Counter()
         _drop_zeros(delta)
-        for row, count in delta.items():
-            old = self.rows[row]
-            updated = old + count
-            self._size += abs(updated) - abs(old)
-            if updated:
-                self.rows[row] = updated
-            else:
-                del self.rows[row]
+        self._size += sum(delta.values())
         return delta
 
     def state_rows(self) -> int:

@@ -159,21 +159,15 @@ class RestWrapper(Wrapper):
         the schema, revision, count or seed changed, every generated
         row changed with it, and the only honest answer to "what
         changed since?" is a full resync (``fetch_deltas`` → None).
+        A failing probe raises, like :meth:`data_version`.
         """
-        try:
-            return (self._base_token(),
-                    self.endpoint.live_seq(self.version))
-        except Exception:
-            return None
+        return (self._base_token(), self.endpoint.live_seq(self.version))
 
     def fetch_deltas(self, since: object) -> WrapperDeltas | None:
         if not isinstance(since, tuple) or len(since) != 2:
             return None
         base, seq = since
-        try:
-            current_base = self._base_token()
-        except Exception:
-            return None
+        current_base = self._base_token()
         if base != current_base or not isinstance(seq, int):
             return None
         records = self.endpoint.changes_since(seq, self.version)

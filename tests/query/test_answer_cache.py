@@ -347,11 +347,11 @@ class TestFailClosedFreshness:
             self.change(w3, old, new)
             assert engine.answer(EXEMPLARY_QUERY) == self.oracle(scenario)
 
-    def test_failing_rest_probe_is_served_from_no_cache(self):
-        """A REST wrapper whose probe raises never reads as unchanged:
-        two failing probes used to mint equal tokens."""
+    @staticmethod
+    def rest_scenario():
+        """One governed REST endpoint and a query over its wrapper:
+        ``(ontology, endpoint, wrapper name, query, oracle)``."""
         from repro.evolution.apply import GovernedApi
-        from repro.relational.physical import ScanCache
         from repro.sources.rest_api import (
             ApiVersion, Endpoint, FieldSpec, RestApi,
         )
@@ -371,20 +371,66 @@ class TestFailClosedFreshness:
         }
         """
 
+        def oracle():
+            return QueryEngine(gov.ontology, use_planner=False,
+                               use_cache=False, use_answer_cache=False
+                               ).answer(query)
+        return gov.ontology, endpoint, wrapper, query, oracle
+
+    def test_failing_rest_probe_is_served_from_no_cache(self):
+        """A REST wrapper whose probe raises never reads as unchanged:
+        two failing probes used to mint equal tokens."""
+        from repro.relational.physical import ScanCache
+        ontology, endpoint, wrapper, query, oracle = self.rest_scenario()
+
         def live_seq(version):
             raise RuntimeError("endpoint is down")
         endpoint.live_seq = live_seq
-        engine = QueryEngine(gov.ontology)
+        engine = QueryEngine(ontology)
         scans = ScanCache()
-        expected = QueryEngine(gov.ontology, use_planner=False,
-                               use_cache=False, use_answer_cache=False
-                               ).answer(query)
+        expected = oracle()
         for _ in range(2):
             assert engine.answer(query, scan_cache=scans) == expected
         answers = engine.answer_cache.stats
         assert (answers.hits, answers.stores) == (0, 0)
         assert scans.stats.hits == 0 and scans.stats.misses == 2
         assert list(scans.stats.unversioned) == [f"{wrapper}: RuntimeError"]
+
+    def test_failing_delta_probe_is_counted_not_reseeded(self):
+        """A REST delta cursor whose probe raises during a seed fails
+        the patch: the entry is discarded and the exception's class
+        counted. Swallowed, the failure would leave a ``None`` cursor,
+        and every later refresh would reseed with no error counted."""
+        ontology, endpoint, wrapper, query, oracle = self.rest_scenario()
+        engine = QueryEngine(ontology)
+        assert engine.answer(query) == oracle()
+        endpoint.push_documents("1", [{"id": 100, "val": "pushed"}])
+
+        physical = ontology.physical_wrapper(wrapper)
+        real_cursor, real_seq = physical.delta_cursor, endpoint.live_seq
+        armed, in_cursor = [True], []
+
+        def live_seq(version):
+            if armed and in_cursor:  # once, and only inside the cursor
+                armed.clear()
+                raise RuntimeError("change log is down")
+            return real_seq(version)
+
+        def delta_cursor():
+            in_cursor.append(True)
+            try:
+                return real_cursor()
+            finally:
+                in_cursor.pop()
+        endpoint.live_seq = live_seq
+        physical.delta_cursor = delta_cursor
+        answer = engine.answer(query)
+        assert not armed  # the probe raised once, inside delta_cursor
+        assert answer == oracle()
+        assert {"val": "pushed"} in answer.rows
+        stats = engine.answer_cache.stats
+        assert stats.fallback_errors == {"RuntimeError": 1}
+        assert stats.seeds == 0
 
     def test_bare_wrapper_is_never_served_stale(self, scenario):
         """A wrapper that keeps the base ``data_version`` is not taken

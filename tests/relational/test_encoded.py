@@ -18,7 +18,7 @@ from repro.relational.columnar import (
     first_occurrences,
 )
 from repro.relational.physical import (
-    CachingScanProvider, PhysicalHashJoin, PhysicalScan,
+    CachingScanProvider, PhysicalHashJoin, PhysicalProject, PhysicalScan,
     RelationScanProvider, ScanCache,
 )
 from repro.relational.rows import Relation
@@ -157,6 +157,13 @@ def join_provider(build_rows, probe_rows):
     return provider, join
 
 
+def project_all(node):
+    """*node* under an identity projection: the operator that gathers
+    a fused scan/join tree into a batch."""
+    names = node.schema().attribute_names
+    return PhysicalProject(node, {name: name for name in names})
+
+
 def logical_of(join):
     """The logical-algebra twin of a physical join tree (the oracle)."""
     if isinstance(join, PhysicalScan):
@@ -168,7 +175,8 @@ def logical_of(join):
 class TestCodedJoins:
     def assert_encoded_matches_oracle(self, provider, join):
         expected = logical_of(join).evaluate(provider)
-        got = join.execute_encoded(RelationScanProvider(provider))
+        got = project_all(join).execute_encoded(
+            RelationScanProvider(provider))
         assert got.to_relation() == expected
         return expected
 
@@ -239,7 +247,7 @@ class TestCodedJoins:
             probe=scan_of(provider, "tail"),
             conditions=(("H/id", "T/id"),))
         scans = RelationScanProvider(provider)
-        batch = outer.execute_encoded(scans)
+        batch = project_all(outer).execute_encoded(scans)
         assert len(batch) == 0
         assert set(batch.schema.attribute_names) == {
             "D/id", "D/v", "H/id", "H/v", "T/id", "T/v"}
@@ -310,14 +318,14 @@ class TestEncodedDistinct:
         calls = []
         original = ColumnBatch._first_occurrence_keep
 
-        def counted(batch):
+        def counted(batch, encodings):
             calls.append(batch)
-            return original(batch)
+            return original(batch, encodings)
 
         monkeypatch.setattr(ColumnBatch, "_first_occurrence_keep",
                             counted)
         for _ in range(3):
-            out = scan.execute_fused(scans).materialize()
+            out = project_all(scan).execute_encoded(scans)
             assert out.to_rows() == [{"a": "x", "b": 1},
                                      {"a": "y", "b": 2}]
         assert len(calls) == 1

@@ -7,7 +7,7 @@ import pytest
 
 from repro.errors import SchemaError
 from repro.relational.physical import (
-    CachingScanProvider, PhysicalHashJoin, PhysicalScan,
+    CachingScanProvider, PhysicalHashJoin, PhysicalProject, PhysicalScan,
     PhysicalUnion, RelationScanProvider, ScanCache, ScanKey,
     WrapperScanProvider, as_scan_provider,
 )
@@ -337,7 +337,8 @@ class TestPhysicalOperators:
             build=self.scan(provider, "w2"),
             probe=self.scan(provider, "w1"),
             conditions=(("D2/id", "D1/id"),))
-        out = join.execute_encoded(Spy(provider))
+        out = PhysicalProject(join, {"id": "D1/id"}).execute_encoded(
+            Spy(provider))
         assert len(out) == 0
         assert seen == ["w2"]  # probe never fetched
 
@@ -355,16 +356,22 @@ class TestPhysicalOperators:
         with pytest.raises(TypeError):
             # the join needs hashable keys; the scans themselves fetch
             # the unhashable rows without complaint
-            join.execute_encoded(RelationScanProvider(provider))
+            PhysicalProject(join, {"id": "D1/id"}).execute_encoded(
+                RelationScanProvider(provider))
 
     def test_union_distinct_single_pass(self, provider):
-        branch = self.scan(provider, "w1", ["D1/id"])
+        branch = PhysicalProject(self.scan(provider, "w1", ["D1/id"]),
+                                 {"id": "D1/id"})
         union = PhysicalUnion((branch, branch), distinct=True)
         out = union.execute_encoded(RelationScanProvider(provider))
         assert len(out) == 3  # duplicates collapsed
         union_all = PhysicalUnion((branch, branch), distinct=False)
         assert len(union_all.execute_encoded(
             RelationScanProvider(provider))) == 6
+
+    def test_union_branches_must_be_projections(self, provider):
+        with pytest.raises(SchemaError, match="projections"):
+            PhysicalUnion((self.scan(provider, "w1"),))
 
     def test_union_incompatible_schemas_rejected(self, provider):
         with pytest.raises(SchemaError, match="incompatible"):
