@@ -12,11 +12,16 @@ of the reproduction (see ``docs/architecture.md``). Two workloads:
   and a comments query (never invalidated — its concept is untouched by
   the posts releases).
 
+A third run lands the same fifteen releases through a governed service
+while an analyst panel of eight posts queries is answered after each
+one: every answer is its cached answer plus the new wrapper's rows.
+
 Asserted invariants: warm rewrites are ≥ 10× faster than cold on the
 running example, and a release invalidates exactly the entries whose
 concepts it touches, except that a purely additive release extends a
 touched single-concept entry into the rewriting a cold rewrite
-computes, walk by walk.
+computes, walk by walk, and extends each cached answer into the bag
+the naive evaluator computes.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from __future__ import annotations
 import statistics
 import time
 
+from repro.api.protocol import ReleaseRequest
 from repro.core.ontology import BDIOntology
 from repro.core.release import new_release
 from repro.datasets import EXEMPLARY_QUERY, build_supersede
@@ -32,7 +38,9 @@ from repro.evolution.growth import WP, _prepare_global_graph, \
     wordpress_release
 from repro.evolution.release_builder import build_release
 from repro.evolution.wordpress import WORDPRESS_RELEASES
+from repro.mdm import MDM
 from repro.query.engine import QueryEngine
+from repro.wrappers.base import StaticWrapper
 
 FEEDBACK_QUERY = """
 SELECT ?x ?y WHERE {
@@ -246,3 +254,95 @@ def test_wordpress_release_storm(write_result, write_json):
     # The final posts rewriting spans every wrapper version so far.
     assert len(engine.rewrite(POSTS_QUERY).walks) == len(
         WORDPRESS_RELEASES)
+
+
+#: the historical posts panel answered after every release
+POSTS_PANEL = (
+    ("title",), ("meta",), ("featured_media",), ("status",),
+    ("id", "title"), ("title", "author", "date"),
+    ("slug", "modified", "meta"),
+    ("id", "featured_media", "excerpt", "sticky"),
+)
+
+#: inline rows each release's wrapper serves
+ROWS_PER_RELEASE = 30
+
+
+def _posts_panel_query(features) -> str:
+    variables = " ".join(f"?v{i}" for i in range(len(features)))
+    values = " ".join(f"<{WP[f'post/{f}']}>" for f in features)
+    pattern = " .\n".join(
+        f"<{WP.Post}> G:hasFeature <{WP[f'post/{f}']}>" for f in features)
+    return (f"SELECT {variables} WHERE {{ VALUES ({variables}) "
+            f"{{ ({values}) }}\n{pattern} }}")
+
+
+def test_wordpress_answer_storm(write_result, write_json):
+    """15 releases land through a service; after each one the panel's
+    answers are extended by the new wrapper's rows (never recomputed)
+    and equal the naive evaluator's bags."""
+    ontology = BDIOntology()
+    _prepare_global_graph(ontology)
+    service = MDM(ontology).serving()
+    client = service.client()
+    naive = QueryEngine(ontology, use_planner=False, use_cache=False,
+                        use_answer_cache=False)
+    recomputing = QueryEngine(ontology, use_answer_cache=False)
+    queries = [_posts_panel_query(q) for q in POSTS_PANEL]
+
+    extended_time = 0.0
+    recomputed_time = 0.0
+    for index, spec in enumerate(WORDPRESS_RELEASES):
+        release = wordpress_release(ontology, spec)
+        release.wrapper = StaticWrapper(
+            release.wrapper_name, release.source_name,
+            release.id_attributes, release.non_id_attributes,
+            rows=[{a: f"{release.wrapper_name}-{a}-{j}"
+                   for a in release.attributes}
+                  for j in range(ROWS_PER_RELEASE)])
+        service.endpoint.handle_release(ReleaseRequest(
+            release=release,
+            absorbed_concepts=(str(WP.Post),) if index == 0 else (),
+        )).raise_for_error()
+        for query in queries:
+            start = time.perf_counter()
+            served = client.query(query).relation
+            elapsed = time.perf_counter() - start
+            start = time.perf_counter()
+            recomputed = recomputing.answer(query)
+            if index:
+                extended_time += elapsed
+                recomputed_time += time.perf_counter() - start
+            assert served == naive.answer(query), (spec.version, query)
+            assert recomputed == served
+
+    stats = service.answer_cache.stats
+    releases_landed = len(WORDPRESS_RELEASES) - 1
+    content = "\n".join([
+        "Release-delta answers — Wordpress release storm (§6.4)",
+        "",
+        f"releases landed after the first: {releases_landed}, "
+        f"{len(queries)} panel queries answered after each",
+        f"answers extended               : {stats.extended}",
+        f"extension fallbacks            : {stats.extension_fallbacks}",
+        "",
+        f"panel total, extended answers  : {extended_time * 1e3:8.2f} ms",
+        f"panel total, recomputed answers: {recomputed_time * 1e3:8.2f} ms",
+        "",
+        f"answer cache stats: {stats.snapshot()}",
+    ])
+    write_result("bench_rewrite_cache_wordpress_answers.txt", content)
+    write_json("rewrite_cache_wordpress_answers", {
+        "releases_landed": releases_landed,
+        "queries_per_release": len(queries),
+        "extended_seconds": extended_time,
+        "recomputed_seconds": recomputed_time,
+        "answer_cache_stats": stats.snapshot(),
+    })
+    client.close()
+    service.close()
+
+    # Release 1 absorbs the modelling of Post, so there is nothing to
+    # extend yet; each later release only adds a wrapper.
+    assert stats.extended == releases_landed * len(queries)
+    assert stats.extension_fallbacks == {}

@@ -16,6 +16,7 @@ LAV mapping subgraph. It exposes:
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING, Callable, Hashable, Iterable, TypeVar, cast,
@@ -33,7 +34,8 @@ from repro.core.vocabulary import (
 from repro.errors import OntologyError, UnknownWrapperError
 from repro.rdf.dataset import Dataset
 from repro.rdf.graph import Graph
-from repro.rdf.namespace import G as G_NS, M as M_NS
+from repro.rdf.namespace import G as G_NS, M as M_NS, OWL, \
+    S as S_NS
 from repro.rdf.sparql import parse_sparql, select
 from repro.rdf.term import IRI
 from repro.relational.rows import Relation
@@ -45,6 +47,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["BDIOntology", "EvolutionEvent", "OntologyFingerprint"]
 
 _T = TypeVar("_T")
+
+#: the lookup catalog: (state of T, lookup key -> answer)
+_Catalog = tuple[tuple[int, int], dict[Hashable, object]]
 
 # The lookups of Algorithms 3-5, kept as the paper's literal SPARQL but
 # parsed once at import; each call binds its IRIs into the ?slots.
@@ -143,8 +148,10 @@ class BDIOntology:
             list[Callable[[EvolutionEvent], None]] = []
         #: (state of T, lookup key -> answer): the lookup catalog,
         #: valid only while :meth:`_state` still reads that state
-        self._catalog: tuple[tuple[int, int], dict[Hashable, object]] = \
-            ((-1, -1), {})
+        self._catalog: _Catalog = ((-1, -1), {})
+        #: (epoch, catalog) as the latest :meth:`begin_evolution` found
+        #: them, for :meth:`carry_catalog`
+        self._catalog_at_begin: tuple[int, _Catalog] | None = None
         if include_metamodel:
             self._g.update(global_metamodel())
             self._s.update(source_metamodel())
@@ -211,6 +218,9 @@ class BDIOntology:
         before one close keep the worst flag seen.
         """
         gap = self.has_ungoverned_gap()
+        # has_ungoverned_gap() read the fingerprint through the lookup
+        # catalog, so the catalog is current here.
+        self._catalog_at_begin = (self._epoch, self._catalog)
         if self._evolution_bracket_gap is None:
             self._evolution_bracket_gap = gap
         else:
@@ -226,6 +236,7 @@ class BDIOntology:
         stale bracket flag.
         """
         self._evolution_bracket_gap = None
+        self._catalog_at_begin = None
 
     def note_evolution(self, concepts: Iterable[IRI | str],
                        description: str = "",
@@ -370,13 +381,14 @@ class BDIOntology:
 
         The catalog is keyed by :meth:`_state`. A different state drops
         the whole catalog, whoever made the edit and whether or not it
-        changed a triple count. A miss runs *compute* and stores its
-        answer only if the state did not move meanwhile, so an answer
-        computed across an edit is never served later. Stored answers
-        are never mutated (tuples, IRIs, frozen schemas, fingerprints,
-        and the per-feature providing map, which only
-        :meth:`attribute_providing` reads); the public methods hand out
-        fresh lists. Concurrent readers at most recompute an answer:
+        changed a triple count; only Algorithm 1 carries it across a
+        release that just added a wrapper (:meth:`carry_catalog`). A
+        miss runs *compute* and stores its answer only if the state did
+        not move meanwhile, so an answer computed across an edit is
+        never served later. Stored answers are never mutated (tuples,
+        IRIs, frozen schemas, fingerprints, and the per-feature
+        providing map, which only :meth:`attribute_providing` reads);
+        the public methods hand out fresh lists. Concurrent readers at most recompute an answer:
         each stores into the dict tagged with the state it read.
         """
         state = self._state()
@@ -389,6 +401,80 @@ class BDIOntology:
         if self._state() == state:
             catalog[1][key] = value
         return value
+
+    def carry_catalog(self, wrapper: str) -> bool:
+        """Carry the lookup catalog across a release that only added
+        *wrapper* (:attr:`EvolutionEvent.wrapper`).
+
+        Algorithm 1 calls this after recording such a release. The
+        release leaves G alone and gives no old wrapper an attribute, an
+        ``owl:sameAs`` link or a mapping edge, so the catalog as the
+        release's :meth:`begin_evolution` found it stays exact once the
+        new wrapper's own share is added:
+
+        * ``id_features`` and ``wrapper_relation_schema`` entries are
+          kept;
+        * ``providing``, ``wrappers_providing`` and ``edge_providers``
+          entries gain the new wrapper's contribution, read from its own
+          attributes and its own LAV graph;
+        * every other entry (the fingerprint) is dropped.
+
+        The carried entries are installed under the current state of T,
+        next to whatever was already computed there. Changed entries are
+        new dicts and tuples; no stored answer is mutated. It applies
+        only when exactly one event followed the latest
+        :meth:`begin_evolution`, and returns whether it applied.
+        """
+        snapshot, self._catalog_at_begin = self._catalog_at_begin, None
+        if snapshot is None or snapshot[0] != self._epoch - 1:
+            return False
+        wrapper_iri = wrapper_uri(wrapper)
+        lav = self.mappings.mapping_graph_of(wrapper)
+        owners = self._graphs_to_wrappers([mapping_graph_uri(wrapper)])
+        # The rows the providing-attributes select gains: the new
+        # wrapper's own attributes (in S) and the features they are the
+        # same as (in M), where Algorithm 1 writes both.
+        provided: dict[str, IRI] = {}
+        same_as = OWL.sameAs
+        for link in self._s.match(wrapper_iri, S_NS.hasAttribute, None):
+            attribute = IRI(str(link.o))
+            for same in self._m.match(link.o, same_as, None):
+                feature = str(same.o)
+                if isinstance(same.o, IRI) and (
+                        feature not in provided
+                        or attribute < provided[feature]):
+                    provided[feature] = attribute
+
+        has_feature = G_NS.hasFeature
+        carried: dict[Hashable, object] = {}
+        for key, value in snapshot[1][1].items():
+            kind, *args = cast("tuple[str, ...]", key)
+            if kind in ("id_features", "wrapper_relation_schema"):
+                carried[key] = value
+            elif kind == "providing":
+                attribute = provided.get(args[0])
+                carried[key] = value if attribute is None else {
+                    **cast("dict[str, IRI]", value),
+                    str(wrapper_iri): attribute}
+            elif kind in ("wrappers_providing", "edge_providers"):
+                predicate = (has_feature
+                             if kind == "wrappers_providing" else None)
+                wrappers = cast("tuple[IRI, ...]", value)
+                if lav is not None and lav.contains(
+                        IRI(args[0]), predicate, IRI(args[1])):
+                    # insert into the sorted answer, as sorted() would
+                    merged = list(wrappers)
+                    for owner in owners:
+                        if owner not in merged:
+                            bisect.insort(merged, owner)
+                    wrappers = tuple(merged)
+                carried[key] = wrappers
+        state = self._state()
+        current = self._catalog
+        if current[0] == state:
+            carried.update(current[1])
+        self._catalog = (state, carried)
+        return True
 
     def id_features_of(self, concept: IRI | str) -> list[IRI]:
         """Algorithm 3 line 10 / Algorithm 5 line 12, literally:
@@ -403,27 +489,12 @@ class BDIOntology:
         return list(self._lookup(("id_features", str(concept)), compute))
 
     def wrappers_providing(self, concept: IRI | str,
-                           feature: IRI | str,
-                           among: Iterable[IRI] | None = None,
-                           ) -> list[IRI]:
+                           feature: IRI | str) -> list[IRI]:
         """Algorithm 4 line 8: named graphs asserting the hasFeature edge.
 
         ``SELECT ?g FROM T WHERE { GRAPH ?g {⟨c, G:hasFeature, f⟩} }``;
         graph names are translated back to wrapper URIs via ``M:mapping``.
-        *among* restricts the answer to those wrappers: ``?g`` is then
-        bound to each one's own mapping graph, so the cost no longer
-        grows with the number of wrappers in ``T``. An extended
-        rewriting asks right after a release, when the select's cached
-        answer was just dropped.
         """
-        if among is not None:
-            edge = (IRI(str(concept)), G_NS.hasFeature, IRI(str(feature)))
-            return sorted(
-                wrapper for wrapper in among
-                if (graph := self.mappings.mapping_graph_of(
-                    wrapper_local_name(wrapper))) is not None
-                and edge in graph)
-
         def compute() -> tuple[IRI, ...]:
             rows = select(self.dataset, _FEATURE_GRAPHS,
                           bindings={"concept": IRI(str(concept)),

@@ -16,8 +16,10 @@ attributes across versions), stores the LAV named graph and serializes
 triple — the graphs are sets); each application does record one
 evolution event, so release-aware caches re-derive rewritings over the
 release's concepts. When the release is purely additive, the event names
-the wrapper it added, and a cached single-concept rewriting is extended
-by that wrapper's walks instead.
+the wrapper it added: a cached single-concept rewriting is extended by
+that wrapper's walks instead, and the ontology's lookup catalog is
+carried forward with the new wrapper's entries added
+(:meth:`~repro.core.ontology.BDIOntology.carry_catalog`).
 """
 
 from __future__ import annotations
@@ -274,12 +276,16 @@ def new_release(ontology: BDIOntology, release: Release,
         affected = release.affected_concepts() | previously_affected
         if absorbed_concepts:
             affected |= frozenset(IRI(str(c)) for c in absorbed_concepts)
-        ontology.note_evolution(
+        event = ontology.note_evolution(
             affected,
             description=f"release {release.wrapper_name} "
                         f"({release.source_name})",
             gap_absorbed=bool(absorbed_concepts),
             wrapper=release.wrapper_name if additive else None)
+        if event.wrapper is not None:
+            # Nothing an old wrapper reads changed: keep the metadata
+            # lookups answered so far, plus the new wrapper's share.
+            ontology.carry_catalog(event.wrapper)
     except BaseException:
         ontology.abort_evolution()
         raise

@@ -20,11 +20,12 @@ from repro.rdf.namespace import G as G_NS
 from repro.rdf.term import IRI
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.query.answer_cache import AnswerCache
     from repro.query.cache import RewriteCache
     from repro.service.serving import GovernedService
 
-__all__ = ["OMQBuilder", "describe_cache", "describe_global_graph",
-           "describe_service"]
+__all__ = ["OMQBuilder", "describe_answer_cache", "describe_cache",
+           "describe_global_graph", "describe_service"]
 
 
 class OMQBuilder:
@@ -142,6 +143,27 @@ def describe_cache(cache: "RewriteCache | None") -> str:
     return "\n".join(lines)
 
 
+def describe_answer_cache(cache: "AnswerCache") -> str:
+    """Readable counters of an answer cache: hits, evictions, answers
+    kept or extended across releases (and why others were not), and
+    incremental maintenance."""
+    stats = cache.stats
+    return "\n".join([
+        f"answer cache: {len(cache)} cached answer(s), "
+        f"hits = {stats.hits}, misses = {stats.misses}, "
+        f"hit rate = {stats.hit_rate:.1%}, "
+        f"evictions = {stats.evictions}, "
+        f"LRU evictions = {stats.lru_evictions}, "
+        f"invalidations = {stats.invalidations}",
+        f"  across releases: kept = {stats.kept}, "
+        f"extended = {stats.extended}, "
+        f"extension fallbacks: {_by_reason(stats.extension_fallbacks)}",
+        f"  incremental maintenance: patches = {stats.patches}, "
+        f"seeds = {stats.seeds}, fallbacks = {stats.fallbacks} "
+        f"(errors: {_by_reason(stats.fallback_errors)})",
+    ])
+
+
 def describe_service(service: "GovernedService") -> str:
     """Readable state of a governed serving layer.
 
@@ -179,20 +201,8 @@ def describe_service(service: "GovernedService") -> str:
         f"LRU = {scan_stats.lru_evictions}, "
         f"failed probes: version = {sum(scan_stats.unversioned.values())}"
         f", estimate = {sum(scan_stats.unestimated.values())}")
-    answer_stats = service.answer_cache.stats
-    lines.append(
-        f"  answer cache: {len(service.answer_cache)} cached "
-        f"answer(s), hits = {answer_stats.hits}, "
-        f"misses = {answer_stats.misses}, "
-        f"hit rate = {answer_stats.hit_rate:.1%}, "
-        f"evictions = {answer_stats.evictions}, "
-        f"LRU evictions = {answer_stats.lru_evictions}, "
-        f"invalidations = {answer_stats.invalidations}")
-    lines.append(
-        f"  incremental maintenance: patches = {answer_stats.patches}, "
-        f"seeds = {answer_stats.seeds}, "
-        f"fallbacks = {answer_stats.fallbacks} "
-        f"(errors: {_by_reason(answer_stats.fallback_errors)})")
+    lines.append("  " + describe_answer_cache(service.answer_cache)
+                 .replace("\n", "\n  "))
     journal = service.journal_info()
     if journal is None:
         lines.append("  journal: none (in-memory state — a restart "

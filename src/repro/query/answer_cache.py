@@ -12,7 +12,8 @@ release-awareness:
 
 * the **ontology fingerprint** the answer was computed under must still
   be current — any release landing through Algorithm 1 (or a bypassed
-  mutation of ``T``) keys the entry out;
+  mutation of ``T``) keys the entry out, unless the release left the
+  entry's rewriting alone or only extended it (below);
 * the **data_version** of every wrapper the plan scanned must be
   unchanged — an in-place data write (a document-store upsert, a REST
   source refresh) makes exactly the answers that read it miss, and the
@@ -22,11 +23,28 @@ release-awareness:
   the fingerprint nor (necessarily) the data version, and it evicts
   the entry without a patch.
 
-Both checks happen per lookup, so the cache is correct even without
-cooperation; the governed serving layer additionally clears it from its
-evolution listener at every epoch boundary, keeping memory tight across
-epochs (the scan cache below is not cleared: scans do not depend on
-``T``).
+All three checks happen per lookup, so the cache is correct without
+any cooperation from the serving layer, which does not clear it at
+epoch boundaries. Each entry also remembers the rewriting object it was
+computed from, and two cases are decided by that identity once the
+fingerprint check failed:
+
+* **keep** — the rewrite cache returned the very rewriting the entry was
+  computed from (the release touched only other concepts). The entry is
+  a hit and its fingerprint is refreshed.
+* **extend** — the current rewriting extends the entry's
+  (:attr:`~repro.query.rewriter.RewritingResult.extends`: an additive
+  release only added walks over a new wrapper). :meth:`AnswerCache.
+  lookup` misses but keeps the entry, and the engine computes the new
+  walks' rows alone and unions them into it
+  (:meth:`AnswerCache.extension_base`), counting the outcome in
+  :attr:`AnswerCacheStats.extended` or, when an old wrapper's data or
+  binding moved, in :attr:`AnswerCacheStats.extension_fallbacks`.
+
+Every other fingerprint mismatch evicts, counted as the fallback
+``not_extended``. Fingerprints remain the validity evidence of a
+hit: two engines sharing one answer cache never share rewriting
+objects, and hit on the fingerprint alone.
 
 Entries are shared objects: treat returned relations as immutable,
 exactly like rewrite-cache results and shared scans. A relation the
@@ -47,6 +65,7 @@ from repro.util.lru import LRU, LRUStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.ontology import OntologyFingerprint
+    from repro.query.rewriter import RewritingResult
     from repro.streaming.standing import StandingQuery
 
 __all__ = ["AnswerCache", "AnswerCacheStats", "CachedAnswer",
@@ -81,7 +100,7 @@ class AnswerCacheStats(LRUStats):
     #: entries dropped because their fingerprint or bound objects no
     #: longer matched at lookup time, or because a patch attempt failed
     evictions: int = 0
-    #: whole-cache clears (evolution events, administrative resets)
+    #: whole-cache clears (administrative resets)
     invalidations: int = 0
     #: stale entries brought current by O(Δ) incremental maintenance
     #: instead of eviction (the patch path)
@@ -95,6 +114,18 @@ class AnswerCacheStats(LRUStats):
     #: class name, so a programming error (``TypeError``) does not pass
     #: for an ordinary fallback
     fallback_errors: dict[str, int] = field(default_factory=dict)
+    #: stale entries across a release kept as hits, because the
+    #: rewrite cache returned the rewriting they were computed from
+    kept: int = 0
+    #: answers extended by the rows of the walks an additive release
+    #: added, instead of recomputed
+    extended: int = 0
+    #: answers a release made stale that were recomputed instead of
+    #: extended, by reason: ``not_extended`` (the current rewriting does
+    #: not extend the entry's), ``data_moved`` (an old wrapper's data
+    #: version moved), ``rebound`` (an old wrapper name is bound to
+    #: another object) or ``unversioned`` (a version probe failed)
+    extension_fallbacks: dict[str, int] = field(default_factory=dict)
 
 
 @dataclass
@@ -116,10 +147,18 @@ class CachedAnswer:
     #: the objects the answer read, aligned with ``data_versions`` and
     #: compared by identity (see :func:`same_objects`)
     bound: tuple[object, ...] = ()
+    #: the rewriting the answer was computed from (compared by identity;
+    #: see the module docstring)
+    rewriting: "RewritingResult | None" = field(
+        default=None, repr=False, compare=False)
     standing: "StandingQuery | None" = field(
         default=None, repr=False, compare=False)
     lock: threading.RLock = field(
         default_factory=threading.RLock, repr=False, compare=False)
+
+
+def _bump(counts: dict[str, int], reason: str) -> None:
+    counts[reason] = counts.get(reason, 0) + 1
 
 
 def same_objects(left: tuple[object, ...],
@@ -158,15 +197,19 @@ class AnswerCache:
     def lookup(self, key: str, distinct: bool,
                fingerprint: "OntologyFingerprint",
                data_versions: "tuple[tuple[str, object], ...]",
-               bound: tuple[object, ...] = ()) -> Relation | None:
+               bound: tuple[object, ...] = (),
+               rewriting: "RewritingResult | None" = None,
+               ) -> Relation | None:
         """The cached answer, or ``None`` when absent/stale.
 
         Every stale entry counts as a miss. A *data-stale* entry under
         an unchanged fingerprint survives it: only the wrappers' data
         moved, so the incremental patch path (:meth:`patchable_entry`
         → :meth:`install_patch`) can bring it current for O(Δ) instead
-        of a recompute. An epoch change (fingerprint mismatch) or a
-        rebind (*bound* holds another object) evicts — the rewriting or
+        of a recompute. A rebind (*bound* holds another object) evicts.
+        An epoch change (fingerprint mismatch) keeps the entry when
+        *rewriting* is the entry's own rewriting or extends it (see the
+        module docstring), and evicts it otherwise — the rewriting or
         the source itself may no longer be the one the entry read, and
         fingerprints only move forward.
         """
@@ -176,8 +219,22 @@ class AnswerCache:
             if entry is None:
                 self.stats.misses += 1
                 return None
-            if entry.fingerprint != fingerprint or not same_objects(
-                    entry.bound, bound):
+            if entry.fingerprint != fingerprint:
+                if rewriting is not None and entry.rewriting is rewriting:
+                    entry.fingerprint = fingerprint
+                    self.stats.kept += 1
+                elif rewriting is not None and rewriting.extension_of(
+                        entry.rewriting):
+                    # the engine extends it (extension_base)
+                    self.stats.misses += 1
+                    return None
+                else:
+                    self._entries.pop(slot)
+                    self.stats.evictions += 1
+                    self.stats.misses += 1
+                    _bump(self.stats.extension_fallbacks, "not_extended")
+                    return None
+            if not same_objects(entry.bound, bound):
                 self._entries.pop(slot)
                 self.stats.evictions += 1
                 self.stats.misses += 1
@@ -188,6 +245,25 @@ class AnswerCache:
             self.stats.hits += 1
             entry.relation.mark_reused()
             return entry.relation
+
+    def extension_base(self, key: str, distinct: bool,
+                       rewriting: "RewritingResult",
+                       ) -> CachedAnswer | None:
+        """The entry *rewriting* extends: present, and computed from the
+        rewriting :attr:`~repro.query.rewriter.RewritingResult.extends`
+        names. Its answer plus the added walks' rows is the answer of
+        *rewriting*, while the old wrappers' data and bindings hold."""
+        with self._lock:
+            entry = self._entries.peek((key, distinct))
+            if entry is None or not rewriting.extension_of(
+                    entry.rewriting):
+                return None
+            return entry
+
+    def note_extension_fallback(self, reason: str) -> None:
+        """Count one answer recomputed instead of extended."""
+        with self._lock:
+            _bump(self.stats.extension_fallbacks, reason)
 
     def patchable_entry(self, key: str, distinct: bool,
                         fingerprint: "OntologyFingerprint",
@@ -241,25 +317,28 @@ class AnswerCache:
             self.stats.evictions += 1
             if error is not None:
                 self.stats.fallbacks += 1
-                errors = self.stats.fallback_errors
-                name = type(error).__name__
-                errors[name] = errors.get(name, 0) + 1
+                _bump(self.stats.fallback_errors, type(error).__name__)
             return True
 
     def store(self, key: str, distinct: bool,
               fingerprint: "OntologyFingerprint",
               data_versions: "tuple[tuple[str, object], ...]",
               relation: Relation,
-              bound: tuple[object, ...] = ()) -> CachedAnswer:
+              bound: tuple[object, ...] = (),
+              rewriting: "RewritingResult | None" = None,
+              extended: bool = False) -> CachedAnswer:
         """Install an answer (last-writer-wins; LRU-evicts past either
         bound, possibly the answer itself when it alone outweighs the
-        row bound)."""
+        row bound). *extended* counts it as an extended answer."""
         entry = CachedAnswer(key=key, distinct=distinct,
                              fingerprint=fingerprint,
                              data_versions=data_versions,
-                             relation=relation, bound=bound)
+                             relation=relation, bound=bound,
+                             rewriting=rewriting)
         with self._lock:
             self.stats.stores += 1
+            if extended:
+                self.stats.extended += 1
             self.stats.lru_evictions += len(self._entries.put(
                 (key, distinct), entry, len(relation)))
         return entry

@@ -40,6 +40,8 @@ from repro.query.cache import CacheStats, Extension, RewriteCache, \
 from repro.query.omq import OMQ, parse_omq
 from repro.query.planner import PhysicalPlan, plan_ucq
 from repro.query.rewriter import RewritingResult, rewrite
+from repro.query.ucq import UCQ
+from repro.relational.columnar import concat_batches
 from repro.relational.metrics import PlanMetrics, scan_timings
 from repro.relational.physical import (
     CachingScanProvider, ScanCache, ScanProvider, Unversioned,
@@ -56,6 +58,17 @@ PARSE_MEMO_MAX = 1024
 
 #: per-query PlanMetrics trees retained for explain/describe (LRU)
 METRICS_LOG_MAX = 32
+
+
+def _wrapper_names(result: RewritingResult) -> tuple[str, ...]:
+    """The wrappers the walks of *result* read, sorted; memoized on the
+    result like its plans (every plan of it scans exactly these)."""
+    names: "tuple[str, ...] | None" = result.__dict__.get("_wrappers")
+    if names is None:
+        names = tuple(sorted({name for walk in result.walks
+                              for name in walk.wrapper_names}))
+        result.__dict__["_wrappers"] = names
+    return names
 
 
 class QueryEngine:
@@ -197,10 +210,10 @@ class QueryEngine:
                            ) -> "Relation | Callable[[], Relation]":
         """The cached answer of *omq*, or the call that computes it.
 
-        Rewriting, planning and the answer-cache lookup run here, once
-        per query; the returned call only executes (or patches) and
-        stores. :meth:`answer_many` serves the cached answers inline
-        and hands only the calls to its worker threads.
+        Rewriting and the answer-cache lookup run here, once per query;
+        the returned call plans (if it must), executes, extends or
+        patches, and stores. :meth:`answer_many` serves the cached
+        answers inline and hands only the calls to its worker threads.
         """
         result = self._rewrite_parsed(omq, key)
         if not result.walks:
@@ -212,27 +225,38 @@ class QueryEngine:
             return lambda: result.ucq.execute(self.ontology,
                                               distinct=distinct)
         scans = self._scan_provider(scan_cache)
-        plan = self._plan_cached(result, distinct, scans)
+
+        def execute() -> Relation:
+            return self._execute(
+                key, self._plan_cached(result, distinct, scans), scans)
 
         cache = self.answer_cache
         if cache is None:
-            return lambda: self._execute(key, plan, scans)
+            return execute
         fingerprint = self.ontology.fingerprint()
-        names = sorted(plan.wrappers())
+        names = _wrapper_names(result)
         versions = tuple((name, scans.data_version(name))
                          for name in names)
         bound = tuple(scans.bound(name) for name in names)
         if any(isinstance(version, Unversioned) for _, version in versions):
             # Fail closed: an answer read while a wrapper's version probe
             # is broken is neither served from the cache nor stored in
-            # it, so it is never patched either.
-            return lambda: self._execute(key, plan, scans)
+            # it, so it is never extended or patched either.
+            if cache.extension_base(key, distinct, result) is not None:
+                cache.note_extension_fallback("unversioned")
+            return execute
         cached = cache.lookup(key, distinct, fingerprint, versions,
-                              bound=bound)
+                              bound=bound, rewriting=result)
         if cached is not None:
             return cached
 
         def compute() -> Relation:
+            extended = self._extend_answer(cache, key, distinct, result,
+                                           fingerprint, versions, bound,
+                                           scans)
+            if extended is not None:
+                return extended
+            plan = self._plan_cached(result, distinct, scans)
             patched = self._patch_answer(cache, key, distinct,
                                          fingerprint, versions, plan,
                                          scans)
@@ -240,10 +264,65 @@ class QueryEngine:
                 return patched
             relation = self._execute(key, plan, scans)
             cache.store(key, distinct, fingerprint, versions, relation,
-                        bound)
+                        bound, rewriting=result)
             return relation
 
         return compute
+
+    def _extend_answer(self, cache: AnswerCache, key: str,
+                       distinct: bool, result: RewritingResult,
+                       fingerprint: object,
+                       versions: "tuple[tuple[str, object], ...]",
+                       bound: tuple[object, ...],
+                       scans: ScanProvider) -> Relation | None:
+        """The cached answer of the rewriting *result* extends, plus the
+        rows of the walks its additive releases added.
+
+        Under LAV such a release leaves every old walk as it was, so
+        while the old wrappers still hold the data and the objects the
+        cached answer read, the new answer is the old one plus the added
+        walks' rows: their union under DISTINCT, their bag sum
+        otherwise. Only the added walks are planned (a private plan,
+        through :func:`plan_ucq`) and executed. Returns ``None`` when
+        there is no such entry, or when an old wrapper's data version
+        or bound object moved (counted as ``data_moved`` or
+        ``rebound``); the caller then patches or recomputes.
+        """
+        entry = cache.extension_base(key, distinct, result)
+        if entry is None:
+            return None
+        with entry.lock:
+            if cache.extension_base(key, distinct, result) is not entry:
+                # a concurrent reader extended it already
+                return None
+            current = dict(zip(_wrapper_names(result), bound))
+            old = [name for name, _ in entry.data_versions]
+            if any(current.get(name) is not obj
+                   for name, obj in zip(old, entry.bound)):
+                cache.note_extension_fallback("rebound")
+                return None
+            now = dict(versions)
+            if any(now.get(name) != version
+                   for name, version in entry.data_versions):
+                cache.note_extension_fallback("data_moved")
+                return None
+            added = frozenset(result.added)
+            walks = [walk for walk in result.walks
+                     if not added.isdisjoint(walk.wrapper_names)]
+            relation = entry.relation
+            if walks:
+                plan = plan_ucq(self.ontology,
+                                UCQ(features=list(result.well_formed.pi),
+                                    walks=walks),
+                                scans, distinct)
+                delta = self._execute(key, plan, scans)
+                batch = concat_batches(relation.schema, [
+                    relation.columnar(), delta.columnar()])
+                relation = Relation.from_batch(
+                    batch.distinct() if distinct else batch, "result")
+            cache.store(key, distinct, fingerprint, versions, relation,
+                        bound, rewriting=result, extended=True)
+            return relation
 
     def _execute(self, key: str, plan: PhysicalPlan,
                  scans: ScanProvider) -> Relation:

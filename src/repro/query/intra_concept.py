@@ -15,7 +15,7 @@ steps follow the paper's numbering:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Collection, Iterator
+from typing import Collection, Iterator, Sequence
 
 from repro.core.ontology import BDIOntology
 from repro.core.vocabulary import qualified_attribute_name
@@ -37,6 +37,8 @@ class ConceptWalks:
 
     concept: IRI
     walks: list[Walk]
+    #: the concept's features the query requests (step 3's lookup)
+    features: frozenset[IRI] = frozenset()
 
     def __iter__(self) -> Iterator[Walk]:
         return iter(self.walks)
@@ -48,24 +50,30 @@ class ConceptWalks:
 def intra_concept_generation(ontology: BDIOntology, concepts: list[IRI],
                              expanded: OMQ,
                              wrappers: Collection[IRI] | None = None,
+                             known: Sequence[ConceptWalks] = (),
                              ) -> list[ConceptWalks]:
     """Phase #2: the list of partial walks per concept.
 
     *wrappers* restricts the phase to those wrappers (by URI): the
     partial walks of the others are left out, as when a cached
     rewriting is extended by the wrappers additive releases added.
+    *known* holds an earlier run's partial walks over the same
+    *expanded* query; their requested features are reused instead of
+    looked up again.
     """
     partial_walks: list[ConceptWalks] = []
+    requested = {walks.concept: walks.features for walks in known}
 
     for concept in concepts:
         # Step 3 (line 6): features requested for this concept, looked up
         # in the *query pattern* graph Q'G.φ.
-        features = {
-            IRI(str(row["f"]))
-            for row in select(expanded.phi, _REQUESTED_FEATURES,
-                              entailment=False,
-                              bindings={"concept": concept})
-        }
+        features = requested.get(concept)
+        if features is None:
+            features = frozenset(
+                IRI(str(row["f"]))
+                for row in select(expanded.phi, _REQUESTED_FEATURES,
+                                  entailment=False,
+                                  bindings={"concept": concept}))
         if not features:
             # A concept with no requested features and no ID cannot anchor
             # any partial walk; phase 3 will report unanswerability if the
@@ -77,8 +85,9 @@ def intra_concept_generation(ontology: BDIOntology, concepts: list[IRI],
         # their attributes; accumulate requested attributes per wrapper.
         requested_per_wrapper: dict[IRI, set[IRI]] = {}
         for feature in sorted(features):
-            for wrapper in ontology.wrappers_providing(concept, feature,
-                                                       among=wrappers):
+            for wrapper in ontology.wrappers_providing(concept, feature):
+                if wrappers is not None and wrapper not in wrappers:
+                    continue
                 attribute = ontology.attribute_providing(wrapper, feature)
                 if attribute is None:
                     continue
@@ -103,6 +112,6 @@ def intra_concept_generation(ontology: BDIOntology, concepts: list[IRI],
                        if not schema.attribute(q).is_id}
             walk = Walk.single(schema, non_ids)
             walks.append(walk)
-        partial_walks.append(ConceptWalks(concept, walks))
+        partial_walks.append(ConceptWalks(concept, walks, features))
 
     return partial_walks

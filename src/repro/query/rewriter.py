@@ -21,10 +21,13 @@ edits an existing mapping). For a single-concept query the walks of the
 old wrappers, and their coverage and minimality, cannot change, so
 phase 2 runs for the added wrappers only, the filter checks only their
 walks, and every list is merged in the order a cold rewrite emits it.
+The result records the rewriting it extends and the wrappers it added,
+so the answer cache can extend the base's answer the same way.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -55,6 +58,17 @@ class RewritingResult:
     walks: list[Walk]
     #: walks produced by phase 3 but rejected by the §2.3 filter
     rejected: list[Walk] = field(default_factory=list)
+    #: the rewriting this one extends (``rewrite(..., extend=)``), held
+    #: weakly so a chain of extensions keeps no older rewriting alive
+    extends: "weakref.ref[RewritingResult] | None" = field(
+        default=None, repr=False, compare=False)
+    #: the wrappers the extension added to :attr:`extends`
+    added: tuple[str, ...] = field(default=(), compare=False)
+
+    def extension_of(self, other: "RewritingResult | None") -> bool:
+        """True when this rewriting extends *other* itself."""
+        return (other is not None and self.extends is not None
+                and self.extends() is other)
 
     @property
     def ucq(self) -> UCQ:
@@ -149,9 +163,11 @@ def _extended(ontology: BDIOntology, original: OMQ, base: RewritingResult,
     """
     if len(base.concepts) != 1:
         raise ValueError("only a single-concept rewriting can be extended")
-    added = frozenset(wrapper_uri(name) for name in wrappers)
+    names = tuple(wrappers)
+    added = frozenset(wrapper_uri(name) for name in names)
     (fresh,) = intra_concept_generation(ontology, base.concepts,
-                                        base.expanded, wrappers=added)
+                                        base.expanded, wrappers=added,
+                                        known=base.partial_walks)
     accepted = list(base.walks)
     rejected = list(base.rejected)
     for walk in fresh.walks:
@@ -164,7 +180,7 @@ def _extended(ontology: BDIOntology, original: OMQ, base: RewritingResult,
     rejected.sort(key=_wrapper_order)
     (old,) = base.partial_walks
     partial = ConceptWalks(old.concept, sorted(
-        old.walks + fresh.walks, key=_wrapper_order))
+        old.walks + fresh.walks, key=_wrapper_order), old.features)
     return RewritingResult(
         original=original,
         well_formed=base.well_formed,
@@ -173,4 +189,6 @@ def _extended(ontology: BDIOntology, original: OMQ, base: RewritingResult,
         partial_walks=[partial],
         walks=accepted,
         rejected=rejected,
+        extends=weakref.ref(base),
+        added=names,
     )

@@ -123,12 +123,15 @@ class GovernedService:
         #: re-registration) and in-place data mutations.
         self.scan_cache = ScanCache()
         #: the engine's full answer cache (repeated analyst panels skip
-        #: execution entirely); cleared at every epoch boundary through
-        #: the evolution listener, because answers do change.
-        #: ``REPRO_ANSWER_CACHE=0`` in the environment builds engines
-        #: without one (memory-constrained replicas, benchmarks that
-        #: must stress execution); the service then keeps a detached,
-        #: always-empty cache so its observability surfaces stay valid.
+        #: execution entirely). It is not cleared at epoch boundaries:
+        #: each entry's evidence keys out what a release changed, an
+        #: answer whose rewriting the release left alone stays a hit,
+        #: and an additive release extends an answer by its new
+        #: wrapper's rows. ``REPRO_ANSWER_CACHE=0`` in the environment
+        #: builds engines without one (memory-constrained replicas,
+        #: benchmarks that must stress execution); the service then
+        #: keeps a detached, always-empty cache so its observability
+        #: surfaces stay valid.
         self.answer_cache = (self.mdm.engine.answer_cache
                              if self.mdm.engine.answer_cache is not None
                              else AnswerCache())
@@ -176,13 +179,12 @@ class GovernedService:
             self.mdm._serving = None
 
     def _on_evolution(self, event: EvolutionEvent) -> None:
-        # Epoch boundary: materialized answers may describe the
-        # pre-release state; drop them (the answer cache's per-entry
-        # fingerprint evidence would key them out anyway — clearing
-        # eagerly frees the memory at the boundary), and supersede
-        # every open pagination cursor (a page stream never switches
-        # epochs). Cached scans stay: their rows do not depend on T.
-        self.answer_cache.clear()
+        # Epoch boundary: supersede every open pagination cursor (a
+        # page stream never switches epochs). Cached answers and scans
+        # stay: an answer's evidence (fingerprint, rewriting, data
+        # versions, bound objects) decides per lookup whether it is
+        # still served, kept, extended or recomputed, and a scan's rows
+        # do not depend on T.
         if self._endpoint is not None:
             self._endpoint.on_evolution(event)
         if not self.lock.held_for_write():

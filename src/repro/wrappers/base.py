@@ -96,27 +96,26 @@ class Wrapper:
         self._expected_keys = frozenset(self._ids + self._non_ids)
         self._qualify_map = {a: qualify(source_name, a)
                              for a in self._ids + self._non_ids}
+        # The attribute tuples never change, so both schemas are built
+        # once; a fetch subsets them instead of rebuilding them.
+        self._schema = RelationSchema(name, tuple(
+            Attribute(a, True) for a in self._ids) + tuple(
+            Attribute(a, False) for a in self._non_ids), source_name)
+        self._qualified_schema = RelationSchema(name, tuple(
+            Attribute(self._qualify_map[a.name], a.is_id)
+            for a in self._schema.attributes), source_name)
 
     # -- schemas ---------------------------------------------------------------
 
     @property
     def schema(self) -> RelationSchema:
         """The wrapper's relation schema with *local* attribute names."""
-        attrs = tuple(Attribute(a, True) for a in self._ids) + tuple(
-            Attribute(a, False) for a in self._non_ids)
-        return RelationSchema(self.name, attrs, self.source_name)
+        return self._schema
 
     @property
     def qualified_schema(self) -> RelationSchema:
         """Schema under source-qualified names (``D1/lagRatio``)."""
-        attrs = tuple(
-            Attribute(qualify(self.source_name, a), True)
-            for a in self._ids
-        ) + tuple(
-            Attribute(qualify(self.source_name, a), False)
-            for a in self._non_ids
-        )
-        return RelationSchema(self.name, attrs, self.source_name)
+        return self._qualified_schema
 
     @property
     def id_attributes(self) -> tuple[str, ...]:

@@ -231,16 +231,24 @@ class TestEngineIntegration:
 
 
 class TestServiceIntegration:
-    def test_release_clears_answer_cache(self):
+    def test_release_serves_no_stale_answer(self):
+        """The service keeps the cache across a release; the entry's
+        own evidence keeps the pre-release answer from being served
+        after it."""
         from repro.mdm import MDM
         scenario = build_supersede()  # pre-evolution
         mdm = MDM(scenario.ontology)
         service = mdm.serving()
-        service.client().query(EXEMPLARY_QUERY)
+        before = service.client().query(EXEMPLARY_QUERY).relation
         assert len(service.answer_cache) == 1
         register_w4(scenario)
-        assert len(service.answer_cache) == 0  # listener cleared it
-        assert service.answer_cache.stats.invalidations == 1
+        after = service.client().query(EXEMPLARY_QUERY).relation
+        assert service.answer_cache.stats.hits == 0
+        assert after != before  # the w4 rows are in
+        assert after == QueryEngine(
+            scenario.ontology, use_planner=False, use_cache=False,
+            use_answer_cache=False).answer(EXEMPLARY_QUERY)
+        assert service.answer_cache.stats.invalidations == 0
 
     def test_describe_reports_answer_cache(self, scenario):
         from repro.mdm import MDM

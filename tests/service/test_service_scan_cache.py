@@ -76,13 +76,17 @@ class TestServingScanCache:
         # five unique queries over five wrappers: exactly one fetch each
         assert sum(counts.values()) == 5
 
-    def test_release_refetches_only_the_new_wrapper(self):
+    def test_release_refetches_only_the_new_wrapper(self, monkeypatch):
+        # Without answers to extend, the answer after the release reads
+        # the old wrappers again, from scans that outlived it.
+        monkeypatch.setenv("REPRO_ANSWER_CACHE", "0")
         scenario = build_industrial_service(rows_per_wrapper=4)
         service = scenario.mdm.serving()
         query = scenario.queries["twitter_api"]
         before = {r["id"] for r in governed_answer(service, query)}
         cached = len(service.scan_cache)
         assert cached > 0
+        hits = service.scan_cache.stats.hits
         release = next_version_release(scenario, rows_per_wrapper=4)
         counts = count_fetches(scenario)
         count_fetches(scenario, counts, [release.wrapper])
@@ -93,6 +97,7 @@ class TestServingScanCache:
         after = {r["id"] for r in answer}
         assert after != before  # the new wrapper's rows are in
         assert counts == {release.wrapper.name: 1}
+        assert service.scan_cache.stats.hits > hits  # old scans reused
         assert answer == oracle(scenario.ontology, query)
         assert service.scan_cache.stats.invalidations == 0
 
