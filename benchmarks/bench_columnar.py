@@ -36,6 +36,12 @@ reproduction (see ``docs/architecture.md``). Three asserted checks:
 Bag equality of the two engines' answers is asserted per query — the
 same guarantee the randomized equivalence suite
 (``tests/query/test_planner.py``) checks structurally.
+
+Next to the speedup, the benchmark reports where the production batch
+spends its time: each operator kind's self time (scan, join, project,
+union: its wall time minus its children's), summed over the last
+production run's metrics trees. It is information only; no check or
+regression gate reads it.
 """
 
 from __future__ import annotations
@@ -72,6 +78,16 @@ def _best_of(fn, repeat: int = 3) -> float:
         fn()
         best = min(best, time.perf_counter() - start)
     return best
+
+
+def stage_self_ms(trees) -> dict[str, float]:
+    """Milliseconds of self time per operator kind over *trees*."""
+    stages = {"scan": 0.0, "join": 0.0, "project": 0.0, "union": 0.0}
+    for tree in trees:
+        for node in tree.walk():
+            own = node.seconds - sum(c.seconds for c in node.children)
+            stages[node.kind] = stages.get(node.kind, 0.0) + own * 1e3
+    return {kind: round(ms, 3) for kind, ms in stages.items()}
 
 
 def build_scenario():
@@ -176,6 +192,8 @@ def test_columnar_execution(write_result, write_json):
             runs.append(_best_of(fn, repeat=1))
     oracle_s, prod_s = min(oracle_runs), min(prod_runs)
     oracle_speedup = oracle_s / prod_s
+    stages = stage_self_ms(prod.plan(query).last_metrics
+                           for query in queries)
 
     # -- workload 2: full answer cache ----------------------------------
     served = QueryEngine(ontology)  # answer cache on (the default)
@@ -222,6 +240,8 @@ def test_columnar_execution(write_result, write_json):
         f"  oracle      {oracle_s * 1e3:8.2f} ms",
         f"  production  {prod_s * 1e3:8.2f} ms   {oracle_speedup:5.2f}× "
         "vs oracle",
+        "  production stages (self time, last run): " + ", ".join(
+            f"{kind} {ms:.2f} ms" for kind, ms in stages.items()),
         "",
         f"intermediate rows (summed operator outputs): "
         f"{intermediate_rows} (limit {INTERMEDIATE_ROWS_LIMIT})",
@@ -246,6 +266,7 @@ def test_columnar_execution(write_result, write_json):
         "oracle_seconds": oracle_s,
         "production_seconds": prod_s,
         "oracle_speedup": round(oracle_speedup, 2),
+        "production_stage_self_ms": stages,
         "intermediate_rows": intermediate_rows,
         "intermediate_rows_limit": INTERMEDIATE_ROWS_LIMIT,
         "cold_seconds": cold_s,

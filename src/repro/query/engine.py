@@ -38,7 +38,7 @@ from repro.query.answer_cache import (
 from repro.query.cache import CacheStats, Extension, RewriteCache, \
     canonical_omq_key
 from repro.query.omq import OMQ, parse_omq
-from repro.query.planner import PhysicalPlan, plan_ucq
+from repro.query.planner import PhysicalPlan, new_collector, plan_ucq
 from repro.query.rewriter import RewritingResult, rewrite
 from repro.query.ucq import UCQ
 from repro.relational.columnar import concat_batches
@@ -196,10 +196,10 @@ class QueryEngine:
             plans[distinct] = plan
         return plan
 
-    def _record_metrics(self, key: str, plan: PhysicalPlan) -> None:
+    def _record_metrics(self, key: str,
+                        metrics: PlanMetrics | None) -> None:
         """Keep one execution's metrics in the bounded log behind
         ``explain(analyze=True)`` and :meth:`wrapper_timings`."""
-        metrics = plan.last_metrics
         if metrics is None:
             return
         with self._metrics_lock:
@@ -326,8 +326,11 @@ class QueryEngine:
 
     def _execute(self, key: str, plan: PhysicalPlan,
                  scans: ScanProvider) -> Relation:
-        relation = plan.execute(scans)
-        self._record_metrics(key, plan)
+        # The plan is shared between threads: record the tree of this
+        # run, not the plan's last_metrics, which another run may own.
+        collector = new_collector()
+        relation = plan.execute(scans, collector)
+        self._record_metrics(key, collector.root)
         return relation
 
     def _patch_answer(self, cache: AnswerCache, key: str,

@@ -60,7 +60,7 @@ from repro.relational.walk import Walk
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.query.ucq import UCQ
 
-__all__ = ["PhysicalPlan", "plan_ucq", "plan_walk"]
+__all__ = ["PhysicalPlan", "new_collector", "plan_ucq", "plan_walk"]
 
 #: Resolves a wrapper name to its estimated cardinality (None = unknown).
 Estimator = Callable[[str], "int | None"]
@@ -69,6 +69,11 @@ def _order_key(estimate: "int | None", name: str) -> tuple:
     """Sort known-small first; unknown cardinalities last, by name."""
     return (estimate is None, estimate if estimate is not None else 0,
             name)
+
+
+def new_collector() -> MetricsCollector:
+    """A wall-clock collector for one :meth:`PhysicalPlan.execute`."""
+    return MetricsCollector(time.perf_counter)
 
 
 @dataclass
@@ -83,7 +88,8 @@ class PhysicalPlan:
     last_metrics: "PlanMetrics | None" = dataclass_field(
         default=None, compare=False)
 
-    def execute(self, provider: ScanProvider) -> Relation:
+    def execute(self, provider: ScanProvider,
+                collector: MetricsCollector | None = None) -> Relation:
         """Materialize the plan; output columns are feature names.
 
         The operator tree exchanges :class:`~repro.relational.columnar.
@@ -94,12 +100,16 @@ class PhysicalPlan:
         built only if a caller reads rows.
 
         The run records a per-operator
-        :class:`~repro.relational.metrics.PlanMetrics` tree onto
+        :class:`~repro.relational.metrics.PlanMetrics` tree into
+        *collector* (a fresh wall-clock one when ``None``) and onto
         :attr:`last_metrics` (also on failure, with the aborted frame
-        flagged) — the feed of ``explain(analyze=True)`` and the
-        engine's wrapper timings.
+        flagged) — the feed of ``explain(analyze=True)``. A cached plan
+        is shared between threads, so :attr:`last_metrics` holds
+        whichever run finished last; a caller that needs *this* run's
+        tree passes its own collector and reads ``collector.root``.
         """
-        collector = MetricsCollector(time.perf_counter)
+        if collector is None:
+            collector = new_collector()
         try:
             with collecting(collector):
                 # Present the output under a friendly relation name

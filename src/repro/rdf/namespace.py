@@ -38,9 +38,12 @@ class Namespace(str):
         return str.__new__(cls, base)
 
     def __getattr__(self, name: str) -> IRI:
+        # Reached only on a first access: the minted IRI is stored on
+        # the instance, so later accesses find it without revalidating.
         if name.startswith("__"):
             raise AttributeError(name)
-        return IRI(str(self) + name)
+        iri = self.__dict__[name] = IRI(str(self) + name)
+        return iri
 
     def __getitem__(self, name: str) -> IRI:
         return IRI(str(self) + name)

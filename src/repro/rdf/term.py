@@ -93,6 +93,16 @@ class IRI(Term, str):
     def n3(self) -> str:
         return f"<{self}>"
 
+    def __lt__(self, other: "Term") -> bool:
+        # Two IRIs order as their <...> forms without building them:
+        # the shared "<" drops out, the closing ">" must stay, because
+        # "/" sorts before ">" (".../a/b" < ".../a" in N3 form, not as
+        # plain strings). str.__add__, not IRI.__add__: ">" would fail
+        # IRI validation.
+        if isinstance(other, IRI):
+            return str.__add__(self, ">") < str.__add__(other, ">")
+        return Term.__lt__(self, other)
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"IRI({str.__repr__(self)})"
 

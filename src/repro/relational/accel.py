@@ -6,8 +6,18 @@ hard third-party dependency. When numpy happens to be importable,
 though, its int64 vector ops implement the exact same kernels one to
 two orders of magnitude faster: gather (``np.take``), code
 translation (fancy indexing), CSR-shaped join probes
-(``bincount``/``argsort``/``repeat``) and first-occurrence dedup over
-packed code lanes (``np.unique``).
+(``bincount``/radix grouping/``repeat``) and first-occurrence dedup
+over packed code lanes.
+
+Neither hot kernel runs a comparison sort on a typical batch. The join
+probe groups build rows by code with a stable **radix order**
+(:func:`stable_order`): codes lie in ``0 .. cardinality``, so they sort
+as 15-bit digits, which numpy orders with a radix sort instead of
+timsort. The dedup finds each packed key's first row in a **dense
+table** over the key span (``np.minimum.at``) when that span is at
+most :data:`DENSE_SPAN_FACTOR` × the rows; only sparser keys fall back
+to ``np.unique``. Both choices are made from the input, not from an
+option.
 
 This module is that seam. It exposes the *accelerated* kernels plus
 :func:`available`; every call site keeps its pure-Python fallback and
@@ -28,7 +38,7 @@ import importlib
 from typing import Any, Sequence
 
 __all__ = ["available", "csr_probe", "first_occurrence_keep",
-           "index_array", "is_array", "numpy", "take",
+           "index_array", "is_array", "numpy", "stable_order", "take",
            "translate_codes"]
 
 try:  # pragma: no cover - exercised implicitly by every accel test
@@ -40,6 +50,14 @@ except ImportError:  # pragma: no cover - numpy-less environments
 #: relation sizes, so packed multi-lane keys stay far below 2**63
 #: (the packer still guards the radix product).
 _PACK_LIMIT = 1 << 62
+
+#: bits per radix digit: a digit fits int16, whose stable argsort numpy
+#: runs as a radix sort (wider ints get timsort)
+_DIGIT_BITS = 15
+
+#: the dedup uses a dense first-row table when the packed key span is
+#: at most this many times the row count; sparser keys use np.unique
+DENSE_SPAN_FACTOR = 4
 
 
 def available() -> bool:
@@ -68,6 +86,30 @@ def translate_codes(table: Sequence[int], codes: Any) -> Any:
     return index_array(table)[index_array(codes)]
 
 
+def stable_order(codes: Any, top: int) -> Any:
+    """``np.argsort(codes, kind="stable")`` for int codes in
+    ``0 .. top``, without a comparison sort.
+
+    Below ``2**15`` the codes narrow to int16, which numpy's stable
+    argsort orders with one radix pass. Wider codes sort as
+    least-significant-digit passes over 15-bit digits; each pass is
+    stable, so the composed order is too.
+    """
+    np = numpy
+    codes = index_array(codes)
+    if top < 1 << _DIGIT_BITS:
+        return np.argsort(codes.astype(np.int16), kind="stable")
+    mask = (1 << _DIGIT_BITS) - 1
+    order = None
+    for shift in range(0, top.bit_length(), _DIGIT_BITS):
+        digits = ((codes >> shift) & mask).astype(np.int16)
+        if order is None:
+            order = np.argsort(digits, kind="stable")
+        else:
+            order = order[np.argsort(digits[order], kind="stable")]
+    return order
+
+
 def csr_probe(build_codes: Any, probe_codes: Any,
               cardinality: int) -> "tuple[Any, Any] | None":
     """Vectorized hash-join probe over a shared code space.
@@ -91,7 +133,7 @@ def csr_probe(build_codes: Any, probe_codes: Any,
     # Stable grouping of build rows by code: rows ascending within
     # each code's segment, misses (mapped to `cardinality`) at the
     # tail, past every real segment.
-    order = np.argsort(build, kind="stable")
+    order = stable_order(build, cardinality)
     offsets = np.zeros(cardinality, dtype=np.int64)
     if cardinality > 1:
         offsets[1:] = np.cumsum(counts[:-1])
@@ -115,11 +157,14 @@ def first_occurrence_keep(lanes: Sequence[Any]) -> "list[int] | None":
     """First-occurrence keep list over parallel int64 code lanes.
 
     Lanes pack into one int64 key per row (radix = each lane's code
-    range); ``np.unique(..., return_index=True)`` yields each key's
-    first row. Returns the keep list in row order, ``None`` when every
-    row is already unique — mirroring the pure-Python zip dedup.
-    Lanes must be non-negative int codes. When the radix product would
-    overflow int64, the lanes dedup row-wise instead
+    range). When the packed span is at most :data:`DENSE_SPAN_FACTOR`
+    × the rows, a span-sized table takes each key's smallest row
+    (``np.minimum.at``), and a row mask puts the survivors back in
+    row order. Sparser keys go through ``np.unique(...,
+    return_index=True)``. Returns the keep list in row order, ``None``
+    when every row is already unique — mirroring the pure-Python zip
+    dedup. Lanes must be non-negative int codes. When the radix
+    product would overflow int64, the lanes dedup row-wise instead
     (``np.unique(..., axis=0)``) — same result, lexsort instead of a
     scalar sort.
     """
@@ -129,7 +174,7 @@ def first_occurrence_keep(lanes: Sequence[Any]) -> "list[int] | None":
     if rows == 0:
         return None
     packed = arrays[0]
-    span = int(packed.max()) + 1 if rows else 1
+    span = int(packed.max()) + 1
     for lane in arrays[1:]:
         radix = int(lane.max()) + 1
         if span * radix > _PACK_LIMIT:
@@ -139,8 +184,14 @@ def first_occurrence_keep(lanes: Sequence[Any]) -> "list[int] | None":
         packed = packed * radix + lane
         span *= radix
     else:
-        _, first = np.unique(packed, return_index=True)
+        if span <= DENSE_SPAN_FACTOR * rows:
+            table = np.full(span, rows, dtype=np.int64)
+            np.minimum.at(table, packed, np.arange(rows, dtype=np.int64))
+            first = table[table < rows]
+        else:
+            _, first = np.unique(packed, return_index=True)
     if first.shape[0] == rows:
         return None
-    first.sort()
-    return first.tolist()
+    keep = np.zeros(rows, dtype=bool)
+    keep[first] = True
+    return np.flatnonzero(keep).tolist()

@@ -36,13 +36,19 @@ plus the code → value dictionary — built lazily per column and memoized
 on the batch (the memo travels with zero-copy renames, so a scan shared
 through the scan cache encodes each column at most once per fetch).
 Join keys, ID filters and DISTINCT then operate on dense ints instead
-of tuples of arbitrary objects; columns that would not pay for
-themselves (near-unique values) or cannot encode (unhashable values)
-fall back to the raw lists, signalled by ``None``.
+of tuples of arbitrary objects. Every hashable column encodes, unique
+ID columns included: a scan cached through the scan cache pays each
+dictionary once, and both sides of a join then run on codes. Only a
+column holding an unhashable value (a dict or list cell) falls back to
+the raw list, signalled by ``None``. An encoding also remembers its
+translation onto another scan's dictionary
+(:meth:`EncodedColumn.remap_onto`), so a join between two cached scans
+bridges their code spaces once, not once per query.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
 from repro.errors import SchemaError
@@ -55,14 +61,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["ColumnBatch", "EncodedColumn", "concat_batches",
            "encode_values", "first_occurrences"]
 
-#: columns at least this long are subject to the high-cardinality
-#: fallback check; shorter ones always encode (the dictionary is tiny)
-ENCODE_MIN_ROWS = 64
-
-#: fallback threshold: encoding aborts once the dictionary exceeds this
-#: fraction of the stored rows — a near-unique column gains nothing
-#: from int codes and would pay dictionary upkeep on every operation
-ENCODE_MAX_DISTINCT_FRACTION = 0.5
+#: translations one encoding remembers (:meth:`EncodedColumn.remap_onto`)
+REMAP_MEMO_ENTRIES = 4
 
 
 class EncodedColumn:
@@ -77,10 +77,13 @@ class EncodedColumn:
     use, so operating on codes is operating on values.
 
     Instances are immutable by convention and shared between every
-    consumer of the memoizing batch — never mutate them.
+    consumer of the memoizing batch — never mutate them. The only
+    state that changes is memoized: the codes as a vector and the
+    translations onto other dictionaries.
     """
 
-    __slots__ = ("codes", "values", "index", "_vector")
+    __slots__ = ("codes", "values", "index", "_vector", "_remaps",
+                 "__weakref__")
 
     def __init__(self, codes: "list[int] | Any", values: list[object],
                  index: dict[object, int]) -> None:
@@ -88,6 +91,10 @@ class EncodedColumn:
         self.values = values
         self.index = index
         self._vector: Any = None
+        #: ``(weak reference to the target, table)`` pairs, newest
+        #: first, at most ``REMAP_MEMO_ENTRIES``; replaced whole, never
+        #: mutated, so a reader sees one consistent tuple
+        self._remaps: "tuple[tuple[weakref.ref, Any], ...]" = ()
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -106,17 +113,35 @@ class EncodedColumn:
     def cardinality(self) -> int:
         return len(self.values)
 
-    def remap_onto(self, other: "EncodedColumn") -> list[int]:
+    def remap_onto(self, other: "EncodedColumn") -> "list[int] | Any":
         """Translate *this* code space onto *other*'s.
 
         Returns ``translate`` with ``translate[code] =`` the matching
         code in *other*, or ``-1`` when the value does not occur there —
         the cross-dictionary bridge an int-coded join uses when its two
         sides were encoded independently. Costs one hash lookup per
-        *distinct* value instead of one per row.
+        *distinct* value instead of one per row, and only on the first
+        call per *other*: the table is remembered for the last
+        ``REMAP_MEMO_ENTRIES`` targets, so a join between two cached
+        scans translates once. The table is an int64 vector when
+        :func:`repro.relational.accel.available`, a list otherwise.
+
+        The memo holds each target by weak reference and serves a table
+        only to the very object it was built for: a dropped encoding can
+        never lend its table to a newer one. Two threads that fill the
+        memo at once may lose an entry, never mix one up.
         """
+        vector = accel.available()
+        for target, table in self._remaps:
+            if target() is other and accel.is_array(table) == vector:
+                return table
         get = other.index.get
-        return [get(value, -1) for value in self.values]
+        table = [get(value, -1) for value in self.values]
+        if vector:
+            table = accel.index_array(table)
+        self._remaps = ((weakref.ref(other), table),
+                        *self._remaps[:REMAP_MEMO_ENTRIES - 1])
+        return table
 
     def select(self, selection: "list[int] | None") -> "list[int] | Any":
         """The live codes under *selection* (the shared list — or, for
@@ -132,33 +157,22 @@ class EncodedColumn:
 
 
 def encode_values(column: Sequence[object]) -> EncodedColumn | None:
-    """Dictionary-encode *column*, or ``None`` when encoding won't pay.
+    """Dictionary-encode *column*, or ``None`` when a value is
+    unhashable (codes require a dict).
 
-    Fallback cases: a value is unhashable (codes require a dict), or
-    the column is long (``>= ENCODE_MIN_ROWS``) and near-unique — the
-    dictionary would grow past ``ENCODE_MAX_DISTINCT_FRACTION`` of the
-    rows, checked *during* the build so a doomed encode aborts early.
+    Every hashable column encodes, however unique: a unique ID column
+    gets dense codes ``0 .. n - 1``, and a join on it runs on codes
+    like any other. Codes are assigned by first occurrence; the
+    dictionary keeps the first value of each ``==``-class, in that
+    order.
     """
-    stored = len(column)
-    limit = (int(stored * ENCODE_MAX_DISTINCT_FRACTION)
-             if stored >= ENCODE_MIN_ROWS else stored)
     index: dict[object, int] = {}
-    values: list[object] = []
-    codes: list[int] = []
-    append_code = codes.append
-    append_value = values.append
     setdefault = index.setdefault
     try:
-        for value in column:
-            code = setdefault(value, len(values))
-            if code == len(values):
-                if code > limit:
-                    return None  # high cardinality: not worth encoding
-                append_value(value)
-            append_code(code)
+        codes = [setdefault(value, len(index)) for value in column]
     except TypeError:
         return None  # unhashable value (dict/list cell): raw fallback
-    return EncodedColumn(codes, values, index)
+    return EncodedColumn(codes, list(index), index)
 
 
 def first_occurrences(lanes: Sequence[Any]) -> "list[int] | None":
@@ -201,7 +215,7 @@ class ColumnBatch:
     """
 
     __slots__ = ("schema", "columns", "selection", "_length",
-                 "_encodings", "_keep")
+                 "_encodings", "_keep", "_keep_vector")
 
     def __init__(self, schema: RelationSchema,
                  columns: Sequence[list[object]],
@@ -223,13 +237,15 @@ class ColumnBatch:
         #: Relation — serves every later view of the same column list.
         #: Safe because aliasing ops never allocate column lists: every
         #: id in the dict belongs to a list kept alive by a sharing
-        #: batch. ``None`` records a deliberate fallback (unhashable or
-        #: high-cardinality column) so it is not retried.
+        #: batch. ``None`` records a deliberate fallback (a column with
+        #: an unhashable value) so it is not retried.
         self._encodings: "dict[int, EncodedColumn | None]" = \
             _encodings if _encodings is not None else {}
         #: memo of :meth:`distinct_keep` — per batch object, never
         #: shared: a view with another selection has other live rows
         self._keep: Any = _UNKNOWN
+        #: the same keep list as an int64 vector (:meth:`distinct_picks`)
+        self._keep_vector: Any = None
         if _length is not None:
             stored = _length
         else:
@@ -326,9 +342,9 @@ class ColumnBatch:
         to read live rows. Built lazily and memoized in a dict shared
         across zero-copy views of the same columns, so the scan batch
         cached on a Relation encodes each column at most once no matter
-        how many queries join through it. ``None`` means the column
-        fell back (unhashable values or high cardinality) — callers
-        use the raw lists instead.
+        how many queries join through it. Every hashable column
+        encodes, unique ones included; ``None`` means the column holds
+        an unhashable value — callers use the raw lists instead.
         """
         return self.encoded_at(self._index_of(name))
 
@@ -378,6 +394,19 @@ class ColumnBatch:
                 [self.encoded_at(i) for i in range(len(self.columns))])
             self._keep = keep
         return keep
+
+    def distinct_picks(self) -> Any:
+        """:meth:`distinct_keep` in the form the gather kernels take:
+        with numpy, an int64 vector memoized next to the list, so a
+        cached scan converts its keep list once, not once per query
+        that gathers through it; without numpy, the list itself."""
+        keep = self.distinct_keep()
+        if keep is None or not accel.available():
+            return keep
+        vector = self._keep_vector
+        if vector is None:
+            vector = self._keep_vector = accel.index_array(keep)
+        return vector
 
     def _first_occurrence_keep(
             self, encodings: "Sequence[EncodedColumn | None]"

@@ -415,6 +415,8 @@ def _pick(lane: Any, picks: Any) -> Any:
     """*lane* gathered at *picks* (an int64 vector stays a vector)."""
     if accel.is_array(lane):
         return accel.take(lane, picks)
+    if accel.is_array(picks):
+        picks = picks.tolist()
     return list(map(lane.__getitem__, picks))
 
 
@@ -556,6 +558,8 @@ class FusedBatch:
                 lanes.append(self.value_lane(leaf_pos, column))
         keep = first_occurrences(lanes) if distinct else None
         if keep is not None:
+            if accel.available():
+                keep = accel.index_array(keep)  # one conversion, many picks
             lanes = [_pick(lane, keep) for lane in lanes]
         length = len(lanes[0])
         # Stored rows of each leaf behind the output rows (None = every
@@ -711,7 +715,7 @@ class PhysicalScan(PhysicalOperator):
         batch = provider.scan(self.wrapper_name, self.columns).columnar()
         fused = FusedBatch.from_batch(batch)
         if self.dedup:
-            keep = batch.distinct_keep()
+            keep = batch.distinct_picks()
             if keep is not None:
                 return FusedBatch(fused.leaves, fused.compose(keep),
                                   len(keep))
@@ -786,39 +790,31 @@ class PhysicalHashJoin(PhysicalOperator):
         join keys as per-row ints in one code space, ``-1`` where a key
         cannot match.
 
-        * Both keys dictionary-encoded (single condition): the build
-          codes as they are; the probe dictionary is remapped onto the
-          build's (:meth:`EncodedColumn.remap_onto` — one hash per
-          *distinct* value), so a probe row costs a list index.
-        * Only the probe key encoded (typical shape: a unique-ID build
-          column aborts encoding, its fanned-out foreign side doesn't):
-          each build value hashes once through the probe dictionary's
-          value→code index.
-        * Otherwise a dict numbers the build keys (a tuple per row for
-          a multi-condition join), and each probe key looks its number
-          up.
+        * A single condition whose key columns both encode (every
+          hashable column does): the build codes as they are, and the
+          probe dictionary remapped onto the build's
+          (:meth:`EncodedColumn.remap_onto` — one hash per *distinct*
+          value, remembered across queries over the same cached
+          scans), so a probe row costs a list index.
+        * Otherwise (a multi-condition join, or a key column that holds
+          an unhashable value and so raises below) a dict numbers the
+          build keys, a tuple per row for several conditions, and each
+          probe key looks its number up.
         """
         build_at = [build.locate(b) for b, _ in self.conditions]
         probe_at = [probe.locate(p) for _, p in self.conditions]
         if len(self.conditions) == 1:
+            build_coded = build.code_lane(*build_at[0])
             probe_coded = probe.code_lane(*probe_at[0])
-            if probe_coded is not None:
+            if build_coded is not None and probe_coded is not None:
+                build_enc, build_codes = build_coded
                 probe_enc, probe_codes = probe_coded
-                build_coded = build.code_lane(*build_at[0])
-                if build_coded is not None:
-                    build_enc, build_codes = build_coded
-                    translate = probe_enc.remap_onto(build_enc)
-                    if accel.available():
-                        mapped = accel.translate_codes(translate,
-                                                       probe_codes)
-                    else:
-                        mapped = list(map(translate.__getitem__,
-                                          probe_codes))
-                    return build_codes, mapped, build_enc.cardinality
-                lookup = probe_enc.index.get
-                return ([lookup(value, -1) for value in
-                         build.value_lane(*build_at[0])],
-                        probe_codes, probe_enc.cardinality)
+                translate = probe_enc.remap_onto(build_enc)
+                if accel.available():
+                    mapped = accel.translate_codes(translate, probe_codes)
+                else:
+                    mapped = list(map(translate.__getitem__, probe_codes))
+                return build_codes, mapped, build_enc.cardinality
         numbering: dict[object, int] = {}
         number = numbering.setdefault
         build_codes = [number(key, len(numbering)) for key in

@@ -396,6 +396,52 @@ class TestRuntimeMetrics:
         assert [node.kind for node in observed] == expected
         assert plan.last_metrics.rows_out == len(result)
 
+    def test_concurrent_runs_record_their_own_trees(self, evolved):
+        # One plan object, two threads, two providers of different
+        # sizes. The second run finishes between the first run's
+        # execute and its recording, so a tree read back from the
+        # shared plan (last_metrics) would be the second run's.
+        import threading
+
+        from repro.query.planner import PhysicalPlan
+        from repro.relational.physical import PhysicalProject, \
+            PhysicalUnion
+        schema = RelationSchema.of("w", ids=["D/id"], non_ids=[],
+                                   source="D")
+        plan = PhysicalPlan(ucq=None, root=PhysicalUnion((PhysicalProject(
+            PhysicalScan(schema, None, 1), {"id": "D/id"}),), False))
+        scans = {size: RelationScanProvider({"w": Relation(
+            schema, [{"D/id": i} for i in range(size)])})
+            for size in (3, 5)}
+        engine = QueryEngine(evolved.ontology)
+        first_waiting = threading.Event()
+        second_done = threading.Event()
+        record = engine._record_metrics
+
+        def interleaved(key, *args):
+            if key == "first":
+                first_waiting.set()
+                second_done.wait(timeout=10)
+            record(key, *args)
+
+        engine._record_metrics = interleaved
+        answers = {}
+        first = threading.Thread(target=lambda: answers.__setitem__(
+            "first", engine._execute("first", plan, scans[3])))
+        first.start()
+        assert first_waiting.wait(timeout=10)
+        second = threading.Thread(target=lambda: answers.__setitem__(
+            "second", engine._execute("second", plan, scans[5])))
+        second.start()
+        second.join(timeout=10)
+        second_done.set()
+        first.join(timeout=10)
+        trees = dict(engine.plan_metrics_log())
+        assert {key: len(answer) for key, answer in answers.items()} \
+            == {"first": 3, "second": 5}
+        for key, answer in answers.items():
+            assert trees[key].rows_out == len(answer)
+
     def test_wrapper_timings_aggregate_scans(self, evolved):
         engine = QueryEngine(evolved.ontology)
         engine.answer(EXEMPLARY_QUERY)

@@ -31,6 +31,16 @@ class TestNamespace:
         with pytest.raises(AttributeError):
             ns.__wrapped__  # noqa: B018
 
+    def test_attribute_minted_once(self):
+        ns = Namespace("http://example.org/")
+        first = ns.thing
+        assert ns.thing is first  # stored on the instance, not re-minted
+        assert ns.__dict__["thing"] is first
+        assert ns == "http://example.org/"  # still the plain prefix
+        with pytest.raises(AttributeError):
+            ns.__missing_dunder__  # noqa: B018
+        assert "__missing_dunder__" not in ns.__dict__
+
     def test_invalid_base_rejected(self):
         from repro.errors import TermError
         with pytest.raises(TermError):

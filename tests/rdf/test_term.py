@@ -141,3 +141,20 @@ class TestOrdering:
         assert isinstance(ordered[1], BlankNode)
         assert isinstance(ordered[2], Literal)
         assert isinstance(ordered[3], Variable)
+
+    def test_iri_order_is_the_n3_order(self):
+        # IRIs compare without building their <...> forms, and must
+        # still order as those forms do: "/" sorts before ">", so
+        # .../a/b precedes .../a although it is longer.
+        base = "http://x.org/"
+        iris = [IRI(base + tail) for tail in
+                ("a", "a/b", "a#x", "a0", "a/", "b", "a-")]
+        terms = iris + [BlankNode("n"), Literal("a"), Literal(1),
+                        Variable("v"), IRI(base)]
+        for left in terms:
+            for right in terms:
+                assert (left < right) == \
+                    (left._sort_key() < right._sort_key()), (left, right)
+        assert sorted(terms) == sorted(terms, key=lambda t: t._sort_key())
+        assert IRI(base + "a/b") < IRI(base + "a")
+        assert not IRI(base + "a") < IRI(base + "a/b")

@@ -14,8 +14,7 @@ import pytest
 from repro.relational import accel
 from repro.relational.algebra import Join, Scan
 from repro.relational.columnar import (
-    ENCODE_MIN_ROWS, ColumnBatch, EncodedColumn, encode_values,
-    first_occurrences,
+    ColumnBatch, EncodedColumn, encode_values, first_occurrences,
 )
 from repro.relational.physical import (
     CachingScanProvider, PhysicalHashJoin, PhysicalProject, PhysicalScan,
@@ -71,15 +70,15 @@ class TestEncodeValues:
     def test_unhashable_value_falls_back(self):
         assert encode_values([1, [2], 3]) is None
 
-    def test_high_cardinality_aborts(self):
-        # At ENCODE_MIN_ROWS rows a near-unique column must not encode…
-        unique = [f"id-{i}" for i in range(ENCODE_MIN_ROWS)]
-        assert encode_values(unique) is None
-        # …while a short column always does, however unique.
-        short = [f"id-{i}" for i in range(ENCODE_MIN_ROWS - 1)]
-        assert encode_values(short) is not None
-        # And a long duplicate-heavy column encodes.
-        heavy = [f"v-{i % 4}" for i in range(ENCODE_MIN_ROWS * 2)]
+    def test_unique_column_encodes_dense(self):
+        # However unique and long, a hashable column encodes: a unique
+        # ID column gets the codes 0 .. n - 1 in row order.
+        unique = [f"id-{i}" for i in range(500)]
+        enc = encode_values(unique)
+        assert enc.codes == list(range(500))
+        assert enc.values == unique
+        # And a long duplicate-heavy column keeps a small dictionary.
+        heavy = [f"v-{i % 4}" for i in range(500)]
         assert encode_values(heavy).cardinality == 4
 
     def test_remap_onto_bridges_dictionaries(self):
@@ -87,7 +86,7 @@ class TestEncodeValues:
         right = encode_values(["c", "x", "a"])
         translate = left.remap_onto(right)
         # left codes: a=0 b=1 c=2 → right codes: a=2, b absent, c=0
-        assert translate == [2, -1, 0]
+        assert [int(code) for code in translate] == [2, -1, 0]
 
     def test_select_applies_selection(self):
         enc = encode_values(["a", "b", "a", "c"])
@@ -193,26 +192,52 @@ class TestCodedJoins:
         out = self.assert_encoded_matches_oracle(provider, join)
         assert len(out) > 0
 
-    def test_probe_side_only_encoded(self, accel_mode):
-        # A unique-ID build column aborts encoding; the fanned-out
-        # probe side encodes — the probe-code-space bucket path.
+    def test_unique_build_key_joins_on_codes(self, accel_mode):
+        # A unique-ID build column encodes like its fanned-out probe
+        # side, so the join runs on codes, and the probe's translation
+        # onto the build dictionary is remembered for the next query.
         build = [{"B/id": f"k{i}", "B/v": i} for i in range(80)]
         probe = [{"P/id": f"k{i % 40}", "P/v": j}
                  for j in range(4) for i in range(80)]
         provider, join = join_provider(build, probe)
-        assert encode_values([r["B/id"] for r in build]) is None
-        assert encode_values([r["P/id"] for r in probe]) is not None
-        out = self.assert_encoded_matches_oracle(provider, join)
-        assert len(out) == 40 * 8
+        scans = CachingScanProvider(RelationScanProvider(provider),
+                                    ScanCache())
+        expected = logical_of(join).evaluate(provider)
+        remaps = []
+        original = EncodedColumn.remap_onto
+
+        def counted(enc, other):
+            table = original(enc, other)
+            remaps.append(table)
+            return table
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(EncodedColumn, "remap_onto", counted)
+            for _ in range(2):
+                got = project_all(join).execute_encoded(scans)
+                assert got.to_relation() == expected
+        assert len(expected) == 40 * 8
+        assert len(remaps) == 2 and remaps[0] is remaps[1]
 
     def test_generic_fallback_when_nothing_encodes(self, accel_mode):
-        build = [{"B/id": f"b{i}", "B/v": i} for i in range(80)]
-        probe = [{"P/id": f"b{i * 2}", "P/v": i} for i in range(80)]
-        provider, join = join_provider(build, probe)
-        assert encode_values([r["B/id"] for r in build]) is None
-        assert encode_values([r["P/id"] for r in probe]) is None
+        # A multi-condition join numbers its tuple keys with a dict:
+        # no single dictionary covers them.
+        build = [{"B/id": f"b{i % 20}", "B/k": i % 3, "B/v": i}
+                 for i in range(80)]
+        probe = [{"P/id": f"b{i % 30}", "P/k": i % 2, "P/v": i}
+                 for i in range(80)]
+        provider = {
+            "wb": rel("wb", ["B/id", "B/k"], ["B/v"], build, source="B"),
+            "wp": rel("wp", ["P/id", "P/k"], ["P/v"], probe, source="P"),
+        }
+        join = PhysicalHashJoin(
+            build=scan_of(provider, "wb"),
+            probe=scan_of(provider, "wp"),
+            conditions=(("B/id", "P/id"), ("B/k", "P/k")))
         out = self.assert_encoded_matches_oracle(provider, join)
-        assert len(out) == 40
+        assert len(out) == sum(
+            b["B/id"] == p["P/id"] and b["B/k"] == p["P/k"]
+            for b in build for p in probe) > 0
 
     def test_no_matches_yields_empty(self, accel_mode):
         rng = random.Random(3)
