@@ -40,8 +40,10 @@ same guarantee the randomized equivalence suite
 Next to the speedup, the benchmark reports where the production batch
 spends its time: each operator kind's self time (scan, join, project,
 union: its wall time minus its children's), summed over the last
-production run's metrics trees. It is information only; no check or
-regression gate reads it.
+production run's metrics trees. It also reports each satellite's cold
+scan: the wrapper's rows turned into a dictionary-encoded,
+deduplicated scan batch, with no scan cache in front. Both are
+information only; no check or regression gate reads them.
 """
 
 from __future__ import annotations
@@ -88,6 +90,23 @@ def stage_self_ms(trees) -> dict[str, float]:
             own = node.seconds - sum(c.seconds for c in node.children)
             stages[node.kind] = stages.get(node.kind, 0.0) + own * 1e3
     return {kind: round(ms, 3) for kind, ms in stages.items()}
+
+
+def cold_scan_ms(wrapper, repeat: int = 15) -> float:
+    """Median milliseconds from *wrapper*'s rows to an encoded,
+    deduplicated batch of its qualified relation (a scan-cache miss)."""
+    def scan():
+        batch = wrapper.relation(qualified=True).columnar()
+        for index in range(len(batch.columns)):
+            batch.encoded_at(index)
+        batch.distinct_keep()
+
+    runs = []
+    for _ in range(repeat):
+        start = time.perf_counter()
+        scan()
+        runs.append(time.perf_counter() - start)
+    return sorted(runs)[len(runs) // 2] * 1e3
 
 
 def build_scenario():
@@ -194,6 +213,10 @@ def test_columnar_execution(write_result, write_json):
     oracle_speedup = oracle_s / prod_s
     stages = stage_self_ms(prod.plan(query).last_metrics
                            for query in queries)
+    # information only: each satellite's cold scan, median across them
+    scan_ms = sorted(cold_scan_ms(ontology.physical_wrapper(f"wSat{i}"))
+                     for i in range(SATELLITES))
+    scan_ms_median = scan_ms[len(scan_ms) // 2]
 
     # -- workload 2: full answer cache ----------------------------------
     served = QueryEngine(ontology)  # answer cache on (the default)
@@ -243,6 +266,10 @@ def test_columnar_execution(write_result, write_json):
         "  production stages (self time, last run): " + ", ".join(
             f"{kind} {ms:.2f} ms" for kind, ms in stages.items()),
         "",
+        f"cold satellite scan (rows → encoded, deduplicated batch; "
+        f"{HUB_ROWS * FANOUT} rows × 2 columns): median "
+        f"{scan_ms_median:.2f} ms",
+        "",
         f"intermediate rows (summed operator outputs): "
         f"{intermediate_rows} (limit {INTERMEDIATE_ROWS_LIMIT})",
         "",
@@ -267,6 +294,7 @@ def test_columnar_execution(write_result, write_json):
         "production_seconds": prod_s,
         "oracle_speedup": round(oracle_speedup, 2),
         "production_stage_self_ms": stages,
+        "cold_scan_ms_median": round(scan_ms_median, 3),
         "intermediate_rows": intermediate_rows,
         "intermediate_rows_limit": INTERMEDIATE_ROWS_LIMIT,
         "cold_seconds": cold_s,

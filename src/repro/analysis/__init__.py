@@ -14,8 +14,9 @@ established across the project's history and gate CI:
   wire code and HTTP status; no stray exception classes (PR 4);
 * ``frozen-protocol`` — v1 envelopes stay frozen with
   field/``to_dict``/``from_dict`` parity (PR 4);
-* ``wrapper-capabilities`` — advertised pushdown/CDC capabilities have
-  matching method signatures (PR 3/8).
+* ``wrapper-capabilities`` — every ``fetch_rows`` takes the pushed-down
+  ``columns``, and a wrapper serving deltas has the matching CDC
+  methods.
 
 Run ``python -m repro.analysis [paths]``; see
 :mod:`repro.analysis.model` for the suppression policy (justifications

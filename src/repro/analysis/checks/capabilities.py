@@ -1,28 +1,21 @@
-"""wrapper-capabilities: advertised wrapper features have real methods.
+"""wrapper-capabilities: wrappers implement the scan and CDC contracts.
 
-The physical layer plans pushdown against what a wrapper *says* it can
-do — ``capabilities()`` advertises projection pushdown and a
-``fetch_deltas`` override serves CDC — and incremental maintenance
-resumes delta feeds from ``delta_cursor()``. The planner
-never re-verifies: a wrapper that returns
-``WrapperCapabilities(projection=True)`` but whose ``fetch_rows``
-ignores the ``columns`` argument silently produces wrong (or
-un-pruned) scans, and one that serves deltas without its own cursor
-fails deep inside a refresh cycle instead of at review time.
+:meth:`Wrapper.relation <repro.wrappers.base.Wrapper.relation>` calls
+every wrapper's ``fetch_rows`` with ``columns=`` (the projection a
+source may push down), and incremental maintenance resumes delta feeds
+from ``delta_cursor()``. A ``fetch_rows`` without that parameter fails
+on its first scan, and a wrapper that serves deltas without its own
+cursor fails deep inside a refresh cycle instead of at review time.
 
 The contract enforced here is deliberately local:
 
 * every ``fetch_rows`` definition takes a ``columns`` parameter (or
-  ``**kwargs``): :meth:`Wrapper.fetch
-  <repro.wrappers.base.Wrapper.fetch>` passes it to every wrapper,
-  whether or not it advertises projection pushdown;
-* a class that advertises ``WrapperCapabilities(projection=True)``
-  **in its own body** defines ``fetch_rows`` in its own body;
+  ``**kwargs``);
 * a class that defines ``fetch_deltas`` gives it a ``since`` parameter
   **and** defines a ``delta_cursor`` method in its own body.
 
-An inherited generic implementation cannot honor a capability its base
-never advertised, so "the base class has it" is not an excuse — if a
+An inherited generic cursor cannot position a change log its base
+never kept, so "the base class has it" is not an excuse — if a
 subclass genuinely delegates, it says so with a justified suppression.
 """
 
@@ -35,11 +28,6 @@ from repro.analysis.model import Finding, Project, SourceFile
 from repro.analysis.registry import Checker, register
 
 __all__ = ["WrapperCapabilitiesChecker"]
-
-CAPS_CLASS = "WrapperCapabilities"
-
-#: pushdown capabilities ``fetch_rows`` implements
-_FEATURES = ("projection",)
 
 
 def _method(cls: ast.ClassDef, name: str) -> ast.FunctionDef | None:
@@ -62,32 +50,11 @@ def _param_names(method: ast.FunctionDef) -> set[str]:
     return names
 
 
-def _advertised_features(method: ast.FunctionDef) -> dict[str, int]:
-    """capability name -> line, from ``WrapperCapabilities(...)`` calls
-    with ``<feature>=True`` constant keywords inside *method*."""
-    features: dict[str, int] = {}
-    for node in ast.walk(method):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        name = func.id if isinstance(func, ast.Name) else (
-            func.attr if isinstance(func, ast.Attribute) else None)
-        if name != CAPS_CLASS:
-            continue
-        for keyword in node.keywords:
-            if keyword.arg in _FEATURES and \
-                    isinstance(keyword.value, ast.Constant) and \
-                    keyword.value.value is True:
-                features.setdefault(keyword.arg, node.lineno)
-    return features
-
-
 @register
 class WrapperCapabilitiesChecker(Checker):
     name = "wrapper-capabilities"
-    description = ("every fetch_rows takes columns; "
-                   "wrappers advertising capabilities() features or "
-                   "serving fetch_deltas implement the matching methods "
+    description = ("every fetch_rows takes columns; wrappers serving "
+                   "fetch_deltas take since and define delta_cursor "
                    "locally")
 
     def check(self, project: Project) -> Iterator[Finding]:
@@ -103,18 +70,8 @@ class WrapperCapabilitiesChecker(Checker):
             yield source.finding(
                 fetch_rows.lineno, self.name,
                 f"{cls.name}.fetch_rows lacks a `columns` parameter; "
-                "Wrapper.fetch passes columns= to every fetch_rows, "
-                "whether or not projection pushdown is advertised")
-        caps = _method(cls, "capabilities")
-        if caps is not None and fetch_rows is None:
-            for feature, line in sorted(
-                    _advertised_features(caps).items()):
-                yield source.finding(
-                    line, self.name,
-                    f"{cls.name}.capabilities advertises "
-                    f"{feature}=True but the class defines no "
-                    "`fetch_rows`; the planner will push down work "
-                    "nothing implements")
+                "Wrapper.relation passes columns= (the projection "
+                "pushdown) to every fetch_rows")
 
         fetch = _method(cls, "fetch_deltas")
         if fetch is None:

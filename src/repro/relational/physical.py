@@ -9,7 +9,7 @@ assembles into a plan that
 
 * fetches only the columns a walk actually outputs (**projection
   pushdown** — the request travels through :class:`ScanProvider` down
-  to the wrapper's capability protocol);
+  to the wrapper's ``fetch_rows``);
 * fetches every ``(wrapper, columns)`` combination **once** per
   batch/union via a :class:`ScanCache` (single-flight, thread-safe,
   keyed by the bound wrapper object and its data version, so a scan
@@ -263,8 +263,8 @@ class WrapperScanProvider(ScanProvider):
 
     *resolve* maps a wrapper name to its :class:`~repro.wrappers.base.
     Wrapper` — usually ``ontology.physical_wrapper``. Qualified column
-    names are translated to the wrapper's local names so its capability
-    protocol can push the work into the source.
+    names are translated to the wrapper's local names, which its
+    ``fetch_rows`` can push into the source.
     """
 
     def __init__(self, resolve: Callable[[str], object]) -> None:
@@ -273,10 +273,9 @@ class WrapperScanProvider(ScanProvider):
     def scan(self, name: str, columns: Sequence[str] | None = None
              ) -> Relation:
         wrapper = self._resolve(name)
-        local = {f"{wrapper.source_name}/{a}": a
-                 for a in wrapper.attributes}
         local_columns = None
         if columns is not None:
+            local = wrapper.local_names
             try:
                 local_columns = [local[c] for c in columns]
             except KeyError as exc:
@@ -305,7 +304,7 @@ class RelationScanProvider(ScanProvider):
     (mapping or callable of *full* qualified relations) to the physical
     protocol: projection happens here, after the fetch.
 
-    The capability-less fallback — used for explicitly supplied test
+    The pushdown-less fallback — used for explicitly supplied test
     providers, and the baseline the pushdown benchmarks compare against.
     """
 
@@ -326,19 +325,14 @@ class RelationScanProvider(ScanProvider):
         relation = self._resolve(name)
         if columns is None:
             return relation
-        schema = relation.schema
-        missing = [c for c in columns if c not in schema]
+        missing = [c for c in columns if c not in relation.schema]
         if missing:
             raise SchemaError(
                 f"wrapper {name} is missing attributes {sorted(missing)}")
         wanted = frozenset(columns)
-        out_schema = RelationSchema(
-            schema.name,
-            tuple(a for a in schema.attributes if a.name in wanted),
-            schema.source)
-        names = out_schema.attribute_names
-        return Relation.from_trusted(
-            out_schema, [{n: row[n] for n in names} for row in relation])
+        names = [a for a in relation.schema.attribute_names if a in wanted]
+        return Relation.from_batch(relation.columnar().reorder(names),
+                                   relation.schema.name)
 
     def estimate(self, name: str) -> int | None:
         provider = self._provider

@@ -5,10 +5,10 @@ rows against the schema (catching wrapper/schema drift early — the very
 failure mode the BDI ontology governs) and renders the ASCII tables used
 to reproduce Tables 1 and 2 of the paper.
 
-A relation is backed either by row dicts (wrappers, algebra operators,
+A relation is backed either by row dicts (algebra operators,
 :meth:`Relation.from_trusted`) or by a
 :class:`~repro.relational.columnar.ColumnBatch`
-(:meth:`Relation.from_batch`; every plan answer). A batch-backed
+(:meth:`Relation.from_batch`; every wrapper scan and plan answer). A batch-backed
 relation builds its row dicts at most once, on the first row access
 (:attr:`~Relation.rows`, iteration, ``==``, …); ``len``,
 :meth:`~Relation.columnar`, :meth:`~Relation.page` and
@@ -74,8 +74,8 @@ class Relation:
                      rows: list[dict[str, object]]) -> "Relation":
         """Adopt *rows* without per-row schema validation.
 
-        For internal producers (wrappers after their own validation,
-        algebra operators whose output fits the schema by construction).
+        For internal producers (algebra operators whose output fits the
+        schema by construction).
         The caller hands over ownership of *rows* and of every dict in
         it — they must not be mutated afterwards.
         """

@@ -205,7 +205,7 @@ def encode_wrapper(wrapper: "Wrapper | None") -> dict[str, Any] | None:
                        projection=wrapper._projection or None)
     else:
         try:
-            rows = wrapper.fetch()
+            rows = wrapper.relation().rows
         except Exception:
             return dict(base, type="opaque")
         payload = dict(base, type="materialized", rows=rows)

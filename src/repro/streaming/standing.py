@@ -34,7 +34,7 @@ from __future__ import annotations
 import threading
 from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Mapping
 
 from repro.errors import RelationalError, SchemaError, WrapperError
 from repro.relational.physical import ScanProvider
@@ -169,10 +169,8 @@ class StandingQuery:
                     return self._reseed(
                         provider,
                         reason=f"wrapper {feed.name} served no deltas")
-                local_of = {f"{wrapper.source_name}/{a}": a
-                            for a in wrapper.attributes}
                 for state in feed.states:
-                    gather = self._local_names(state, local_of)
+                    gather = self._local_names(state, wrapper.local_names)
                     counts = pending.setdefault(state, Counter())
                     for sign, row in deltas.changes:
                         counts[tuple(row[name] for name in gather)] += sign
@@ -249,7 +247,7 @@ class StandingQuery:
 
     @staticmethod
     def _local_names(state: ScanState,
-                     local_of: dict[str, str]) -> tuple[str, ...]:
+                     local_of: Mapping[str, str]) -> tuple[str, ...]:
         """Wrapper-local name of each tuple position of *state*."""
         try:
             return tuple(local_of[q]

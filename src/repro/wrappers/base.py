@@ -1,61 +1,47 @@
 """Wrapper abstraction (mediator/wrapper architecture, paper §1-2).
 
 A wrapper hides *how* a source is queried and exposes a flat relation in
-first normal form: ``w(aID, anID)``. Concrete wrappers (MongoDB-style,
-REST, static) implement :meth:`Wrapper.fetch_rows`; the base class
-validates rows against the declared schema and provides the
-source-qualified view used by the ontology and the rewriting algorithm
-(attribute ``a`` of source ``D1`` is globally named ``D1/a``).
+first normal form: ``w(aID, anID)``. Attribute ``a`` of source ``D1`` is
+globally named ``D1/a`` (:func:`qualify`), the form the ontology and the
+rewriting algorithm use.
 
-Capability protocol (physical execution layer)
-----------------------------------------------
+Scan contract
+-------------
 
-The planner (:mod:`repro.query.planner`) pushes projections down to
-sources that can take them: ``fetch_rows(columns=[...])`` asks for a
-subset of the declared attributes.
-
-A wrapper *declares* whether it honors that via
-:meth:`Wrapper.capabilities`; :meth:`Wrapper.fetch` is the
-capability-aware entry point: it forwards *columns* only when the
-wrapper declared projection, validates what came back, and trims the
-residue itself — so a wrapper that declines (or mis-implements) the
-pushdown still yields exactly the requested relation. Every
-``fetch_rows`` takes ``columns`` (the ``wrapper-capabilities`` lint
-rule checks it), even when it ignores it.
+A concrete wrapper (MongoDB-style, REST, static) implements one method,
+:meth:`Wrapper.fetch_rows`. :meth:`Wrapper.relation` always passes it
+``columns``, the requested local names as a tuple in schema order, so a
+source can push the projection down; the returned rows must hold at
+least those names, and any other key is ignored. ``relation`` then
+pivots each requested column straight out of the rows into one
+:class:`~repro.relational.columnar.ColumnBatch` under local or
+source-qualified names: no row is validated, trimmed or requalified
+one by one. A row missing a requested name is schema drift and raises
+:class:`~repro.errors.WrapperSchemaMismatchError`. Row dicts reappear
+only when a consumer reads ``Relation.rows`` (the naive oracle, JSON).
+Every ``fetch_rows`` takes ``columns`` (the ``wrapper-capabilities``
+lint rule checks it), even one that ignores it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
+from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
 from repro.errors import SchemaError, WrapperSchemaMismatchError
+from repro.relational.columnar import ColumnBatch
 from repro.relational.physical import Unversioned
 from repro.relational.rows import Relation
 from repro.relational.schema import Attribute, RelationSchema
 
-__all__ = ["Wrapper", "WrapperCapabilities", "WrapperDeltas",
-           "StaticWrapper", "qualify"]
+__all__ = ["Wrapper", "WrapperDeltas", "StaticWrapper", "qualify"]
 
 
 def qualify(source_name: str, attribute: str) -> str:
     """Source-qualified attribute name, e.g. ``D1/lagRatio``."""
     return f"{source_name}/{attribute}"
-
-
-@dataclass(frozen=True)
-class WrapperCapabilities:
-    """What a wrapper's native ``fetch_rows`` honors.
-
-    ``projection`` — the wrapper returns only the requested columns.
-    Undeclared, :meth:`Wrapper.fetch` trims the full fetch instead (the
-    validated fallback).
-    """
-
-    projection: bool = False
-
-    def notation(self) -> str:
-        return "projection" if self.projection else "none"
 
 
 @dataclass(frozen=True)
@@ -66,8 +52,9 @@ class WrapperDeltas:
     ``+1`` for an inserted row, ``-1`` for a deleted one; an update is a
     delete of the old row followed by an insert of the new — with rows
     keyed by *local* attribute names over the wrapper's full schema,
-    exactly like an unprojected :meth:`Wrapper.fetch`. Multiplicities
-    are bag semantics: a row inserted twice appears twice.
+    exactly like the rows of an unrestricted :meth:`Wrapper.relation`.
+    Multiplicities are bag semantics: a row inserted twice appears
+    twice.
 
     ``cursor`` is the position the changes advance a reader to (pass it
     to the next ``fetch_deltas``); ``data_version`` is the matching
@@ -90,14 +77,12 @@ class Wrapper:
         self.source_name = source_name
         self._ids = tuple(dict.fromkeys(id_attributes))
         self._non_ids = tuple(dict.fromkeys(non_id_attributes))
-        # Hot-path precomputations: schema validation compares row keys
-        # against this frozenset (no per-row set() allocation) and
-        # requalification uses one prebuilt rename map.
-        self._expected_keys = frozenset(self._ids + self._non_ids)
+        # The attribute tuples never change, so the naming maps and
+        # both schemas are built once; a scan subsets them.
         self._qualify_map = {a: qualify(source_name, a)
                              for a in self._ids + self._non_ids}
-        # The attribute tuples never change, so both schemas are built
-        # once; a fetch subsets them instead of rebuilding them.
+        self._local_names = MappingProxyType(
+            {q: a for a, q in self._qualify_map.items()})
         self._schema = RelationSchema(name, tuple(
             Attribute(a, True) for a in self._ids) + tuple(
             Attribute(a, False) for a in self._non_ids), source_name)
@@ -118,6 +103,11 @@ class Wrapper:
         return self._qualified_schema
 
     @property
+    def local_names(self) -> Mapping[str, str]:
+        """Source-qualified attribute name → local name (read-only)."""
+        return self._local_names
+
+    @property
     def id_attributes(self) -> tuple[str, ...]:
         return self._ids
 
@@ -133,15 +123,7 @@ class Wrapper:
         """Paper notation, e.g. ``w1({VoDmonitorId}, {lagRatio})``."""
         return self.schema.notation()
 
-    # -- capability protocol ---------------------------------------------------
-
-    def capabilities(self) -> WrapperCapabilities:
-        """Pushdowns the wrapper's ``fetch_rows`` honors natively.
-
-        The conservative default declares none: :meth:`fetch` then
-        fetches the full relation and trims it itself.
-        """
-        return WrapperCapabilities()
+    # -- planning and versioning -----------------------------------------------
 
     def estimate_rows(self) -> int | None:
         """Estimated cardinality for planning (None = unknown).
@@ -188,81 +170,53 @@ class Wrapper:
     # -- data ----------------------------------------------------------------------
 
     def fetch_rows(self, columns: Sequence[str] | None = None) -> list[dict]:
-        """Produce raw rows keyed by local attribute names (override).
+        """The source's rows keyed by local attribute names (override).
 
-        :meth:`fetch` always passes *columns*, but it is ``None`` unless
-        the wrapper declares projection; implementations without that
-        capability may ignore it.
+        Each row holds at least *columns* (None = every attribute);
+        other keys are ignored by :meth:`relation`, which always passes
+        *columns* as a tuple. Returns a list: its length is the row
+        count, also of a zero-column scan.
         """
         raise NotImplementedError
 
-    def fetch(self, columns: Sequence[str] | None = None) -> list[dict]:
-        """Capability-aware fetch with a validated fallback.
+    def relation(self, qualified: bool = False,
+                 columns: Sequence[str] | None = None) -> Relation:
+        """The wrapper's relation, fetched once and pivoted to columns.
 
-        Returns rows keyed by local attribute names, restricted to
-        *columns* (schema order) — whether the wrapper did that work
-        natively or the base class had to.
-        Raises :class:`~repro.errors.WrapperSchemaMismatchError` when a
-        row misses requested attributes (source drift under the
-        wrapper).
+        *columns* restricts it to those *local* attribute names, kept
+        in schema order (None = all); ``qualified=True`` names the
+        columns source-qualified — the form walk execution consumes.
+        Raises :class:`~repro.errors.SchemaError` for a name the
+        wrapper does not declare, and
+        :class:`~repro.errors.WrapperSchemaMismatchError` when a row
+        misses a requested attribute (source drift under the wrapper).
         """
+        schema = self._qualified_schema if qualified else self._schema
+        names = self.attributes
         if columns is not None:
-            unknown = [c for c in columns if c not in self._expected_keys]
+            unknown = [c for c in columns if c not in self._qualify_map]
             if unknown:
                 raise SchemaError(
                     f"wrapper {self.name} has no attributes {unknown}")
             wanted = frozenset(columns)
-        else:
-            wanted = self._expected_keys
-
-        push_columns = None
-        if columns is not None and self.capabilities().projection:
-            push_columns = list(columns)
-        rows = self.fetch_rows(columns=push_columns)
-
-        # Validated fallback: trim undeclared columns, and reject rows
-        # missing requested attributes.
-        out: list[dict] = []
-        for row in rows:
-            keys = row.keys()
-            if keys != wanted:
-                if wanted - keys:
-                    raise WrapperSchemaMismatchError(
-                        f"wrapper {self.name} produced row with attributes "
-                        f"{sorted(keys)}, requested "
-                        f"{sorted(wanted)}; the source likely evolved "
-                        "under the wrapper — register a new release")
-                row = {k: row[k] for k in wanted}
-            out.append(row)
-        return out
-
-    def _subset_schema(self, full: RelationSchema,
-                       columns: frozenset[str]) -> RelationSchema:
-        attrs = tuple(a for a in full.attributes if a.name in columns)
-        return RelationSchema(full.name, attrs, full.source)
-
-    def relation(self, qualified: bool = False,
-                 columns: Sequence[str] | None = None) -> Relation:
-        """Fetch and validate the wrapper's relation.
-
-        ``qualified=True`` rekeys columns to source-qualified names — the
-        form consumed by walk execution. *columns* restricts the schema
-        (and the fetch, when the wrapper can push projections down); it
-        uses *local* attribute names.
-        """
-        rows = self.fetch(columns)
-        schema = self.qualified_schema if qualified else self.schema
-        if columns is not None:
-            schema = self._subset_schema(schema, frozenset(
-                self._qualify_map[c] for c in columns)
-                if qualified else frozenset(columns))
-        if not qualified:
-            return Relation.from_trusted(schema, rows)
-        qmap = self._qualify_map
-        names = tuple(columns) if columns is not None \
-            else self._ids + self._non_ids
-        requalified = [{qmap[k]: row[k] for k in names} for row in rows]
-        return Relation.from_trusted(schema, requalified)
+            keep = [a in wanted for a in names]
+            names = tuple(a for a, k in zip(names, keep) if k)
+            schema = RelationSchema(schema.name, tuple(
+                a for a, k in zip(schema.attributes, keep) if k),
+                schema.source)
+        rows = self.fetch_rows(columns=names)
+        try:
+            data = [list(map(itemgetter(a), rows)) for a in names]
+        except KeyError:
+            wanted = frozenset(names)
+            row = next(r for r in rows if not wanted <= r.keys())
+            raise WrapperSchemaMismatchError(
+                f"wrapper {self.name} produced row with attributes "
+                f"{sorted(row)}, requested {sorted(wanted)}; the source "
+                "likely evolved under the wrapper — register a new "
+                "release") from None
+        return Relation.from_batch(
+            ColumnBatch(schema, data, _length=len(rows)))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.notation()}>"
@@ -299,9 +253,6 @@ class StaticWrapper(Wrapper):
         self._log: list[tuple[int, int, dict]] = []
         self._log_floor = 0
 
-    def capabilities(self) -> WrapperCapabilities:
-        return WrapperCapabilities(projection=True)
-
     def estimate_rows(self) -> int | None:
         return len(self._rows)
 
@@ -309,23 +260,14 @@ class StaticWrapper(Wrapper):
         return self._data_version
 
     def fetch_rows(self, columns: Sequence[str] | None = None) -> list[dict]:
-        names = tuple(columns) if columns is not None else self.attributes
+        # Copies, never the stored dicts: update_rows mutates those in
+        # place, and a copy is one consistent snapshot of its row.
         rename = self._projection
         if rename:
+            names = self.attributes if columns is None else columns
             return [{a: row.get(rename.get(a, a)) for a in names}
                     for row in self._rows]
-        if columns is None:
-            return [dict(row) for row in self._rows]
-        try:
-            # A missing declared attribute is schema drift and must
-            # surface exactly as it does on a full fetch — not be
-            # papered over as None.
-            return [{a: row[a] for a in names} for row in self._rows]
-        except KeyError as exc:
-            raise WrapperSchemaMismatchError(
-                f"wrapper {self.name} row is missing attribute "
-                f"{exc.args[0]!r}; the source likely evolved under the "
-                "wrapper — register a new release") from None
+        return [row.copy() for row in self._rows]
 
     def replace_rows(self, rows: Iterable[Mapping[str, object]]) -> None:
         """Swap the whole row set (no per-row change records).

@@ -16,10 +16,11 @@ exposes, e.g.::
         non_id_attributes=["lagRatio"],
     )
 
-Pushdown: the wrapper declares projection and expresses a column
-subset as an *extra pipeline stage* executed by the store itself — a
-trailing inclusion ``$project`` — exactly how a real MongoDB deployment
-would evaluate it server-side.
+Pushdown: the wrapper expresses the requested columns as an *extra
+pipeline stage* executed by the store itself — a trailing inclusion
+``$project`` — exactly how a real MongoDB deployment would evaluate it
+server-side. Outputs the pipeline computes beyond the wrapper's schema
+never reach the relation.
 """
 
 from __future__ import annotations
@@ -27,9 +28,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from repro.sources.document_store import DocumentStore, aggregate
-from repro.wrappers.base import (
-    Wrapper, WrapperCapabilities, WrapperDeltas,
-)
+from repro.wrappers.base import Wrapper, WrapperDeltas
 
 __all__ = ["MongoWrapper"]
 
@@ -53,9 +52,6 @@ class MongoWrapper(Wrapper):
         self.collection = collection
         self.pipeline = list(pipeline)
 
-    def capabilities(self) -> WrapperCapabilities:
-        return WrapperCapabilities(projection=True)
-
     def estimate_rows(self) -> int | None:
         if self.collection not in self.store:
             return None
@@ -69,19 +65,10 @@ class MongoWrapper(Wrapper):
         return self.store.get_collection(self.collection).data_version
 
     def fetch_rows(self, columns: Sequence[str] | None = None) -> list[dict]:
-        pipeline = list(self.pipeline)
-        wanted = set(columns) if columns is not None else set(
-            self.attributes)
-        if columns is not None:
-            projection: dict = {"_id": 0}
-            projection.update({c: 1 for c in columns})
-            pipeline.append({"$project": projection})
-        docs = self.store.get_collection(self.collection).aggregate(
-            pipeline)
-        # Aggregation output may keep Mongo's synthetic _id; the declared
-        # schema decides whether it is part of the relation.
-        return [{k: v for k, v in doc.items() if k in wanted}
-                for doc in docs]
+        names = self.attributes if columns is None else columns
+        projection = {"_id": 0, **dict.fromkeys(names, 1)}
+        return self.store.get_collection(self.collection).aggregate(
+            self.pipeline + [{"$project": projection}])
 
     # -- change-data-capture --------------------------------------------------
 

@@ -9,7 +9,8 @@ Pushdown: the wrapper asks the endpoint for a *partial response*
 flattening walk to the needed paths. Derived attributes declare the
 flat paths they read via *derived_inputs* — without that declaration a
 fetch involving the derived attribute falls back to the full payload
-(the base layer still trims the result, so answers never change).
+(the relation still holds only the requested columns, so answers never
+change).
 """
 
 from __future__ import annotations
@@ -18,9 +19,7 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.errors import WrapperError
 from repro.sources.rest_api import Endpoint
-from repro.wrappers.base import (
-    Wrapper, WrapperCapabilities, WrapperDeltas,
-)
+from repro.wrappers.base import Wrapper, WrapperDeltas
 from repro.wrappers.json_flatten import flatten_documents
 
 __all__ = ["RestWrapper"]
@@ -73,9 +72,6 @@ class RestWrapper(Wrapper):
             raise WrapperError(
                 f"wrapper {name}: attributes {missing} have neither a "
                 "field mapping nor a derivation")
-
-    def capabilities(self) -> WrapperCapabilities:
-        return WrapperCapabilities(projection=True)
 
     def estimate_rows(self) -> int | None:
         return self.count
@@ -133,8 +129,7 @@ class RestWrapper(Wrapper):
         return self.derived[attribute](flat)
 
     def fetch_rows(self, columns: Sequence[str] | None = None) -> list[dict]:
-        attributes = tuple(columns) if columns is not None \
-            else self.attributes
+        attributes = self.attributes if columns is None else columns
         fields, paths = self._needed_paths(attributes)
         documents = self.endpoint.fetch(self.version, self.count,
                                         self.seed, fields=fields)

@@ -1,16 +1,8 @@
-"""Clean fixture wrapper honoring every advertised capability
+"""Clean fixture wrapper honoring the scan and CDC contracts
 (parsed, never run)."""
 
 
-class WrapperCapabilities:
-    def __init__(self, projection: bool = False) -> None:
-        self.projection = projection
-
-
 class HonestWrapper:
-    def capabilities(self) -> WrapperCapabilities:
-        return WrapperCapabilities(projection=True)
-
     def fetch_rows(self, columns=None) -> list:
         return []
 

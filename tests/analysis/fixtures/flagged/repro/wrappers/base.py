@@ -1,19 +1,11 @@
 """Seeded capability-contract violations (fixture — parsed, never run)."""
 
 
-class WrapperCapabilities:
-    def __init__(self, projection: bool = False) -> None:
-        self.projection = projection
-
-
 class BrokenWrapper:
-    """Advertises more than it implements."""
-
-    def capabilities(self) -> WrapperCapabilities:
-        return WrapperCapabilities(projection=True)
+    """Breaks the scan and CDC contracts."""
 
     def fetch_rows(self, limit=None) -> list:
-        # violation: projection=True but no `columns` parameter
+        # violation: no `columns` parameter for the projection pushdown
         return []
 
     def fetch_deltas(self) -> list:
@@ -22,7 +14,7 @@ class BrokenWrapper:
 
 
 class ZeroArgumentWrapper:
-    """Advertises nothing, yet Wrapper.fetch passes columns=."""
+    """Takes no arguments, yet Wrapper.relation passes columns=."""
 
     def fetch_rows(self) -> list:
         # violation: no `columns` parameter

@@ -17,7 +17,7 @@ from repro.relational.physical import (
 from repro.relational.rows import Relation
 from repro.relational.schema import RelationSchema
 from repro.relational.walk import JoinCondition, Walk
-from repro.wrappers.base import StaticWrapper, Wrapper, WrapperCapabilities
+from repro.wrappers.base import StaticWrapper, Wrapper
 
 
 def caching_scans(ontology, scans=None):
@@ -268,11 +268,8 @@ class TestEngineIntegration:
                     [a.name for a in attributes if not a.is_id])
                 self.inner = inner
 
-            def capabilities(self):
-                return WrapperCapabilities(projection=True)
-
             def fetch_rows(self, columns=None):
-                return self.inner.fetch(columns)
+                return self.inner.relation(columns=columns).rows
 
         ontology = evolved.ontology
         for wrapper in evolved.wrappers.values():

@@ -97,7 +97,7 @@ class TestWrapperCodec:
         decoded = decode_wrapper(encode_wrapper(wrapper))
         assert isinstance(decoded, StaticWrapper)
         assert decoded.name == "w1" and decoded.source_name == "D1"
-        assert decoded.fetch() == wrapper.fetch()
+        assert decoded.relation().rows == wrapper.relation().rows
 
     def test_live_wrapper_materializes(self):
         class LiveWrapper(Wrapper):
@@ -109,7 +109,7 @@ class TestWrapperCodec:
         assert payload["type"] == "materialized"
         decoded = decode_wrapper(payload)
         assert isinstance(decoded, StaticWrapper)
-        assert decoded.fetch() == [{"id": 1, "v": 10}]
+        assert decoded.relation().rows == [{"id": 1, "v": 10}]
 
     def test_unserializable_rows_degrade_to_opaque(self):
         class WeirdWrapper(Wrapper):
