@@ -28,11 +28,19 @@ the ``to_rows`` pivot that builds the twin's row dicts. It must stay
 **≥2×**, and it collapses to ~1× if a plan answer is pivoted to row
 dicts or encoded row by row again.
 
+It also reports ``gateway_hit_ms``, informational and not gated: the
+median client-observed round trip of a warm answer-cache hit on a
+small (``HIT_ROWS``-row) answer through the HTTP gateway. Such a hit
+costs the server a few tens of µs, so the figure is the per-request
+cost of the hop itself: client framing, the server's loop and worker
+hand-off, and JSON decode.
+
 Emits ``BENCH_gateway.json`` with the measured latencies.
 """
 
 from __future__ import annotations
 
+import statistics
 import time
 from dataclasses import replace
 
@@ -51,6 +59,8 @@ B = Namespace("urn:gateway:")
 ROWS = 10_000
 FIELDS = ["device", "region", "status", "payload"]
 PAGE_SIZE = 50
+HIT_ROWS = 20
+HIT_REPEAT = 300
 OVERHEAD_LIMIT = 0.15
 FIRST_PAGE_SPEEDUP_FLOOR = 2.0
 REUSED_ANSWER_SPEEDUP_FLOOR = 5.0
@@ -168,6 +178,26 @@ def measure_fresh_answer_encode(repeat: int) -> dict[str, float]:
             "speedup": rows_s / columns_s}
 
 
+def measure_gateway_hit(repeat: int) -> float:
+    """Median round trip of a warm small answer-cache hit over HTTP."""
+    mdm, query = build_service(unique_rows()[:HIT_ROWS])
+    service = mdm.serving(max_workers=4)
+    try:
+        with HttpGateway(service) as gateway:
+            remote = GovernedClient(gateway.url)
+            for _ in range(20):  # connection, caches, encoded rows
+                assert len(remote.query(query).rows) == HIT_ROWS
+            samples = []
+            for _ in range(repeat):
+                start = time.perf_counter()
+                remote.query(query)
+                samples.append(time.perf_counter() - start)
+            remote.close()
+    finally:
+        service.close()
+    return statistics.median(samples)
+
+
 def test_protocol_overhead_and_first_page_latency(write_result,
                                                   write_json):
     mdm, query = build_service()
@@ -220,6 +250,7 @@ def test_protocol_overhead_and_first_page_latency(write_result,
     fresh_s = _best_of(lambda: _encode_reply(response, fresh), repeat)
     reused_speedup = fresh_s / reused_s
     fresh_answer = measure_fresh_answer_encode(repeat)
+    hit_s = measure_gateway_hit(HIT_REPEAT)
 
     report = "\n".join([
         "protocol overhead + gateway first-page latency "
@@ -247,6 +278,9 @@ def test_protocol_overhead_and_first_page_latency(write_result,
         f"{fresh_answer['columns_s'] * 1e3:9.3f} ms"
         f"   speedup: {fresh_answer['speedup']:.2f}x"
         f"  (floor {FRESH_ANSWER_ENCODE_SPEEDUP_FLOOR:.1f}x)",
+        "",
+        f"  gateway {HIT_ROWS}-row cache hit     {hit_s * 1e3:9.3f} ms"
+        f"   median of {HIT_REPEAT} (informational)",
     ])
     write_result("gateway_protocol.txt", report)
     write_json("gateway", {
@@ -267,6 +301,7 @@ def test_protocol_overhead_and_first_page_latency(write_result,
         "encode_plan_answer_columns_ms": round(
             fresh_answer["columns_s"] * 1e3, 3),
         "fresh_answer_encode_speedup": round(fresh_answer["speedup"], 2),
+        "gateway_hit_ms": round(hit_s * 1e3, 3),
     })
 
     assert overhead < OVERHEAD_LIMIT, (

@@ -28,7 +28,6 @@ Quickstart::
 
 from __future__ import annotations
 
-import http.client
 import json
 import secrets
 import threading
@@ -38,6 +37,7 @@ from typing import Any, Iterator, Mapping, Sequence
 
 from repro.errors import EpochSuperseded, GatewayError
 from repro.api.endpoint import ProtocolEndpoint
+from repro.api.httpd import ClientConnection
 from repro.api.protocol import (
     DescribeResponse, QueryRequest, QueryResponse, ReleaseRequest,
     ReleaseResponse,
@@ -91,10 +91,11 @@ class HttpTransport:
     """The same envelopes as JSON over one persistent HTTP connection.
 
     Each transport is one wire session: it keeps a single keep-alive
-    :class:`http.client.HTTPConnection` to the gateway (or fleet
-    router) and stamps every request with its ``X-Repro-Session`` id —
-    the token the fleet router uses for session-sticky,
-    epoch-monotonic routing.
+    :class:`~repro.api.httpd.ClientConnection` to the gateway (or fleet
+    router), which writes each request with one ``sendall``, and stamps
+    every request with its ``X-Repro-Session`` id — the token the fleet
+    router uses for session-sticky, epoch-monotonic routing. A reply
+    that closes the connection makes the next request reconnect.
 
     Protocol-level failures arrive as error envelopes and re-raise as
     their typed exceptions; transport-level failures (connection
@@ -122,41 +123,38 @@ class HttpTransport:
         self.retries = max(0, retries)
         self.backoff = backoff
         self.session_id = session_id or f"s-{secrets.token_hex(8)}"
-        self._conn: http.client.HTTPConnection | None = None
+        if "\r" in self.session_id or "\n" in self.session_id:
+            raise ValueError("a session id cannot hold a line break")
+        self._conn: ClientConnection | None = None
         self._lock = threading.Lock()
 
     # -- the wire ------------------------------------------------------------
 
-    def _connect(self) -> http.client.HTTPConnection:
+    def _connect(self) -> ClientConnection:
         if self._conn is None:
-            cls = http.client.HTTPSConnection \
-                if self._scheme == "https" else http.client.HTTPConnection
-            self._conn = cls(self._host, self._port,
-                             timeout=self.timeout)
-            self._conn.connect()
+            conn = ClientConnection(self._host, self._port,
+                                    timeout=self.timeout,
+                                    tls=self._scheme == "https")
+            conn.connect()
+            self._conn = conn
         return self._conn
 
     def _drop_connection(self) -> None:
         if self._conn is not None:
-            try:
-                self._conn.close()
-            except OSError:  # pragma: no cover - best effort
-                pass
+            self._conn.close()
             self._conn = None
 
-    def _request_once(self, conn: http.client.HTTPConnection,
+    def _request_once(self, conn: ClientConnection,
                       method: str, path: str,
                       data: bytes | None) -> tuple[int, bytes]:
         headers = {"Accept": "application/json",
                    "X-Repro-Session": self.session_id}
         if data is not None:
             headers["Content-Type"] = "application/json"
-        conn.request(method, path, body=data, headers=headers)
-        reply = conn.getresponse()
-        body = reply.read()
-        if "close" in (reply.getheader("Connection") or "").lower():
+        status, body, keep = conn.request(method, path, data, headers)
+        if not keep:
             self._drop_connection()
-        return reply.status, body
+        return status, body
 
     def _exchange(self, path: str, payload: Mapping[str, Any] | None,
                   *, idempotent: bool = True) -> dict[str, Any]:
@@ -171,7 +169,7 @@ class HttpTransport:
             with self._lock:
                 try:
                     conn = self._connect()
-                except (http.client.HTTPException, OSError) as exc:
+                except OSError as exc:
                     # connect-phase failure: nothing reached the server,
                     # always safe to retry
                     self._drop_connection()
@@ -182,7 +180,7 @@ class HttpTransport:
                 try:
                     status, body = self._request_once(
                         conn, method, path, data)
-                except (http.client.HTTPException, OSError) as exc:
+                except OSError as exc:
                     self._drop_connection()
                     last_error = GatewayError(
                         f"gateway unreachable at {url}: {exc}")

@@ -25,6 +25,14 @@ and the fleet router and no more:
 
 Handlers implement one method, ``handle(request) -> HttpResponse``;
 everything else (framing, scheduling, shedding) is the server's.
+
+The client half of the same framing is :class:`ClientConnection`: one
+keep-alive HTTP/1.1 connection that writes each request (request line,
+headers and body) with a single ``sendall`` and reads the reply with a
+minimal status-line and header parser. The protocol client
+(:class:`~repro.api.client.HttpTransport`) and the fleet router's
+backend pool (:class:`~repro.fleet.balancer.Backend`) both use it, so
+no request on the serving hop goes through the stdlib HTTP client.
 """
 
 from __future__ import annotations
@@ -34,12 +42,13 @@ import json
 import queue
 import selectors
 import socket
+import ssl
 import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-__all__ = ["AsyncHttpServer", "EncodedJSON", "HttpRequest",
-           "HttpResponse", "error_payload"]
+__all__ = ["AsyncHttpServer", "ClientConnection", "EncodedJSON",
+           "HttpRequest", "HttpResponse", "error_payload"]
 
 #: request bodies above this are rejected (a malformed-client guard,
 #: not a security boundary — the server is an internal service door)
@@ -380,7 +389,7 @@ class AsyncHttpServer:
             return
         if events & selectors.EVENT_WRITE and conn.outbuf:
             try:
-                sent = conn.sock.send(bytes(conn.outbuf))
+                sent = conn.sock.send(conn.outbuf)
                 del conn.outbuf[:sent]
             except (BlockingIOError, InterruptedError):
                 return
@@ -545,3 +554,148 @@ def _encode(response: HttpResponse, *, close: bool) -> bytes:
             f"Content-Length: {len(response.body)}\r\n"
             f"Connection: {connection}\r\n\r\n")
     return head.encode("latin-1") + response.body
+
+
+#: bytes asked of the socket per read until a reply's length is known
+_RECV_BYTES = 65536
+
+
+class ClientConnection:
+    """One keep-alive HTTP/1.1 client connection (``http`` or ``https``).
+
+    :meth:`request` sends the request line, ``Host``, the caller's
+    headers, ``Content-Length`` and the body as one buffer with one
+    ``sendall``, then reads one reply: a status line, a header block,
+    and a body framed by ``Content-Length`` or, without one, by EOF. A
+    reply that closes the connection (``Connection: close``, an
+    HTTP/1.0 reply without ``keep-alive``, or no ``Content-Length``)
+    closes the socket, and :meth:`request` reports ``keep=False``.
+
+    EOF before a complete reply, a short body and a bad status line
+    raise :class:`ConnectionError`; with socket errors and timeouts,
+    every transport failure is an ``OSError``. A failed request closes
+    the connection, since its framing state is unknown.
+    """
+
+    __slots__ = ("host", "port", "timeout", "tls", "sock", "_host_header")
+
+    def __init__(self, host: str, port: int | None = None, *,
+                 timeout: float | None = None, tls: bool = False) -> None:
+        self.host = host
+        self.port = port or (443 if tls else 80)
+        self.timeout = timeout
+        self.tls = tls
+        self.sock: socket.socket | None = None
+        name = f"[{host}]" if ":" in host else host
+        self._host_header = name if port is None else f"{name}:{port}"
+
+    def connect(self) -> None:
+        sock = socket.create_connection((self.host, self.port),
+                                        self.timeout)
+        try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if self.tls:
+                sock = ssl.create_default_context().wrap_socket(
+                    sock, server_hostname=self.host)
+        except BaseException:
+            sock.close()
+            raise
+        self.sock = sock
+
+    def settimeout(self, timeout: float | None) -> None:
+        """Bound the open socket's later operations."""
+        if self.sock is not None:
+            self.sock.settimeout(timeout)
+
+    def close(self) -> None:
+        sock, self.sock = self.sock, None
+        if sock is not None:
+            try:
+                sock.close()
+            except OSError:  # pragma: no cover - best effort
+                pass
+
+    def request(self, method: str, target: str, body: bytes | None = None,
+                headers: dict[str, str] | None = None,
+                ) -> tuple[int, bytes, bool]:
+        """One exchange: ``(status, body, keep)``; *keep* is False when
+        the reply closed the connection."""
+        if self.sock is None:
+            self.connect()
+        sock = self.sock
+        assert sock is not None
+        head = [f"{method} {target} HTTP/1.1\r\nHost: {self._host_header}"]
+        if headers:
+            head += [f"{name}: {value}" for name, value in headers.items()]
+        if body is not None:
+            head.append(f"Content-Length: {len(body)}")
+        message = ("\r\n".join(head) + "\r\n\r\n").encode("latin-1")
+        try:
+            sock.sendall(message + body if body else message)
+            status, payload, keep = _read_reply(sock)
+        except BaseException:
+            self.close()
+            raise
+        if not keep:
+            self.close()
+        return status, payload, keep
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        state = "open" if self.sock is not None else "closed"
+        return f"<ClientConnection {self._host_header} {state}>"
+
+
+def _read_reply(sock: socket.socket) -> tuple[int, bytes, bool]:
+    """Read one final reply from *sock*: ``(status, body, keep)``."""
+    buf = bytearray()
+    while (end := buf.find(b"\r\n\r\n")) < 0:
+        if len(buf) > MAX_HEADER_BYTES:
+            raise ConnectionError("reply header block too large")
+        chunk = sock.recv(_RECV_BYTES)
+        if not chunk:
+            raise ConnectionError(
+                "connection closed before a complete reply")
+        buf += chunk
+    lines = bytes(buf[:end]).decode("latin-1").split("\r\n")
+    version, _, rest = lines[0].partition(" ")
+    code = rest[:3]
+    if not version.startswith("HTTP/1.") or len(code) != 3 \
+            or not code.isdigit():
+        raise ConnectionError(f"bad status line {lines[0]!r}")
+    status = int(code)
+    start = end + 4
+    headers: dict[str, str] = {}
+    for line in lines[1:]:
+        name, _, value = line.partition(":")
+        headers[name.strip().lower()] = value.strip()
+    if "transfer-encoding" in headers:
+        raise ConnectionError("chunked replies are not supported")
+    connection = headers.get("connection", "").lower()
+    keep = "keep-alive" in connection if version == "HTTP/1.0" \
+        else "close" not in connection
+    raw_length = headers.get("content-length")
+    if raw_length is None:
+        # the body runs to EOF, which also ends the connection
+        while chunk := sock.recv(_RECV_BYTES):
+            buf += chunk
+        return status, bytes(buf[start:]), False
+    try:
+        length = int(raw_length)
+    except ValueError:
+        length = -1
+    if length < 0:
+        raise ConnectionError(f"bad Content-Length {raw_length!r}")
+    have = len(buf) - start
+    if have >= length:
+        return status, bytes(buf[start:start + length]), keep
+    body = bytearray(length)
+    view = memoryview(body)
+    view[:have] = buf[start:]
+    while have < length:
+        got = sock.recv_into(view[have:])
+        if not got:
+            raise ConnectionError(
+                f"reply body ended after {have} of {length} bytes")
+        have += got
+    view.release()
+    return status, bytes(body), keep

@@ -5,8 +5,9 @@ Two pieces live here, deliberately separated from the HTTP plumbing in
 without sockets:
 
 * :class:`Backend` — one upstream node (the leader or a replica): its
-  health as observed by probes, its last known applied epoch, a pooled
-  keep-alive connection set, and per-backend traffic counters;
+  health as observed by probes, its last known applied epoch, a pool
+  of keep-alive :class:`~repro.api.httpd.ClientConnection` objects,
+  and per-backend traffic counters;
 * :class:`EpochBalancer` — the decision: given a session and its epoch
   floor, produce the ordered candidate list that can serve the request
   without time travel.
@@ -25,12 +26,12 @@ leader is reachable.
 
 from __future__ import annotations
 
-import http.client
 import threading
 import urllib.parse
 from dataclasses import dataclass
 from typing import Any
 
+from repro.api.httpd import ClientConnection
 from repro.util.lru import LRU
 
 __all__ = ["Backend", "EpochBalancer", "SessionState"]
@@ -76,21 +77,20 @@ class Backend:
         self.inflight = 0  # guarded-by: _lock
         self.routed = 0  # guarded-by: _lock
         self._lock = threading.Lock()
-        self._pool: list[http.client.HTTPConnection] = \
-            []  # guarded-by: _lock
+        self._pool: list[ClientConnection] = []  # guarded-by: _lock
 
     # -- connection pool -----------------------------------------------------
 
-    def _checkout(self) -> http.client.HTTPConnection:
+    def _checkout(self) -> ClientConnection:
         with self._lock:
             if self._pool:
                 return self._pool.pop()
-        conn = http.client.HTTPConnection(self._host, self._port,
-                                          timeout=self.timeout)
+        conn = ClientConnection(self._host, self._port,
+                                timeout=self.timeout)
         conn.connect()
         return conn
 
-    def _checkin(self, conn: http.client.HTTPConnection) -> None:
+    def _checkin(self, conn: ClientConnection) -> None:
         with self._lock:
             if len(self._pool) < POOL_CAPACITY:
                 self._pool.append(conn)
@@ -101,10 +101,7 @@ class Backend:
         with self._lock:
             pool, self._pool = self._pool, []
         for conn in pool:
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover - best effort
-                pass
+            conn.close()
 
     # -- the wire ------------------------------------------------------------
 
@@ -114,36 +111,28 @@ class Backend:
                  ) -> tuple[int, bytes]:
         """One proxied request on a pooled keep-alive connection.
 
-        Raises ``OSError`` / ``http.client.HTTPException`` on transport
-        failure (the caller decides whether another backend retries).
+        *headers* (lower-case names, as the server parses them) override
+        the ``accept`` / ``content-type`` defaults. A per-call *timeout*
+        bounds this exchange only; a pooled connection goes back with
+        the backend's own timeout. A reply that closes the connection
+        is not pooled. Raises ``OSError`` on transport failure (the
+        caller decides whether another backend retries); the failed
+        connection is closed, never pooled.
         """
         conn = self._checkout()
-        if timeout is not None and conn.sock is not None:
-            conn.sock.settimeout(timeout)
-        send_headers = {"Accept": "application/json"}
+        if timeout is not None:
+            conn.settimeout(timeout)
+        send_headers = {"accept": "application/json"}
         if body is not None:
-            send_headers["Content-Type"] = "application/json"
+            send_headers["content-type"] = "application/json"
         if headers:
             send_headers.update(headers)
-        try:
-            conn.request(method, path, body=body, headers=send_headers)
-            reply = conn.getresponse()
-            payload = reply.read()
-            status = reply.status
-            keep = "close" not in (reply.getheader("Connection")
-                                   or "").lower()
-        except BaseException:
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover
-                pass
-            raise
+        status, payload, keep = conn.request(method, path, body,
+                                             send_headers)
         if keep:
-            if timeout is not None and conn.sock:
-                conn.sock.settimeout(self.timeout)
+            if timeout is not None:
+                conn.settimeout(self.timeout)
             self._checkin(conn)
-        else:
-            conn.close()
         return status, payload
 
     # -- health accounting ---------------------------------------------------

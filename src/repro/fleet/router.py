@@ -31,7 +31,6 @@ answer or one typed error envelope, never a half-routed request.
 
 from __future__ import annotations
 
-import http.client
 import json
 import threading
 import time
@@ -45,7 +44,7 @@ from repro.fleet.balancer import Backend, EpochBalancer
 
 __all__ = ["FleetRouter"]
 
-_TRANSPORT_ERRORS = (OSError, http.client.HTTPException)
+_TRANSPORT_ERRORS = (OSError,)
 
 #: headers never copied through to a backend (hop-by-hop / re-derived)
 _HOP_HEADERS = frozenset({

@@ -56,19 +56,20 @@ class ChangeRecord:
     before: Document | None = None
 
 
-def get_path(document: Any, path: str) -> Any:
-    """Resolve a dotted path in a document; missing segments give None."""
+def get_path(document: Any, path: str, missing: Any = None) -> Any:
+    """Resolve a dotted path in a document; a missing segment gives
+    *missing* (None by default)."""
     node = document
     for segment in path.split("."):
         if isinstance(node, dict):
-            node = node.get(segment)
+            node = node.get(segment, missing)
         elif isinstance(node, list):
             try:
                 node = node[int(segment)]
             except (ValueError, IndexError):
-                return None
+                return missing
         else:
-            return None
+            return missing
     return node
 
 
@@ -219,6 +220,10 @@ def _matches(document: Document, query: dict) -> bool:
 # ---------------------------------------------------------------------------
 
 
+#: a path the document does not hold (``$project`` omits its field)
+_MISSING = object()
+
+
 def _stage_project(docs: Iterable[Document], spec: dict
                    ) -> Iterator[Document]:
     include_id = spec.get("_id", True)
@@ -231,11 +236,16 @@ def _stage_project(docs: Iterable[Document], spec: dict
                 continue
             if rule in (0, False):
                 continue
+            # MongoDB omits an included or referenced field the
+            # document lacks, so a wrapper over it sees the drift.
             if rule in (1, True):
-                value = get_path(doc, field)
+                value = get_path(doc, field, _MISSING)
+            elif isinstance(rule, str) and rule.startswith("$"):
+                value = get_path(doc, rule[1:], _MISSING)
             else:
                 value = _eval_expr(rule, doc)
-            _set_path(out, field, value)
+            if value is not _MISSING:
+                _set_path(out, field, value)
         yield out
 
 

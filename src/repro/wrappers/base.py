@@ -25,6 +25,7 @@ lint rule checks it), even one that ignores it.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from operator import itemgetter
 from types import MappingProxyType
@@ -357,8 +358,10 @@ class StaticWrapper(Wrapper):
             return None
         if since > self._data_version or since < self._log_floor:
             return None
-        changes = tuple(
-            (sign, self._project_row(row))
-            for seq, sign, row in self._log if seq > since)
+        # The log is in sequence order: start past the cursor.
+        log = self._log
+        first = bisect_right(log, since, key=itemgetter(0))
+        changes = tuple((sign, self._project_row(row))
+                        for _, sign, row in log[first:])
         return WrapperDeltas(changes, cursor=self._data_version,
                              data_version=self._data_version)

@@ -261,6 +261,29 @@ class TestMongoPushdown:
         narrow = w.relation(columns=["lagRatio", "VoDmonitorId"]).rows
         assert full == narrow
 
+    def test_missing_projected_field_is_drift(self):
+        store = DocumentStore()
+        store.collection("c").insert_one({"a": 1})
+        w = MongoWrapper("w", "D", store, "c", [{"$match": {}}],
+                         ["a"], ["b"])
+        with pytest.raises(WrapperSchemaMismatchError):
+            w.relation()
+        with pytest.raises(WrapperSchemaMismatchError):
+            w.relation(qualified=True, columns=["b"])
+
+    def test_missing_referenced_field_is_omitted_but_null_is_kept(self):
+        store = DocumentStore()
+        store.collection("c").insert_many([{"a": 1}, {"a": 2, "x": None}])
+        w = MongoWrapper(
+            "w", "D", store, "c",
+            [{"$project": {"_id": 0, "a": 1, "b": "$x",
+                           "c": {"$ifNull": ["$x", 0]}}}],
+            ["a"], ["b", "c"])
+        assert w.fetch_rows(("a", "b", "c")) == [
+            {"a": 1, "c": 0}, {"a": 2, "b": None, "c": 0}]
+        with pytest.raises(WrapperSchemaMismatchError):
+            w.relation(columns=["a", "b"])
+
     def test_estimate_and_data_version_track_collection(self):
         w = self.wrapper()
         assert w.estimate_rows() == 4

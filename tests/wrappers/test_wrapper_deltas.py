@@ -78,6 +78,25 @@ class TestStaticWrapperDeltas:
             w.append_rows([{"id": 100 + i, "v": "x"}])
         assert w.fetch_deltas(cursor) is None
 
+    def test_wrapped_log_serves_exactly_the_changes_past_the_cursor(
+            self):
+        w = self.make()
+        w.CHANGE_LOG_LIMIT = 8
+        cursors = []
+        for i in range(12):  # 12 changes through an 8-entry log
+            cursors.append(w.delta_cursor())
+            w.append_rows([{"id": 100 + i, "v": "x"}])
+        assert w._log_floor == 4
+        for i, cursor in enumerate(cursors):
+            deltas = w.fetch_deltas(cursor)
+            if cursor < w._log_floor:
+                assert deltas is None
+                continue
+            assert [row["id"] for _, row in deltas.changes] == \
+                [100 + j for j in range(i, 12)]
+        assert w.fetch_deltas(w.delta_cursor()).changes == ()
+        assert w.fetch_deltas(w._log_floor - 1) is None
+
     def test_bogus_cursor_is_resync_not_error(self):
         w = self.make()
         assert w.fetch_deltas("not-a-cursor") is None
