@@ -160,7 +160,8 @@ def describe_answer_cache(cache: "AnswerCache") -> str:
         f"extension fallbacks: {_by_reason(stats.extension_fallbacks)}",
         f"  incremental maintenance: patches = {stats.patches}, "
         f"seeds = {stats.seeds}, fallbacks = {stats.fallbacks} "
-        f"(errors: {_by_reason(stats.fallback_errors)})",
+        f"(errors: {_by_reason(stats.fallback_errors)}), "
+        f"fallback causes: {_by_reason(stats.fallback_reasons)}",
     ])
 
 

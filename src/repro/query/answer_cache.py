@@ -7,44 +7,41 @@ touched; the stored :class:`~repro.relational.rows.Relation` is handed
 back as-is. The repeated analyst panel — the dominant governed-serving
 workload — becomes a dictionary lookup.
 
-Validity is evidence-based, mirroring the rewrite cache's
-release-awareness:
+Validity is evidence-based, and :meth:`AnswerCache.lookup` is the one
+place that compares an answer's evidence (the ontology fingerprint,
+the rewriting object, the bound objects and data versions of the
+wrappers the plan scanned) with the current one. Every lookup is a hit
+or a miss, and a miss hands its caller one :data:`Action`:
 
-* the **ontology fingerprint** the answer was computed under must still
-  be current — any release landing through Algorithm 1 (or a bypassed
-  mutation of ``T``) keys the entry out, unless the release left the
-  entry's rewriting alone or only extended it (below);
-* the **data_version** of every wrapper the plan scanned must be
-  unchanged — an in-place data write (a document-store upsert, a REST
-  source refresh) makes exactly the answers that read it miss, and the
-  engine patches them from the sources' change streams;
-* the **bound objects** the plan scanned must be the same objects,
-  compared by identity — a bare rebind of a wrapper name moves neither
-  the fingerprint nor (necessarily) the data version, and it evicts
-  the entry without a patch.
+1. a version probe raised (a
+   :class:`~repro.relational.physical.Unversioned` token): ``uncached``
+   — fail closed, the answer is neither served, stored, extended nor
+   patched;
+2. no entry: ``compute``;
+3. the fingerprint moved, but the rewrite cache returned the entry's
+   very rewriting (the release touched only other concepts): the entry
+   is **kept**, its fingerprint refreshed, and the checks go on;
+4. the fingerprint moved, and the current rewriting extends the
+   entry's (:attr:`~repro.query.rewriter.RewritingResult.extends`: an
+   additive release only added walks over a new wrapper): ``extend``
+   with the entry — under LAV its answer plus the new walks' rows is
+   the answer — unless an old wrapper was ``rebound`` or its data moved
+   (``data_moved``): ``compute``;
+5. the fingerprint moved otherwise (``not_extended``): evict,
+   ``compute`` — fingerprints only move forward;
+6. a wrapper name is bound to another object (a bare rebind): evict,
+   ``compute``;
+7. a data version moved (an in-place write): ``patch`` with the entry,
+   from the sources' change streams;
+8. otherwise: a **hit**.
 
-All three checks happen per lookup, so the cache is correct without
-any cooperation from the serving layer, which does not clear it at
-epoch boundaries. Each entry also remembers the rewriting object it was
-computed from, and two cases are decided by that identity once the
-fingerprint check failed:
-
-* **keep** — the rewrite cache returned the very rewriting the entry was
-  computed from (the release touched only other concepts). The entry is
-  a hit and its fingerprint is refreshed.
-* **extend** — the current rewriting extends the entry's
-  (:attr:`~repro.query.rewriter.RewritingResult.extends`: an additive
-  release only added walks over a new wrapper). :meth:`AnswerCache.
-  lookup` misses but keeps the entry, and the engine computes the new
-  walks' rows alone and unions them into it
-  (:meth:`AnswerCache.extension_base`), counting the outcome in
-  :attr:`AnswerCacheStats.extended` or, when an old wrapper's data or
-  binding moved, in :attr:`AnswerCacheStats.extension_fallbacks`.
-
-Every other fingerprint mismatch evicts, counted as the fallback
-``not_extended``. Fingerprints remain the validity evidence of a
-hit: two engines sharing one answer cache never share rewriting
-objects, and hit on the fingerprint alone.
+The reasons in cases 1 (when the entry was extendable), 4 and 5 are
+counted in :attr:`AnswerCacheStats.extension_fallbacks`. The checks
+run per lookup, so the cache is correct without any cooperation from
+the serving layer, which does not clear it at epoch boundaries.
+Fingerprints remain the validity evidence of a hit: two engines
+sharing one answer cache never share rewriting objects, and hit on the
+fingerprint alone.
 
 Entries are shared objects: treat returned relations as immutable,
 exactly like rewrite-cache results and shared scans. A relation the
@@ -60,6 +57,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from repro.relational.physical import Unversioned
 from repro.relational.rows import Relation
 from repro.util.lru import LRU, LRUStats
 
@@ -68,7 +66,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.query.rewriter import RewritingResult
     from repro.streaming.standing import StandingQuery
 
-__all__ = ["AnswerCache", "AnswerCacheStats", "CachedAnswer",
+__all__ = ["Action", "AnswerCache", "AnswerCacheStats", "CachedAnswer",
            "DataVersions", "answer_cache_env_enabled"]
 
 
@@ -110,6 +108,11 @@ class AnswerCacheStats(LRUStats):
     #: patch attempts that degraded to a full recompute (the valve
     #: tripped on delta volume, or the patch path raised)
     fallbacks: int = 0
+    #: those fallbacks by cause: ``delta_volume`` (the valve tripped),
+    #: ``no_deltas`` (a wrapper served no change stream), ``seed`` (the
+    #: standing query had lost its state) or ``error`` (the patch path
+    #: raised; see :attr:`fallback_errors`)
+    fallback_reasons: dict[str, int] = field(default_factory=dict)
     #: entries discarded because the patch path raised, by exception
     #: class name, so a programming error (``TypeError``) does not pass
     #: for an ordinary fallback
@@ -135,8 +138,8 @@ class CachedAnswer:
     ``standing`` is the entry's incremental maintainer (a
     :class:`~repro.streaming.standing.StandingQuery`), attached lazily
     the first time the entry goes stale under an unchanged ontology;
-    ``lock`` serializes patch attempts on this entry so concurrent
-    readers refresh it once.
+    ``lock`` serializes patch and extension attempts on this entry so
+    concurrent readers refresh or extend it once.
     """
 
     key: str
@@ -157,8 +160,9 @@ class CachedAnswer:
         default_factory=threading.RLock, repr=False, compare=False)
 
 
-def _bump(counts: dict[str, int], reason: str) -> None:
-    counts[reason] = counts.get(reason, 0) + 1
+#: what a lookup miss leaves its caller to do: ``("extend", entry)``,
+#: ``("patch", entry)``, ``("compute", None)`` or ``("uncached", None)``
+Action = tuple[str, CachedAnswer | None]
 
 
 def same_objects(left: tuple[object, ...],
@@ -199,91 +203,96 @@ class AnswerCache:
                data_versions: "tuple[tuple[str, object], ...]",
                bound: tuple[object, ...] = (),
                rewriting: "RewritingResult | None" = None,
+               action: list[Action] | None = None,
                ) -> Relation | None:
         """The cached answer, or ``None`` when absent/stale.
 
-        Every stale entry counts as a miss. A *data-stale* entry under
-        an unchanged fingerprint survives it: only the wrappers' data
-        moved, so the incremental patch path (:meth:`patchable_entry`
-        → :meth:`install_patch`) can bring it current for O(Δ) instead
-        of a recompute. A rebind (*bound* holds another object) evicts.
-        An epoch change (fingerprint mismatch) keeps the entry when
-        *rewriting* is the entry's own rewriting or extends it (see the
-        module docstring), and evicts it otherwise — the rewriting or
-        the source itself may no longer be the one the entry read, and
-        fingerprints only move forward.
+        Every stale entry counts as a miss. With *action* given, a miss
+        appends the one :data:`Action` the evidence leaves the caller
+        (the module docstring lists the cases). Only a rewriting that
+        no longer covers the entry, or a rebind, evicts it.
         """
         slot = (key, distinct)
         with self._lock:
             entry = self._entries.get(slot)
-            if entry is None:
-                self.stats.misses += 1
-                return None
-            if entry.fingerprint != fingerprint:
-                if rewriting is not None and entry.rewriting is rewriting:
-                    entry.fingerprint = fingerprint
-                    self.stats.kept += 1
-                elif rewriting is not None and rewriting.extension_of(
-                        entry.rewriting):
-                    # the engine extends it (extension_base)
-                    self.stats.misses += 1
-                    return None
+            verdict = self._judge(slot, entry, fingerprint, data_versions,
+                                  bound, rewriting)
+            if entry is not None and verdict == "hit":
+                self.stats.hits += 1
+                entry.relation.mark_reused()
+                return entry.relation
+            self.stats.misses += 1
+            if action is not None:
+                action.append((verdict, entry if verdict in (
+                    "extend", "patch") else None))
+            return None
+
+    # repro-lint: disable=guarded-by -- sole caller is lookup, which
+    # holds the lock.
+    def _judge(self, slot: tuple[str, bool], entry: CachedAnswer | None,
+               fingerprint: "OntologyFingerprint",
+               data_versions: "tuple[tuple[str, object], ...]",
+               bound: tuple[object, ...],
+               rewriting: "RewritingResult | None") -> str:
+        """The verdict on *entry*'s evidence: ``hit`` or an action.
+        Counts the evictions, keeps and extension fallbacks it decides."""
+        stats = self.stats
+        extends = (entry is not None and rewriting is not None
+                   and rewriting.extension_of(entry.rewriting))
+        if any(isinstance(version, Unversioned)
+               for _, version in data_versions):
+            if extends:
+                stats.tally("extension_fallbacks", "unversioned")
+            return "uncached"
+        if entry is None:
+            return "compute"
+        if entry.fingerprint != fingerprint:
+            if rewriting is not None and entry.rewriting is rewriting:
+                entry.fingerprint = fingerprint
+                stats.kept += 1
+            elif extends:
+                # Under LAV the old walks are unchanged: the entry plus
+                # the added walks' rows is the answer while the old
+                # wrappers hold the objects and data the entry read.
+                now = dict(data_versions)
+                current = {name: obj for (name, _), obj
+                           in zip(data_versions, bound)}
+                if any(current.get(name) is not obj for (name, _), obj
+                       in zip(entry.data_versions, entry.bound)):
+                    stats.tally("extension_fallbacks", "rebound")
+                elif any(now.get(name) != version
+                         for name, version in entry.data_versions):
+                    stats.tally("extension_fallbacks", "data_moved")
                 else:
-                    self._entries.pop(slot)
-                    self.stats.evictions += 1
-                    self.stats.misses += 1
-                    _bump(self.stats.extension_fallbacks, "not_extended")
-                    return None
-            if not same_objects(entry.bound, bound):
-                self._entries.pop(slot)
-                self.stats.evictions += 1
-                self.stats.misses += 1
-                return None
-            if entry.data_versions != data_versions:
-                self.stats.misses += 1
-                return None
-            self.stats.hits += 1
-            entry.relation.mark_reused()
-            return entry.relation
+                    return "extend"
+                return "compute"
+            else:
+                stats.tally("extension_fallbacks", "not_extended")
+                return self._evict(slot)
+        if not same_objects(entry.bound, bound):
+            return self._evict(slot)
+        if entry.data_versions != data_versions:
+            return "patch"
+        return "hit"
 
-    def extension_base(self, key: str, distinct: bool,
-                       rewriting: "RewritingResult",
-                       ) -> CachedAnswer | None:
-        """The entry *rewriting* extends: present, and computed from the
-        rewriting :attr:`~repro.query.rewriter.RewritingResult.extends`
-        names. Its answer plus the added walks' rows is the answer of
-        *rewriting*, while the old wrappers' data and bindings hold."""
-        with self._lock:
-            entry = self._entries.peek((key, distinct))
-            if entry is None or not rewriting.extension_of(
-                    entry.rewriting):
-                return None
-            return entry
-
-    def note_extension_fallback(self, reason: str) -> None:
-        """Count one answer recomputed instead of extended."""
-        with self._lock:
-            _bump(self.stats.extension_fallbacks, reason)
-
-    def patchable_entry(self, key: str, distinct: bool,
-                        fingerprint: "OntologyFingerprint",
-                        ) -> CachedAnswer | None:
-        """The entry a patch attempt may refresh: present and computed
-        under the current fingerprint (its data_versions may lag)."""
-        with self._lock:
-            entry = self._entries.peek((key, distinct))
-            if entry is None or entry.fingerprint != fingerprint:
-                return None
-            return entry
+    # repro-lint: disable=guarded-by -- callers hold the lock.
+    def _evict(self, slot: tuple[str, bool]) -> str:
+        self._entries.pop(slot)
+        self.stats.evictions += 1
+        return "compute"
 
     def install_patch(self, entry: CachedAnswer, relation: Relation,
                       data_versions: "tuple[tuple[str, object], ...]",
-                      standing: "StandingQuery", kind: str) -> None:
+                      standing: "StandingQuery", kind: str,
+                      reason: str = "") -> None:
         """Publish a maintained answer back into *entry*.
 
         *kind* is the accounting bucket: ``"seed"`` (standing query
         just created), ``"patch"`` (O(Δ) refresh), ``"fallback"``
-        (the valve reseeded). Caller holds ``entry.lock``; the entry is
+        (the standing query reseeded, counted under *reason*: the
+        refresh outcome's
+        :attr:`~repro.streaming.standing.RefreshOutcome.cause`). Caller
+        holds ``entry.lock``; the entry is
         updated in place so a concurrent LRU eviction at worst orphans
         it — the returned relation stays correct either way. A live
         entry is re-weighed by its new relation's rows.
@@ -297,6 +306,7 @@ class AnswerCache:
                 self.stats.seeds += 1
             elif kind == "fallback":
                 self.stats.fallbacks += 1
+                self.stats.tally("fallback_reasons", reason)
             else:
                 self.stats.patches += 1
             slot = (entry.key, entry.distinct)
@@ -317,7 +327,8 @@ class AnswerCache:
             self.stats.evictions += 1
             if error is not None:
                 self.stats.fallbacks += 1
-                _bump(self.stats.fallback_errors, type(error).__name__)
+                self.stats.tally("fallback_reasons", "error")
+                self.stats.tally("fallback_errors", type(error).__name__)
             return True
 
     def store(self, key: str, distinct: bool,
@@ -326,10 +337,11 @@ class AnswerCache:
               relation: Relation,
               bound: tuple[object, ...] = (),
               rewriting: "RewritingResult | None" = None,
-              extended: bool = False) -> CachedAnswer:
+              base: CachedAnswer | None = None) -> CachedAnswer:
         """Install an answer (last-writer-wins; LRU-evicts past either
         bound, possibly the answer itself when it alone outweighs the
-        row bound). *extended* counts it as an extended answer."""
+        row bound). *base* is the entry the answer extends: it counts
+        as an extended answer, and *base* can no longer be extended."""
         entry = CachedAnswer(key=key, distinct=distinct,
                              fingerprint=fingerprint,
                              data_versions=data_versions,
@@ -337,8 +349,9 @@ class AnswerCache:
                              rewriting=rewriting)
         with self._lock:
             self.stats.stores += 1
-            if extended:
+            if base is not None:
                 self.stats.extended += 1
+                base.rewriting = None
             self.stats.lru_evictions += len(self._entries.put(
                 (key, distinct), entry, len(relation)))
         return entry

@@ -262,8 +262,7 @@ class RewriteCache:
                         return None
                     self.stats.invalidated += 1
                     if reason is not None:
-                        fallbacks = self.stats.extension_fallbacks
-                        fallbacks[reason] = fallbacks.get(reason, 0) + 1
+                        self.stats.tally("extension_fallbacks", reason)
                     return None
                 if events[-1].structure != fingerprint.structure:
                     # T was mutated out of band *after* the latest

@@ -33,7 +33,8 @@ from typing import Callable, Iterable, Sequence
 from repro.core.ontology import BDIOntology
 from repro.errors import UnanswerableQueryError
 from repro.query.answer_cache import (
-    AnswerCache, AnswerCacheStats, answer_cache_env_enabled,
+    Action, AnswerCache, AnswerCacheStats, CachedAnswer,
+    answer_cache_env_enabled,
 )
 from repro.query.cache import CacheStats, Extension, RewriteCache, \
     canonical_omq_key
@@ -44,8 +45,7 @@ from repro.query.ucq import UCQ
 from repro.relational.columnar import concat_batches
 from repro.relational.metrics import PlanMetrics, scan_timings
 from repro.relational.physical import (
-    CachingScanProvider, ScanCache, ScanProvider, Unversioned,
-    WrapperScanProvider,
+    CachingScanProvider, ScanCache, ScanProvider, WrapperScanProvider,
 )
 from repro.relational.rows import Relation
 from repro.streaming.standing import StandingQuery
@@ -238,30 +238,29 @@ class QueryEngine:
         versions = tuple((name, scans.data_version(name))
                          for name in names)
         bound = tuple(scans.bound(name) for name in names)
-        if any(isinstance(version, Unversioned) for _, version in versions):
-            # Fail closed: an answer read while a wrapper's version probe
-            # is broken is neither served from the cache nor stored in
-            # it, so it is never extended or patched either.
-            if cache.extension_base(key, distinct, result) is not None:
-                cache.note_extension_fallback("unversioned")
-            return execute
+        action: list[Action] = []
         cached = cache.lookup(key, distinct, fingerprint, versions,
-                              bound=bound, rewriting=result)
+                              bound=bound, rewriting=result,
+                              action=action)
         if cached is not None:
             return cached
+        (verdict, entry), = action
+        if verdict == "uncached":
+            return execute
 
         def compute() -> Relation:
-            extended = self._extend_answer(cache, key, distinct, result,
-                                           fingerprint, versions, bound,
-                                           scans)
-            if extended is not None:
-                return extended
+            if verdict == "extend" and entry is not None:
+                extended = self._extend_answer(cache, entry, result,
+                                               fingerprint, versions,
+                                               bound, scans)
+                if extended is not None:
+                    return extended
             plan = self._plan_cached(result, distinct, scans)
-            patched = self._patch_answer(cache, key, distinct,
-                                         fingerprint, versions, plan,
-                                         scans)
-            if patched is not None:
-                return patched
+            if verdict == "patch" and entry is not None:
+                patched = self._patch_answer(cache, entry, versions,
+                                             plan, scans)
+                if patched is not None:
+                    return patched
             relation = self._execute(key, plan, scans)
             cache.store(key, distinct, fingerprint, versions, relation,
                         bound, rewriting=result)
@@ -269,42 +268,26 @@ class QueryEngine:
 
         return compute
 
-    def _extend_answer(self, cache: AnswerCache, key: str,
-                       distinct: bool, result: RewritingResult,
-                       fingerprint: object,
+    def _extend_answer(self, cache: AnswerCache, entry: CachedAnswer,
+                       result: RewritingResult, fingerprint: object,
                        versions: "tuple[tuple[str, object], ...]",
                        bound: tuple[object, ...],
                        scans: ScanProvider) -> Relation | None:
-        """The cached answer of the rewriting *result* extends, plus the
-        rows of the walks its additive releases added.
+        """The cached answer of *entry*, whose rewriting *result*
+        extends, plus the rows of the walks its additive releases added.
 
         Under LAV such a release leaves every old walk as it was, so
         while the old wrappers still hold the data and the objects the
-        cached answer read, the new answer is the old one plus the added
-        walks' rows: their union under DISTINCT, their bag sum
-        otherwise. Only the added walks are planned (a private plan,
-        through :func:`plan_ucq`) and executed. Returns ``None`` when
-        there is no such entry, or when an old wrapper's data version
-        or bound object moved (counted as ``data_moved`` or
-        ``rebound``); the caller then patches or recomputes.
+        cached answer read (:meth:`AnswerCache.lookup` checked), the
+        new answer is the old one plus the added walks' rows: their
+        union under DISTINCT, their bag sum otherwise. Only the added
+        walks are planned (a private plan, through :func:`plan_ucq`)
+        and executed. Returns ``None`` when a concurrent reader
+        extended *entry* first; the caller then recomputes.
         """
-        entry = cache.extension_base(key, distinct, result)
-        if entry is None:
-            return None
         with entry.lock:
-            if cache.extension_base(key, distinct, result) is not entry:
+            if not result.extension_of(entry.rewriting):
                 # a concurrent reader extended it already
-                return None
-            current = dict(zip(_wrapper_names(result), bound))
-            old = [name for name, _ in entry.data_versions]
-            if any(current.get(name) is not obj
-                   for name, obj in zip(old, entry.bound)):
-                cache.note_extension_fallback("rebound")
-                return None
-            now = dict(versions)
-            if any(now.get(name) != version
-                   for name, version in entry.data_versions):
-                cache.note_extension_fallback("data_moved")
                 return None
             added = frozenset(result.added)
             walks = [walk for walk in result.walks
@@ -314,14 +297,15 @@ class QueryEngine:
                 plan = plan_ucq(self.ontology,
                                 UCQ(features=list(result.well_formed.pi),
                                     walks=walks),
-                                scans, distinct)
-                delta = self._execute(key, plan, scans)
+                                scans, entry.distinct)
+                delta = self._execute(entry.key, plan, scans)
                 batch = concat_batches(relation.schema, [
                     relation.columnar(), delta.columnar()])
                 relation = Relation.from_batch(
-                    batch.distinct() if distinct else batch, "result")
-            cache.store(key, distinct, fingerprint, versions, relation,
-                        bound, rewriting=result, extended=True)
+                    batch.distinct() if entry.distinct else batch,
+                    "result")
+            cache.store(entry.key, entry.distinct, fingerprint, versions,
+                        relation, bound, rewriting=result, base=entry)
             return relation
 
     def _execute(self, key: str, plan: PhysicalPlan,
@@ -333,12 +317,12 @@ class QueryEngine:
         self._record_metrics(key, collector.root)
         return relation
 
-    def _patch_answer(self, cache: AnswerCache, key: str,
-                      distinct: bool, fingerprint: object,
+    def _patch_answer(self, cache: AnswerCache, entry: CachedAnswer,
                       versions: "tuple[tuple[str, object], ...]",
                       plan: PhysicalPlan,
                       scans: ScanProvider) -> Relation | None:
-        """Bring a data-stale cached answer current by O(Δ) maintenance.
+        """Bring the data-stale cached answer *entry* current by O(Δ)
+        maintenance.
 
         Called on an answer-cache miss whose entry survived (same
         fingerprint, advanced data_versions). The entry's standing
@@ -351,9 +335,6 @@ class QueryEngine:
         fallback under the exception's class, and returns None, handing
         control back to the ordinary recompute-and-store path.
         """
-        entry = cache.patchable_entry(key, distinct, fingerprint)
-        if entry is None:
-            return None
         try:
             with entry.lock:
                 if entry.data_versions == versions:
@@ -370,10 +351,10 @@ class QueryEngine:
                     kind = "fallback" if outcome.reseeded else "patch"
                 cache.install_patch(entry, outcome.relation,
                                     outcome.data_versions, standing,
-                                    kind)
+                                    kind, outcome.cause)
                 return outcome.relation
         except Exception as exc:
-            cache.discard(key, distinct, error=exc)
+            cache.discard(entry.key, entry.distinct, error=exc)
             return None
 
     def plan(self, query: OMQ | str,

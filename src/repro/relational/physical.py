@@ -173,8 +173,7 @@ class ScanCache:
         """Count one probe that raised under *reason* in the
         ``unversioned`` or ``unestimated`` tally of :class:`ScanStats`."""
         with self._lock:
-            tally: dict[str, int] = getattr(self.stats, probe)
-            tally[reason] = tally.get(reason, 0) + 1
+            self.stats.tally(probe, reason)
 
     def get_or_fetch(self, key: ScanKey,
                      fetch: Callable[[], Relation]) -> Relation:

@@ -77,6 +77,10 @@ class RefreshOutcome:
     #: maintenance served this refresh, no-ops included)
     reseeded: bool
     reason: str
+    #: why the state was rebuilt, as a stable key for counters:
+    #: ``seed``, ``no_deltas`` or ``delta_volume`` (empty unless
+    #: *reseeded*); *reason* is the readable account
+    cause: str = ""
 
 
 class _ScanFeed:
@@ -146,7 +150,7 @@ class StandingQuery:
     def seed(self, provider: ScanProvider) -> RefreshOutcome:
         """Full scans through the (shared) provider → initial state."""
         with self.lock:
-            return self._reseed(provider, reason="initial seed")
+            return self._reseed(provider, "initial seed", "seed")
 
     def refresh(self, provider: ScanProvider) -> RefreshOutcome:
         """Bring the maintained result up to date: O(Δ) when the
@@ -154,7 +158,7 @@ class StandingQuery:
         trips."""
         with self.lock:
             if not self.seeded:
-                return self._reseed(provider, reason="initial seed")
+                return self._reseed(provider, "initial seed", "seed")
 
             pending: dict[ScanState, Counter[RowTuple]] = {}
             updates: dict[str, tuple[object, object]] = {}
@@ -167,8 +171,8 @@ class StandingQuery:
                 deltas = wrapper.fetch_deltas(feed.cursor)
                 if deltas is None:
                     return self._reseed(
-                        provider,
-                        reason=f"wrapper {feed.name} served no deltas")
+                        provider, f"wrapper {feed.name} served no deltas",
+                        "no_deltas")
                 for state in feed.states:
                     gather = self._local_names(state, wrapper.local_names)
                     counts = pending.setdefault(state, Counter())
@@ -186,9 +190,8 @@ class StandingQuery:
                 FALLBACK_DELTA_FRACTION * self.root.state_rows()))
             if delta_rows > threshold:
                 return self._reseed(
-                    provider,
-                    reason=f"delta volume {delta_rows} exceeds "
-                           f"threshold {threshold}")
+                    provider, f"delta volume {delta_rows} exceeds "
+                              f"threshold {threshold}", "delta_volume")
 
             changed = self._fold_result(self.root.apply(pending))
             for name, (cursor, version) in updates.items():
@@ -205,8 +208,8 @@ class StandingQuery:
 
     # repro-lint: disable=guarded-by -- sole callers are seed/refresh,
     # which hold the lock for the whole maintenance step.
-    def _reseed(self, provider: ScanProvider,
-                reason: str) -> RefreshOutcome:
+    def _reseed(self, provider: ScanProvider, reason: str,
+                cause: str) -> RefreshOutcome:
         self.seeded = False
         self._build()
         scan_deltas: dict[ScanState, Counter[RowTuple]] = {}
@@ -231,7 +234,7 @@ class StandingQuery:
         self.seeded = True
         return RefreshOutcome(
             self.relation, self.data_versions(), reseeded=True,
-            reason=reason)
+            reason=reason, cause=cause)
 
     @staticmethod
     def _full_scan(provider: ScanProvider,

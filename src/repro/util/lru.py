@@ -111,6 +111,12 @@ class LRUStats:
         """Hits per lookup in [0, 1]; 0.0 before any lookup."""
         return self.hits / self.lookups if self.lookups else 0.0
 
+    def tally(self, name: str, reason: str) -> None:
+        """Count one event under *reason* in the per-reason counter
+        *name* (a ``dict[str, int]`` field of the subclass)."""
+        counts: dict[str, int] = getattr(self, name)
+        counts[reason] = counts.get(reason, 0) + 1
+
     def snapshot(self) -> dict[str, object]:
         """Every counter, and the hit rate rounded to 4 places."""
         return {**asdict(self), "hit_rate": round(self.hit_rate, 4)}

@@ -170,6 +170,12 @@ class TestServerFraming:
             assert json.loads(body)["error"]["code"] == "overloaded"
             assert srv.shed_requests == 1
             handler.release.set()
+            # the one slot frees once the worker takes /queued; an /end
+            # sent before that would be shed, rightly
+            deadline = time.monotonic() + 5
+            while srv._queue.qsize() > 0:
+                assert time.monotonic() < deadline
+                time.sleep(0.005)
             for sock, path in ((first, "/block"), (second, "/queued")):
                 sock.sendall(b"GET /end HTTP/1.1\r\nConnection: close"
                              b"\r\n\r\n")

@@ -52,11 +52,13 @@ class TestAnswerCacheUnit:
         cache = AnswerCache()
         cache.store("q", True, "fp", VERSIONS, relation_of(1))
         moved = (("w1", 0), ("w3", 3))
-        assert cache.lookup("q", True, "fp", moved) is None
+        action = []
+        assert cache.lookup("q", True, "fp", moved, action=action) is None
         assert cache.stats.misses == 1
         assert cache.stats.evictions == 0
         # only the data moved: the entry waits for the patch path
-        entry = cache.patchable_entry("q", True, "fp")
+        (verdict, entry), = action
+        assert verdict == "patch"
         assert entry is not None and entry.data_versions == VERSIONS
 
     def test_rebind_evicts_even_when_patchable(self):
@@ -73,10 +75,12 @@ class TestAnswerCacheUnit:
         cache.store("q", True, "fp", VERSIONS, relation_of(1),
                     bound=(old,))
         assert cache.lookup("q", True, "fp", VERSIONS, bound=(old,))
+        action = []
         assert cache.lookup("q", True, "fp", VERSIONS,
-                            bound=(new,)) is None
+                            bound=(new,), action=action) is None
         assert cache.stats.evictions == 1
-        assert cache.patchable_entry("q", True, "fp") is None
+        assert action == [("compute", None)]
+        assert "q" not in cache
 
     def test_lru_eviction_past_cap(self, monkeypatch):
         monkeypatch.setattr(answer_cache_module, "ANSWER_CACHE_ENTRIES", 2)

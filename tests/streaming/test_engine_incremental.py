@@ -224,3 +224,56 @@ class TestServingPanels:
         assert stats.stores == 1
         assert "incremental maintenance: patches = 1" in \
             service.describe()
+
+
+class TestFallbackCauses:
+    """Each cause of a patch fallback is tallied under its own stable
+    key, in the stats, the describe text and ``/v1/describe``."""
+
+    @pytest.fixture()
+    def seeded(self, scenario):
+        from repro.mdm import MDM
+        mdm = MDM(scenario.ontology)
+        mdm.engine.answer(EXEMPLARY_QUERY)
+        churn(scenario)  # attach + seed the standing query
+        mdm.engine.answer(EXEMPLARY_QUERY)
+        assert mdm.engine.answer_cache.stats.seeds == 1
+        yield mdm
+        mdm.serving().close()
+
+    def assert_cause(self, scenario, mdm, cause: str) -> None:
+        from repro.mdm.analyst import describe_answer_cache
+        churn(scenario, n=3)
+        assert mdm.engine.answer(EXEMPLARY_QUERY) == \
+            oracle_answer(scenario)
+        stats = mdm.engine.answer_cache.stats
+        assert stats.fallbacks == 1
+        assert stats.fallback_reasons == {cause: 1}
+        assert f"fallback causes: {cause} = 1" in \
+            describe_answer_cache(mdm.engine.answer_cache)
+        with mdm.serving().client() as client:
+            described = client.describe().service["answer_cache"]
+        assert described["fallback_reasons"] == {cause: 1}
+
+    def test_valve_trip(self, scenario, seeded, monkeypatch):
+        import repro.streaming.standing as standing_mod
+        monkeypatch.setattr(standing_mod, "FALLBACK_MIN_DELTA_ROWS", 0)
+        monkeypatch.setattr(standing_mod, "FALLBACK_DELTA_FRACTION", 0.0)
+        self.assert_cause(scenario, seeded, "delta_volume")
+
+    def test_wrapper_without_deltas(self, scenario, seeded, monkeypatch):
+        for wrapper in scenario.wrappers.values():
+            monkeypatch.setattr(wrapper, "fetch_deltas",
+                                lambda since: None)
+        self.assert_cause(scenario, seeded, "no_deltas")
+
+    def test_raising_refresh(self, scenario, seeded, monkeypatch):
+        from repro.streaming.standing import StandingQuery
+
+        def boom(self, provider):
+            raise RuntimeError("synthetic refresh failure")
+
+        monkeypatch.setattr(StandingQuery, "refresh", boom)
+        self.assert_cause(scenario, seeded, "error")
+        assert seeded.engine.answer_cache.stats.fallback_errors == \
+            {"RuntimeError": 1}
